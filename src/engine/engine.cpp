@@ -18,6 +18,8 @@
 namespace ppnpart::engine {
 
 using part::goodness_of;
+using Path = AdmissionDecision::Path;
+using Rung = AdmissionDecision::DegradeRung;
 
 const char* to_string(AdmissionDecision::Path path) {
   switch (path) {
@@ -85,6 +87,30 @@ void trace_decision(std::uint64_t job_id, const AdmissionDecision& d) {
                          {{"sim_probed", d.sim_probed ? 1 : 0}}, detail);
 }
 
+/// A one-member answer (warm start, similarity, projected): `winner` names
+/// both the answer and its single, winning member row.
+PortfolioOutcome single_answer(part::PartitionResult result,
+                               const char* winner) {
+  PortfolioOutcome out;
+  MemberOutcome mo;
+  mo.algorithm = winner;
+  mo.ran = true;
+  mo.won = true;
+  mo.goodness = goodness_of(result);
+  mo.seconds = result.seconds;
+  out.members.push_back(std::move(mo));
+  out.best = std::move(result);
+  out.winner = winner;
+  return out;
+}
+
+/// An answerless outcome carrying a typed error.
+PortfolioOutcome error_outcome(support::Status status) {
+  PortfolioOutcome out;
+  out.status = std::move(status);
+  return out;
+}
+
 }  // namespace
 
 /// All mutable state of one in-flight job. Tasks hold it by shared_ptr so a
@@ -94,30 +120,27 @@ struct Engine::JobState {
   JobId id = 0;
   std::uint64_t key = 0;
   std::uint64_t graph_fp = 0;
-  /// How admission answered this job; written in admit() before any waiter
-  /// can observe `done`, read by repartition() after collecting the outcome.
-  Route route = Route::kFull;
   /// False only for run_one's aliasing const& overload: the graph must not
   /// outlive the call, so it never enters the similarity index (and never
   /// leads a near-twin cohort — its answer could not be indexed, so parked
   /// followers would wait behind nothing).
   bool owns_graph = true;
-  /// Computed lazily: at the similarity probe, or in finalize_job for
-  /// full-path index insertion. Single-owner at every point in time — the
-  /// admitting thread writes it, then hands the state to exactly one
-  /// continuation (warm-start task, follower resumption, or member
-  /// fan-out/finalize), each ordered by a pool submit or a registry mutex.
+  /// Computed lazily: at the similarity probe, or in complete() for index
+  /// insertion. Single-owner at every point in time — the admitting thread
+  /// writes it, then hands the state to exactly one continuation
+  /// (warm-start task, follower resumption, or member fan-out/complete),
+  /// each ordered by a pool submit or a registry mutex.
   std::optional<support::GraphSketch> sketch;
   /// request_compat_fingerprint of this job, cached at the similarity probe
   /// (the pending-leader registry is keyed by it).
   std::uint64_t compat_fp = 0;
   /// This job registered as a near-twin cohort leader in the similarity
-  /// index's pending registry; every completion path must resolve it (see
-  /// resolve_sim_pending). Written in admit(), cleared by the completion
-  /// path — ordered by the same handoffs as `sketch`.
+  /// index's pending registry; complete() resolves it (see
+  /// resolve_sim_pending). Written in admit(), cleared on completion —
+  /// ordered by the same handoffs as `sketch`.
   bool sim_pending_leader = false;
   /// Built up during admit() and, for deferred similarity verdicts, by the
-  /// warm-start task (the state's single owner at that point); copied onto
+  /// warm-start task (the state's single owner at that point); stamped onto
   /// the outcome when the job completes.
   AdmissionDecision decision;
   support::StopToken token;
@@ -125,6 +148,8 @@ struct Engine::JobState {
 
   std::mutex m;
   std::condition_variable cv;
+  /// Member results of this job's own fan-out; empty for every job answered
+  /// any other way (inline stages, projected rung, coalesced, shed).
   std::vector<MemberOutcome> members;
   bool have_best = false;
   std::size_t best_index = 0;
@@ -134,15 +159,15 @@ struct Engine::JobState {
   bool done = false;
   bool collected = false;  // outcome moved out by a wait()/poll() winner
   /// Bounded-admission bookkeeping. `holds_slot` (guarded by the engine
-  /// mutex_): this job occupies one of the max_running_jobs slots and must
-  /// release it in finalize_job. `queued_start`: the queue pump started this
-  /// job, so its fan-out must use the pool even from a worker thread — the
-  /// waiter is an external client, nothing on this thread blocks on it.
+  /// mutex_): this job occupies one of the max_running_jobs slots, released
+  /// in complete(). `queued_start`: the queue pump started this job, so its
+  /// fan-out must use the pool even from a worker thread — the waiter is an
+  /// external client, nothing on this thread blocks on it.
   bool holds_slot = false;
   bool queued_start = false;
   PortfolioOutcome outcome;
   /// Identical-key jobs coalesced onto this one (single-flight); completed
-  /// with a copy of this job's outcome by finalize_job. Guarded by `m`,
+  /// with a copy of this job's outcome by complete(). Guarded by `m`,
   /// drained atomically with the `done` flip so no follower is stranded.
   std::vector<std::shared_ptr<JobState>> followers;
 };
@@ -168,8 +193,8 @@ Engine::Engine(EngineOptions options)
 
   // Intra-member parallelism, capped against oversubscription: concurrent
   // member tasks already occupy the pool, so members x threads must not
-  // exceed it. Deterministic mode keeps the cap result-neutral (parallel
-  // answers do not depend on the thread count).
+  // exceed it. Parallel answers do not depend on the thread count, so the
+  // cap is result-neutral.
   {
     const std::uint32_t pool_size =
         std::max(1u, support::ThreadPool::global().size());
@@ -286,9 +311,10 @@ PortfolioOutcome Engine::run_one(const graph::Graph& g,
   // For the same lifetime reason admit() gets owns_graph == false: the
   // similarity index must never retain this pointer.
   fp_computed_.fetch_add(1, std::memory_order_relaxed);
-  return run_one_impl(
-      std::shared_ptr<const graph::Graph>(&g, [](const graph::Graph*) {}),
-      request, graph_fingerprint(g), /*owns_graph=*/false);
+  const std::shared_ptr<const graph::Graph> alias(&g,
+                                                  [](const graph::Graph*) {});
+  return wait(
+      admit(Job{alias, request}, graph_fingerprint(g), /*owns_graph=*/false));
 }
 
 PortfolioOutcome Engine::run_one(std::shared_ptr<const graph::Graph> g,
@@ -296,64 +322,15 @@ PortfolioOutcome Engine::run_one(std::shared_ptr<const graph::Graph> g,
   if (g == nullptr)
     throw std::invalid_argument("Engine: run_one with null graph");
   const std::uint64_t graph_fp = shared_graph_fingerprint(g);
-  return run_one_impl(std::move(g), request, graph_fp, /*owns_graph=*/true);
+  return wait(admit(Job{std::move(g), request}, graph_fp, /*owns_graph=*/true));
 }
 
-PortfolioOutcome Engine::run_one_impl(std::shared_ptr<const graph::Graph> g,
-                                      const part::PartitionRequest& request,
-                                      std::uint64_t graph_fp,
-                                      bool owns_graph) {
-  // Exact-hit fast path before the JobState is even built: a repeated
-  // query costs a hash and a lookup, never job bookkeeping or a pool
-  // round-trip. The pipeline's stage 1 is told not to look again — the
-  // miss was counted here.
-  support::Timer timer;
-  const std::uint64_t key = job_key(graph_fp, request);
-  if (auto cached = cache_.lookup(key)) {
-    PortfolioOutcome out = std::move(*cached);
-    out.from_cache = true;
-    out.seconds = timer.seconds();
-    out.decision = AdmissionDecision{};
-    out.decision.path = AdmissionDecision::Path::kExactHit;
-    path_metrics_.jobs->add();
-    path_metrics_.exact_hits->add();
-    path_metrics_.job_us->observe(out.seconds * 1e6);
-    // Every cached hit draws its own id from the job id stream, so trace
-    // instants of distinct queries stay distinguishable instead of all
-    // collapsing onto id 0. The id never enters jobs_ — there is no
-    // JobState to collect.
-    std::uint64_t trace_id = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      trace_id = next_id_++;
-      ++stats_.jobs_completed;
-    }
-    trace_decision(trace_id, out.decision);
-    return out;
-  }
-  return wait(admit(Job{std::move(g), request}, graph_fp, owns_graph,
-                    /*caller_warm=*/nullptr, /*warm_stats=*/nullptr,
-                    /*check_cache=*/false)
-                  ->id);
-}
-
-std::vector<PortfolioOutcome> Engine::run_batch(const std::vector<Job>& jobs) {
+std::vector<PortfolioOutcome> Engine::run_batch(std::vector<Job> jobs) {
   // Enqueue everything first so members of different jobs overlap on the
   // pool, then collect in job order.
   std::vector<JobId> ids;
   ids.reserve(jobs.size());
-  for (const Job& job : jobs) ids.push_back(submit(job));
-  std::vector<PortfolioOutcome> out;
-  out.reserve(ids.size());
-  for (JobId id : ids) out.push_back(wait(id));
-  return out;
-}
-
-std::vector<PortfolioOutcome> Engine::run_batch(std::vector<Job>&& jobs) {
-  std::vector<JobId> ids;
-  ids.reserve(jobs.size());
   for (Job& job : jobs) ids.push_back(submit(std::move(job)));
-  jobs.clear();
   std::vector<PortfolioOutcome> out;
   out.reserve(ids.size());
   for (JobId id : ids) out.push_back(wait(id));
@@ -364,15 +341,11 @@ Engine::JobId Engine::submit(Job job) {
   if (job.graph == nullptr)
     throw std::invalid_argument("Engine: job has no graph");
   const std::uint64_t graph_fp = shared_graph_fingerprint(job.graph);
-  return admit(std::move(job), graph_fp, /*owns_graph=*/true,
-               /*caller_warm=*/nullptr, /*warm_stats=*/nullptr)
-      ->id;
+  return admit(std::move(job), graph_fp, /*owns_graph=*/true);
 }
 
-std::shared_ptr<Engine::JobState> Engine::admit(
-    Job job, std::uint64_t graph_fp, bool owns_graph,
-    const WarmStartSeed* caller_warm, part::IncrementalStats* warm_stats,
-    bool check_cache) {
+Engine::JobId Engine::admit(Job job, std::uint64_t graph_fp, bool owns_graph,
+                            const WarmStartSeed* caller_warm) {
   auto state = std::make_shared<JobState>();
   state->job = std::move(job);
   state->graph_fp = graph_fp;
@@ -386,8 +359,9 @@ std::shared_ptr<Engine::JobState> Engine::admit(
   }
 
   // One async span per job, opened on the admitting thread and closed
-  // wherever the job completes (an inline serve here, or a pool worker in
-  // finalize_job) — async events pair by (cat, name, id) across threads.
+  // wherever the job completes (an inline answer here, or a pool worker
+  // finishing its fan-out) — async events pair by (cat, name, id) across
+  // threads.
   support::trace_async_begin(
       kTraceCat, "job", state->id,
       {{"nodes", static_cast<std::int64_t>(state->job.graph->num_nodes())},
@@ -399,15 +373,12 @@ std::shared_ptr<Engine::JobState> Engine::admit(
   // leave a never-done state behind for ~Engine to wait on forever.
   try {
     // ---- Stage 1: exact fingerprint hit — a finished twin exists. --------
-    if (auto cached = check_cache ? cache_.lookup(state->key)
-                                  : std::optional<PortfolioOutcome>{}) {
-      state->route = Route::kResultCache;
-      state->decision.path = AdmissionDecision::Path::kExactHit;
-      path_metrics_.exact_hits->add();
-      PortfolioOutcome out = std::move(*cached);
-      out.from_cache = true;
-      serve_inline(state, std::move(out));
-      return state;
+    // A repeated query costs a hash, a lookup and the job bookkeeping —
+    // never a pool round-trip.
+    if (auto cached = cache_.lookup(state->key)) {
+      state->decision.path = Path::kExactHit;
+      complete(state, *std::move(cached), Tally::kCompleted);
+      return state->id;
     }
 
     // ---- Stage 2: warm start. --------------------------------------------
@@ -417,23 +388,18 @@ std::shared_ptr<Engine::JobState> Engine::admit(
     // is never written to the exact result cache — it depends on the
     // previous answer it was seeded from, and the cache key does not.
     if (caller_warm != nullptr) {
-      part::IncrementalStats local_warm;
-      part::IncrementalStats* wstats =
-          warm_stats != nullptr ? warm_stats : &local_warm;
-      if (auto warm = run_warm_start(state, *caller_warm, wstats)) {
-        state->route = Route::kWarmStart;
-        state->decision.path = AdmissionDecision::Path::kWarmStart;
-        path_metrics_.warm_starts->add();
-        serve_warm(state, *std::move(warm), "incremental",
-                   /*similarity_served=*/false);
-        return state;
+      if (auto warm = run_warm_start(state, *caller_warm)) {
+        state->decision.path = Path::kWarmStart;
+        complete(state, single_answer(*std::move(warm), "incremental"),
+                 Tally::kCompleted);
+        return state->id;
       }
       // Declined: fall through to the portfolio, but keep the reason on
       // the record — "why didn't my delta warm-start" is the first
       // question a trace answers.
-      state->decision.decline_reason = wstats->fallback_reason;
+      state->decision.decline_reason = caller_warm->stats->fallback_reason;
     } else if (similarity_enabled() && admit_similarity(state)) {
-      return state;
+      return state->id;
     }
   } catch (...) {
     // A registered cohort leader must not leave parked followers stranded
@@ -446,20 +412,17 @@ std::shared_ptr<Engine::JobState> Engine::admit(
 
   // ---- Stage 3: the full portfolio. --------------------------------------
   launch_full(state);
-  return state;
+  return state->id;
 }
 
 std::optional<part::PartitionResult> Engine::run_warm_start(
-    const std::shared_ptr<JobState>& state, const WarmStartSeed& seed,
-    part::IncrementalStats* stats) {
-  part::IncrementalStats local;
-  part::IncrementalStats& istats = stats != nullptr ? *stats : local;
+    const std::shared_ptr<JobState>& state, const WarmStartSeed& seed) {
   if (!seed.prev->complete()) {
     // An untrustworthy warm start declines like every other one (oversized
     // delta, k change): the portfolio answers instead of the service loop
     // throwing.
-    istats.fell_back = true;
-    istats.fallback_reason = "previous partition incomplete";
+    seed.stats->fell_back = true;
+    seed.stats->fallback_reason = "previous partition incomplete";
     return std::nullopt;
   }
   // Exclusive scratch from the engine-owned pool: concurrent repartition
@@ -469,7 +432,7 @@ std::optional<part::PartitionResult> Engine::run_warm_start(
   req.workspace = lease.get();
   return incremental_.try_repartition(*state->job.graph, *seed.prev,
                                       seed.node_map, seed.touched, req,
-                                      &istats);
+                                      seed.stats);
 }
 
 bool Engine::admit_similarity(const std::shared_ptr<JobState>& state) {
@@ -500,15 +463,11 @@ bool Engine::admit_similarity(const std::shared_ptr<JobState>& state) {
       // still open — it is counted when the warm start resolves.
       state->decision.warm_deferred = true;
       span.detail("parked behind pending leader");
-      path_metrics_.sim_parked->add();
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.similarity.parked;
-      }
+      count(Tally::kSimParked);
       return true;
     case SimilarityIndex::ProbeRole::kLeader:
       // First of a cohort nothing was answered for yet: route full, and let
-      // finalize/serve_error/serve_inline resume whoever parks behind us.
+      // complete() resume whoever parks behind us.
       state->sim_pending_leader = true;
       state->decision.warm_leader = true;
       span.detail("pending leader");
@@ -523,11 +482,7 @@ bool Engine::admit_similarity(const std::shared_ptr<JobState>& state) {
 void Engine::spawn_warm_task(const std::shared_ptr<JobState>& state,
                              SimilarityIndex::Match match) {
   state->decision.warm_deferred = true;
-  path_metrics_.sim_deferred->add();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.similarity.deferred;
-  }
+  count(Tally::kSimDeferred);
   try {
     support::ThreadPool::global().submit(
         [this, state, match = std::move(match)]() mutable {
@@ -590,36 +545,23 @@ void Engine::run_warm_task(const std::shared_ptr<JobState>& state,
     launch_full(state);
     return;
   }
-  state->route = Route::kSimilarity;
-  state->decision.path = AdmissionDecision::Path::kSimilarity;
-  path_metrics_.sim_served->add();
-  // The probe and its verdict are one transaction under ONE mutex_
-  // acquisition — even though the verdict lands on a pool thread, a
-  // concurrent stats() reader always sees probes == near_hits + declines,
-  // never a probe whose outcome is still in flight.
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.similarity.probes;
-    ++stats_.similarity.near_hits;
-  }
-  serve_warm(state, *std::move(warm), "similarity", /*similarity_served=*/true);
+  // The probe and its near-hit verdict are counted together in complete()'s
+  // ledger transaction — even though the verdict lands on a pool thread, a
+  // concurrent stats() reader always sees probes == near_hits + declines.
+  state->decision.path = Path::kSimilarity;
+  complete(state, single_answer(*std::move(warm), "similarity"),
+           Tally::kCompleted);
 }
 
 void Engine::count_probe_declined(const std::shared_ptr<JobState>& state,
                                   const std::string& reason) {
   state->decision.decline_reason = reason;
-  path_metrics_.sim_declined->add();
-  // Same one-transaction rule as the near-hit side of run_warm_task.
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.similarity.probes;
-    ++stats_.similarity.declines;
-  }
+  count(Tally::kSimDecline);  // the probe and its verdict: one ledger entry
 }
 
 void Engine::resume_follower(const std::shared_ptr<JobState>& state) {
   // Parked until the leader resolved. Re-probe the index: on leader success
-  // its fresh entry is there (finalize_job insert()s BEFORE it resolves the
+  // its fresh entry is there (complete() indexes BEFORE it resolves the
   // cohort); a miss means the leader failed, degraded or was shed, and this
   // follower falls to the full path.
   std::optional<SimilarityIndex::Match> match;
@@ -654,78 +596,12 @@ void Engine::resolve_sim_pending(const std::shared_ptr<JobState>& state) {
   }
 }
 
-void Engine::serve_warm(const std::shared_ptr<JobState>& state,
-                        part::PartitionResult result, const char* winner,
-                        bool similarity_served) {
-  // The graph now has a fresh, valid answer of its own: index it so the
-  // NEXT near-identical arrival warm-starts from this one.
-  maybe_index(state, result.partition);
-  PortfolioOutcome out;
-  out.best = std::move(result);
-  out.winner = winner;
-  out.similarity = similarity_served;
-  MemberOutcome mo;
-  mo.algorithm = winner;
-  mo.ran = true;
-  mo.won = true;
-  mo.goodness = goodness_of(out.best);
-  mo.seconds = out.best.seconds;
-  out.members.push_back(std::move(mo));
-  serve_inline(state, std::move(out));
-}
-
-void Engine::serve_inline(const std::shared_ptr<JobState>& state,
-                          PortfolioOutcome outcome) {
-  outcome.key = state->key;
-  outcome.seconds = state->timer.seconds();
-  outcome.decision = state->decision;
-  trace_decision(state->id, state->decision);
-  support::trace_async_end(kTraceCat, "job", state->id, {},
-                           to_string(state->decision.path));
-  path_metrics_.jobs->add();
-  path_metrics_.job_us->observe(outcome.seconds * 1e6);
-  // Same ordering rule as finalize_job: every engine-member touch (here the
-  // stats bump under mutex_) BEFORE `done` is published — the moment a
-  // waiter on another thread observes done it may collect the outcome and
-  // destroy the Engine, leaving this thread only the JobState shared_ptr.
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.jobs_completed;
-  }
-  // A pending similarity leader can end up here via the projected rung
-  // (launch_full -> gate -> serve_projected): its answer was never indexed,
-  // so the parked cohort re-probes, misses, and routes full.
-  resolve_sim_pending(state);
-  {
-    std::lock_guard<std::mutex> lock(state->m);
-    state->outcome = std::move(outcome);
-    state->done = true;
-  }
-  state->cv.notify_all();
-}
-
-void Engine::maybe_index(const std::shared_ptr<JobState>& state,
-                         const part::Partition& partition) {
-  if (!similarity_enabled() || !state->owns_graph) return;
-  // The index replays this partition as a warm-start seed onto graphs that
-  // diff cleanly against ours; an incomplete or mis-sized one is never a
-  // valid seed.
-  PPN_DCHECK(partition.size() == state->job.graph->num_nodes());
-  PPN_DCHECK(partition.complete());
-  if (!state->sketch.has_value())
-    state->sketch = support::sketch_of(*state->job.graph);
-  sim_index_.insert({*state->sketch, state->job.graph, state->graph_fp,
-                     request_compat_fingerprint(state->job.request),
-                     partition});
-}
-
 void Engine::launch_full(const std::shared_ptr<JobState>& state) {
   auto& pool = support::ThreadPool::global();
 
   // Stage 3 is the decision (coalescing below shares the leader's WORK, but
   // this job still routed full-portfolio): record it before fan-out.
-  state->decision.path = AdmissionDecision::Path::kFullPortfolio;
-  path_metrics_.full_runs->add();
+  state->decision.path = Path::kFullPortfolio;
 
   // Single-flight: a running twin of this job exists — attach to it and
   // share its outcome instead of racing a duplicate portfolio. Jobs
@@ -748,8 +624,7 @@ void Engine::launch_full(const std::shared_ptr<JobState>& state) {
         if (!leader->done) {
           leader->followers.push_back(state);
           trace_decision(state->id, state->decision);
-          std::lock_guard<std::mutex> slock(mutex_);
-          ++stats_.jobs_coalesced;
+          count(Tally::kCoalesced);
           return;
         }
       }
@@ -767,14 +642,13 @@ void Engine::launch_full(const std::shared_ptr<JobState>& state) {
   // one would block a worker the running jobs may need.
   if (options_.queue_capacity > 0 && !pool.on_worker_thread() &&
       !admission_gate(state))
-    return;  // queued (pump_queue fans out later) or shed (outcome is done)
+    return;  // queued (complete() fans out later) or refused (done already)
 
   trace_decision(state->id, state->decision);
   fan_out(state);
 }
 
 bool Engine::admission_gate(const std::shared_ptr<JobState>& state) {
-  using Rung = AdmissionDecision::DegradeRung;
   const std::size_t cap = options_.queue_capacity;
   std::shared_ptr<JobState> victim;
   support::Status refusal;
@@ -826,8 +700,6 @@ bool Engine::admission_gate(const std::shared_ptr<JobState>& state) {
           support::StatusCode::kDeadlineExceeded,
           "engine: deadline expires before " + std::to_string(depth + 1) +
               " queued job(s) can drain");
-      ++stats_.jobs_rejected;
-      path_metrics_.rejected->add();
     } else if (depth < cap) {
       queue_.push_back(state);
       queued = true;
@@ -836,34 +708,29 @@ bool Engine::admission_gate(const std::shared_ptr<JobState>& state) {
       queue_.pop_front();
       queue_.push_back(state);
       queued = true;
-      ++stats_.jobs_shed;
-      path_metrics_.shed->add();
     } else {
       refusal = support::Status::error(
           support::StatusCode::kResourceExhausted,
           "engine: admission queue full (" + std::to_string(cap) +
               " pending)");
-      ++stats_.jobs_rejected;
-      path_metrics_.rejected->add();
     }
 
     if ((run_now || queued) && rung != Rung::kFull) {
-      ++stats_.jobs_degraded;
-      switch (rung) {
-        case Rung::kCheapMembers: path_metrics_.degrade_cheap->add(); break;
-        case Rung::kGpOnly: path_metrics_.degrade_gp->add(); break;
-        case Rung::kProjected: path_metrics_.degrade_projected->add(); break;
-        case Rung::kFull: break;
-      }
+      tally(rung == Rung::kCheapMembers ? Tally::kDegradeCheap
+            : rung == Rung::kGpOnly     ? Tally::kDegradeGp
+                                        : Tally::kDegradeProjected);
     }
   }
 
-  if (victim != nullptr)
-    serve_error(victim,
-                support::Status::error(support::StatusCode::kResourceExhausted,
-                                       "engine: shed by drop_oldest"));
+  if (victim != nullptr) {
+    complete(victim,
+             error_outcome(support::Status::error(
+                 support::StatusCode::kResourceExhausted,
+                 "engine: shed by drop_oldest")),
+             Tally::kShed);
+  }
   if (!refusal.is_ok()) {
-    serve_error(state, std::move(refusal));
+    complete(state, error_outcome(std::move(refusal)), Tally::kRejected);
     return false;
   }
   if (queued) {
@@ -873,9 +740,7 @@ bool Engine::admission_gate(const std::shared_ptr<JobState>& state) {
   return run_now;
 }
 
-std::vector<std::size_t> Engine::members_for_rung(
-    AdmissionDecision::DegradeRung rung) const {
-  using Rung = AdmissionDecision::DegradeRung;
+std::vector<std::size_t> Engine::members_for_rung(Rung rung) const {
   const std::vector<std::string>& members = options_.portfolio.members;
   std::vector<std::size_t> out;
   if (rung == Rung::kCheapMembers) {
@@ -900,7 +765,7 @@ std::vector<std::size_t> Engine::members_for_rung(
 
 void Engine::fan_out(const std::shared_ptr<JobState>& state) {
   auto& pool = support::ThreadPool::global();
-  if (state->decision.rung == AdmissionDecision::DegradeRung::kProjected) {
+  if (state->decision.rung == Rung::kProjected) {
     serve_projected(state);
     return;
   }
@@ -959,91 +824,9 @@ void Engine::fan_out(const std::shared_ptr<JobState>& state) {
           state->remaining -= selected.size() - si;
           finished = state->remaining == 0;
         }
-        if (finished) finalize_job(state);
+        if (finished) collect_members(state);
         break;
       }
-    }
-  }
-}
-
-void Engine::pump_queue() {
-  // Collect starts under the lock, fan out after it: fan_out takes state->m
-  // and pool locks that must not nest under mutex_.
-  std::vector<std::shared_ptr<JobState>> start;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    while (!queue_.empty() && running_full_ < max_running_resolved_) {
-      std::shared_ptr<JobState> next = queue_.front();
-      queue_.pop_front();
-      ++running_full_;
-      next->holds_slot = true;
-      next->queued_start = true;
-      start.push_back(std::move(next));
-    }
-  }
-  for (const std::shared_ptr<JobState>& s : start) fan_out(s);
-}
-
-void Engine::serve_error(const std::shared_ptr<JobState>& state,
-                         support::Status status) {
-  // Same ordering rule as finalize_job: every engine-member touch before
-  // the `done` flip — a waiter may destroy the Engine the moment it
-  // observes done.
-  PortfolioOutcome snapshot;
-  {
-    std::lock_guard<std::mutex> lock(state->m);
-    state->decision.path = AdmissionDecision::Path::kShed;
-    PortfolioOutcome& out = state->outcome;
-    out.status = std::move(status);
-    out.key = state->key;
-    out.decision = state->decision;
-    out.seconds = state->timer.seconds();
-    snapshot = out;
-  }
-  trace_decision(state->id, state->decision);
-  support::trace_async_end(kTraceCat, "job", state->id, {},
-                           snapshot.status.to_string());
-  {
-    // A shed single-flight leader must leave the registry before `done`, so
-    // a racing twin can take the key and compute a real answer.
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = inflight_.find(state->key);
-    if (it != inflight_.end() && it->second == state) inflight_.erase(it);
-  }
-  // A shed/refused pending similarity leader never indexed an answer: its
-  // parked cohort re-probes, misses, and falls to the full path — shedding
-  // the leader sheds only the leader.
-  resolve_sim_pending(state);
-
-  std::vector<std::shared_ptr<JobState>> followers;
-  {
-    std::lock_guard<std::mutex> lock(state->m);
-    followers.swap(state->followers);
-    state->done = true;
-  }
-  state->cv.notify_all();
-
-  if (!followers.empty()) {
-    // Followers share the leader's fate — and its typed error. Account them
-    // while they still pin the engine in jobs_ (see finalize_job).
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stats_.jobs_shed += followers.size();
-    }
-    path_metrics_.shed->add(followers.size());
-    for (const std::shared_ptr<JobState>& f : followers) {
-      resolve_sim_pending(f);  // same stranding rule as the leader above
-      {
-        std::lock_guard<std::mutex> lock(f->m);
-        f->decision.path = AdmissionDecision::Path::kShed;
-        f->outcome = snapshot;
-        f->outcome.coalesced = true;
-        f->outcome.decision = f->decision;
-        f->outcome.seconds = f->timer.seconds();
-        support::trace_async_end(kTraceCat, "job", f->id, {}, "shed");
-        f->done = true;
-      }
-      f->cv.notify_all();
     }
   }
 }
@@ -1091,27 +874,22 @@ void Engine::serve_projected(const std::shared_ptr<JobState>& state) {
     result.algorithm = "projected";
     result.seconds = timer.seconds();
   } catch (...) {
-    serve_error(state,
-                support::Status::error(support::StatusCode::kInternal,
-                                       "engine: projected answer failed"));
+    // Ends like a fan-out whose every member failed: a typed kInternal
+    // outcome on the job's own path and rung, counted as completed.
+    complete(state,
+             error_outcome(support::Status::error(
+                 support::StatusCode::kInternal,
+                 "engine: projected answer failed")),
+             Tally::kCompleted);
     return;
   }
   span.arg("cut", static_cast<std::int64_t>(result.metrics.total_cut));
 
   // A projected answer is a valid, complete partition but is NEVER cached
   // or similarity-indexed: the rung depends on transient load, the cache
-  // key does not (serve_inline touches neither).
-  PortfolioOutcome out;
-  out.best = std::move(result);
-  out.winner = "projected";
-  MemberOutcome mo;
-  mo.algorithm = "projected";
-  mo.ran = true;
-  mo.won = true;
-  mo.goodness = goodness_of(out.best);
-  mo.seconds = out.best.seconds;
-  out.members.push_back(std::move(mo));
-  serve_inline(state, std::move(out));
+  // key does not (complete() publishes full-rung answers only).
+  complete(state, single_answer(std::move(result), "projected"),
+           Tally::kCompleted);
 }
 
 void Engine::run_member(const std::shared_ptr<JobState>& state,
@@ -1157,8 +935,8 @@ void Engine::run_member(const std::shared_ptr<JobState>& state,
         req.stop = &state->token;
         // Intra-member parallelism (capped in the constructor). Members run
         // on pool workers, where nested fan-out degrades to inline serial
-        // execution — harmless because deterministic parallel results do
-        // not depend on the executing thread count.
+        // execution — harmless because parallel results do not depend on
+        // the executing thread count.
         req.threads = threads_per_job_;
         span.arg("seed", static_cast<std::int64_t>(req.seed));
         // Coarsening reuse: hand every member the engine's cache plus the
@@ -1220,29 +998,17 @@ void Engine::run_member(const std::shared_ptr<JobState>& state,
     }
     finished = --state->remaining == 0;
   }
-  if (finished) finalize_job(state);
+  if (finished) collect_members(state);
 }
 
-void Engine::finalize_job(const std::shared_ptr<JobState>& state) {
-  // ORDER MATTERS: every touch of engine members (cache_, stats_, mutex_,
-  // inflight_) must happen BEFORE `done` is published — the moment a waiter
-  // observes done it may collect the outcome and destroy the Engine,
-  // leaving this task with only the JobState shared_ptr to stand on. (The
-  // one exception is the follower accounting below, which is pinned by the
-  // followers themselves still sitting un-done in jobs_.)
-  PortfolioOutcome snapshot;
-  std::uint64_t run = 0, skipped = 0, failed = 0;
+void Engine::collect_members(const std::shared_ptr<JobState>& state) {
+  // `remaining` hit zero, so no member task writes this state anymore.
+  PortfolioOutcome out;
   {
     std::lock_guard<std::mutex> lock(state->m);
-    if (state->have_best) state->members[state->best_index].won = true;
-    PortfolioOutcome& out = state->outcome;
-    out.key = state->key;
-    out.decision = state->decision;
-    out.members = state->members;
-    out.budget_expired = state->token.deadline_expired();
-    out.seconds = state->timer.seconds();
     if (state->have_best) {
-      out.best = state->best;
+      state->members[state->best_index].won = true;
+      out.best = std::move(state->best);
       out.winner = state->members[state->best_index].algorithm;
     } else {
       // No member produced a result (every selected one failed or could not
@@ -1251,130 +1017,197 @@ void Engine::finalize_job(const std::shared_ptr<JobState>& state) {
           support::Status::error(support::StatusCode::kInternal,
                                  "engine: every portfolio member failed");
     }
-    for (const MemberOutcome& mo : state->members) {
-      if (mo.failed) ++failed;
-      else if (mo.ran) ++run;
-      else ++skipped;
-    }
-    snapshot = out;
+    out.members = state->members;
+    out.budget_expired = state->token.deadline_expired();
   }
-
   // Per-member win/loss history — the adaptive-portfolio feedback signal.
-  // `remaining` hit zero, so no member task writes these entries anymore.
-  for (std::size_t i = 0; i < snapshot.members.size(); ++i) {
-    const MemberOutcome& mo = snapshot.members[i];
+  for (std::size_t i = 0; i < out.members.size(); ++i) {
+    const MemberOutcome& mo = out.members[i];
     if (!mo.ran || mo.failed) continue;
     (mo.won ? member_metrics_[i].wins : member_metrics_[i].losses)->add();
   }
-  path_metrics_.jobs->add();
-  path_metrics_.job_us->observe(snapshot.seconds * 1e6);
-  if (!snapshot.winner.empty())
-    support::trace_instant(kTraceCat, "winner", state->id, {},
-                           snapshot.winner);
-  support::trace_async_end(kTraceCat, "job", state->id, {},
-                           to_string(snapshot.decision.path));
+  if (!out.winner.empty())
+    support::trace_instant(kTraceCat, "winner", state->id, {}, out.winner);
+  complete(state, std::move(out), Tally::kCompleted);
+}
 
-  // Only complete answers are worth replaying to future twins. Budgets are
-  // deliberately not part of the key: a cached answer computed under any
-  // budget is a valid (never worse than recomputing) reply to the request.
-  // A fired *caller* stop token is different: it truncated this particular
-  // run for this particular caller, and the key excludes the token — so
-  // caching would serve the degraded answer to future full-effort twins.
-  const bool caller_cancelled = state->job.request.stop != nullptr &&
-                                state->job.request.stop->stop_requested();
-  // A degraded answer is equally excluded: the rung depends on transient
-  // load, the cache key does not — caching it would serve reduced-effort
-  // answers to future full-effort twins. The kCacheInsert chaos seam models
-  // a dropped insert (cache unavailable): future twins recompute, nothing
-  // torn, nothing stale.
-  const bool degraded =
-      snapshot.decision.rung != AdmissionDecision::DegradeRung::kFull;
-  if (!snapshot.winner.empty() && !caller_cancelled && !degraded &&
-      !support::fault_fire(support::FaultSite::kCacheInsert)) {
+void Engine::complete(const std::shared_ptr<JobState>& state,
+                      PortfolioOutcome outcome, Tally bucket) {
+  // ORDER MATTERS: every touch of engine members (cache_, sim_index_,
+  // mutex_ and what it guards, the pool) happens BEFORE `done` is published
+  // — the moment a waiter observes done it may collect the outcome and
+  // destroy the Engine, leaving this thread with only the JobState
+  // shared_ptr to stand on.
+
+  // 1. Stamp the job's own key, latency and admission record. A refused or
+  // shed job (or a follower of one) reports path kShed; the from_cache and
+  // similarity flags restate the path.
+  outcome.key = state->key;
+  outcome.seconds = state->timer.seconds();
+  outcome.decision = state->decision;
+  if (bucket != Tally::kCompleted) outcome.decision.path = Path::kShed;
+  const Path path = outcome.decision.path;
+  outcome.from_cache = path == Path::kExactHit;
+  outcome.similarity = path == Path::kSimilarity;
+  // Full-path jobs traced their decision when they were routed (fan-out,
+  // queue or coalesce); every other path traces it here.
+  if (path != Path::kFullPortfolio) trace_decision(state->id, outcome.decision);
+  support::trace_async_end(kTraceCat, "job", state->id, {},
+                           !outcome.status.is_ok() ? outcome.status.to_string()
+                           : outcome.coalesced     ? "coalesced"
+                                                   : to_string(path));
+  if (bucket == Tally::kCompleted)
+    path_metrics_.job_us->observe(outcome.seconds * 1e6);
+
+  // 2. Publish a fresh, full-effort answer to future arrivals. Replays
+  // (exact hits, coalesced copies) and degraded rungs are never published:
+  // the rung depends on transient load, the cache key does not. Warm starts
+  // feed the similarity index but never the exact result cache — they
+  // depend on the answer they were seeded from, which the key does not
+  // capture. A full run cut short by a fired *caller* stop token was
+  // truncated for that caller only (the key excludes the token), so it is
+  // not published either. Budgets are deliberately not part of the key: an
+  // answer computed under any budget is a valid reply to the request. The
+  // kCacheInsert chaos seam models a dropped insert (cache unavailable):
+  // future twins recompute, nothing torn, nothing stale.
+  const support::StopToken* stop = state->job.request.stop;
+  const bool publish =
+      !outcome.winner.empty() && !outcome.coalesced &&
+      path != Path::kExactHit && outcome.decision.rung == Rung::kFull &&
+      (path != Path::kFullPortfolio ||
+       ((stop == nullptr || !stop->stop_requested()) &&
+        !support::fault_fire(support::FaultSite::kCacheInsert)));
+  if (publish) {
     // Cache hygiene contract: only complete partitions of the right shape
-    // may be replayed to future twins — a torn entry would poison every
-    // exact hit and warm start derived from it.
-    PPN_DCHECK(snapshot.best.partition.size() ==
-               state->job.graph->num_nodes());
-    PPN_DCHECK(snapshot.best.partition.complete());
-    cache_.insert(state->key, snapshot);
-    // A complete full-path answer also feeds the similarity index, so the
-    // next near-identical arrival can warm-start from it. (Followers share
-    // the leader's outcome but not its graph identity bookkeeping; only the
-    // leader inserts.)
-    maybe_index(state, snapshot.best.partition);
+    // may be replayed — a torn entry would poison every exact hit and warm
+    // start derived from it.
+    PPN_DCHECK(outcome.best.partition.size() == state->job.graph->num_nodes());
+    PPN_DCHECK(outcome.best.partition.complete());
+    if (path == Path::kFullPortfolio) cache_.insert(state->key, outcome);
+    // The index replays this partition as a warm-start seed onto graphs
+    // that diff cleanly against ours. Aliased (run_one const&) graphs never
+    // enter it: they do not outlive the call.
+    if (similarity_enabled() && state->owns_graph) {
+      if (!state->sketch.has_value())
+        state->sketch = support::sketch_of(*state->job.graph);
+      sim_index_.insert({*state->sketch, state->job.graph, state->graph_fp,
+                         request_compat_fingerprint(state->job.request),
+                         outcome.best.partition});
+    }
   }
-  // Resume any near-twins parked behind this job — strictly AFTER
-  // maybe_index, so their re-probe finds the fresh entry. On the paths that
-  // skipped the insert (degraded, cancelled, failed, chaos) they re-probe,
-  // miss, and fall to the full path; either way nobody stays parked.
-  resolve_sim_pending(state);
+
+  // 3. One ledger transaction: the bucket, the answering path and this
+  // job's member runs; release its running slot, feed the drain predictor,
+  // leave the single-flight registry (a racing twin then takes the key, or
+  // attaches before `done` and is drained below), and claim free slots for
+  // queued jobs.
+  const bool fanned_out = !state->members.empty();
+  std::vector<std::shared_ptr<JobState>> start;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.jobs_completed;
-    stats_.members_run += run;
-    stats_.members_skipped += skipped;
-    stats_.members_failed += failed;
-    // Release this job's running slot and feed the deadline-aware policy's
-    // latency estimate. Only full-rung completions seed/update the EWMA:
-    // degraded rungs finish fast by design, and letting them in would bias
-    // the drain estimate low — exactly when overload makes it matter most.
-    if (state->holds_slot) --running_full_;
-    if (snapshot.decision.rung == AdmissionDecision::DegradeRung::kFull) {
-      avg_job_seconds_ =
-          avg_job_seconds_ == 0
-              ? snapshot.seconds
-              : 0.8 * avg_job_seconds_ + 0.2 * snapshot.seconds;
+    tally(bucket);
+    switch (state->decision.path) {
+      case Path::kExactHit: tally(Tally::kExactHit); break;
+      case Path::kWarmStart: tally(Tally::kWarmStart); break;
+      case Path::kSimilarity: tally(Tally::kSimNearHit); break;
+      case Path::kFullPortfolio: tally(Tally::kFullPortfolio); break;
+      case Path::kShed: break;
     }
-    // Leave the single-flight registry before publishing done, so a racer
-    // that finds this state there can rely on attaching or retrying.
+    if (fanned_out) {
+      for (const MemberOutcome& mo : outcome.members)
+        tally(mo.failed ? Tally::kMemberFailed
+              : mo.ran  ? Tally::kMemberRun
+                        : Tally::kMemberSkipped);
+    }
+    if (state->holds_slot) --running_full_;
+    // Only full-rung fan-outs feed the deadline-aware drain estimate:
+    // degraded rungs finish fast by design, and letting them in would bias
+    // it low — exactly when overload makes it matter most.
+    if (fanned_out && outcome.decision.rung == Rung::kFull) {
+      avg_job_seconds_ = avg_job_seconds_ == 0
+                             ? outcome.seconds
+                             : 0.8 * avg_job_seconds_ + 0.2 * outcome.seconds;
+    }
     auto it = inflight_.find(state->key);
     if (it != inflight_.end() && it->second == state) inflight_.erase(it);
+    while (!queue_.empty() && running_full_ < max_running_resolved_) {
+      start.push_back(std::move(queue_.front()));
+      queue_.pop_front();
+      ++running_full_;
+      start.back()->holds_slot = true;
+      start.back()->queued_start = true;
+    }
   }
-  // Start queued work into the freed slot — still BEFORE the done flip
-  // (the ordering rule above: pump touches queue_/mutex_ and the pool).
-  pump_queue();
 
-  // Drain followers atomically with the done flip: a new follower can only
-  // attach while !done, so none is stranded after the swap.
+  // 4. Resume near-twins parked behind this job — strictly after the index
+  // insert above, so their re-probe finds the fresh entry; on every other
+  // outcome they re-probe, miss and fall to the full path, and nobody stays
+  // parked. Then pump the queue: fan out the jobs given the freed slots
+  // (outside mutex_ — fan_out takes state->m and pool locks that must not
+  // nest under it).
+  resolve_sim_pending(state);
+  for (const std::shared_ptr<JobState>& s : start) fan_out(s);
+
+  // 5. Publish `done`, draining the followers atomically with the flip: a
+  // follower attaches only while !done, so none is stranded after the swap.
   std::vector<std::shared_ptr<JobState>> followers;
+  PortfolioOutcome shared;
   {
     std::lock_guard<std::mutex> lock(state->m);
     followers.swap(state->followers);
+    if (!followers.empty()) shared = outcome;
+    state->outcome = std::move(outcome);
     state->done = true;
   }
   state->cv.notify_all();
+  // Followers share this job's answer (or its typed error) through the same
+  // path. The engine stays pinned meanwhile: each follower sits in jobs_
+  // with done == false until its own flip, and ~Engine waits for it. A
+  // follower was admitted (it attached), so a refused leader sheds it.
+  shared.coalesced = true;
+  for (const std::shared_ptr<JobState>& f : followers)
+    complete(f, shared, bucket == Tally::kRejected ? Tally::kShed : bucket);
+}
 
-  if (!followers.empty()) {
-    // The engine is still pinned: every follower sits in jobs_ with
-    // done == false, and ~Engine waits for them. Account them all before
-    // publishing the first follower `done` — after that a follower's
-    // waiter may destroy the Engine.
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stats_.jobs_completed += followers.size();
-    }
-    for (const auto& f : followers) {
-      path_metrics_.jobs->add();
-      // A coalesced job can itself be a pending similarity leader (it
-      // probed, registered, routed full, then attached to this twin): its
-      // parked cohort resumes now — the shared answer was already indexed
-      // above, so their re-probe finds it.
-      resolve_sim_pending(f);
-      {
-        std::lock_guard<std::mutex> lock(f->m);
-        f->outcome = snapshot;
-        f->outcome.coalesced = true;
-        // The follower's own admission record, not the leader's (it routed
-        // full-portfolio and coalesced; the leader may have probed).
-        f->outcome.decision = f->decision;
-        f->outcome.seconds = f->timer.seconds();
-        path_metrics_.job_us->observe(f->outcome.seconds * 1e6);
-        support::trace_async_end(kTraceCat, "job", f->id, {}, "coalesced");
-        f->done = true;
-      }
-      f->cv.notify_all();
-    }
+void Engine::count(Tally what) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  tally(what);
+}
+
+void Engine::tally(Tally what) {
+  EngineStats& s = stats_;
+  PathMetrics& m = path_metrics_;
+  const auto bump = [](std::uint64_t& field, support::Counter* mirror) {
+    ++field;
+    mirror->add();
+  };
+  switch (what) {
+    case Tally::kCompleted: return bump(s.jobs_completed, m.jobs);
+    case Tally::kRejected: return bump(s.jobs_rejected, m.rejected);
+    case Tally::kShed: return bump(s.jobs_shed, m.shed);
+    case Tally::kExactHit: return m.exact_hits->add();
+    case Tally::kWarmStart: return m.warm_starts->add();
+    case Tally::kSimNearHit:
+      ++s.similarity.probes;
+      return bump(s.similarity.near_hits, m.sim_served);
+    case Tally::kFullPortfolio: return m.full_runs->add();
+    case Tally::kSimDecline:
+      ++s.similarity.probes;
+      return bump(s.similarity.declines, m.sim_declined);
+    case Tally::kSimDeferred:
+      return bump(s.similarity.deferred, m.sim_deferred);
+    case Tally::kSimParked: return bump(s.similarity.parked, m.sim_parked);
+    case Tally::kCoalesced: ++s.jobs_coalesced; return;
+    case Tally::kDegradeCheap: return bump(s.jobs_degraded, m.degrade_cheap);
+    case Tally::kDegradeGp: return bump(s.jobs_degraded, m.degrade_gp);
+    case Tally::kDegradeProjected:
+      return bump(s.jobs_degraded, m.degrade_projected);
+    case Tally::kMemberRun: ++s.members_run; return;
+    case Tally::kMemberSkipped: ++s.members_skipped; return;
+    case Tally::kMemberFailed: ++s.members_failed; return;
+    case Tally::kRepartitionIncremental: ++s.repartitions_incremental; return;
+    case Tally::kRepartitionFallback: ++s.repartitions_fallback; return;
+    case Tally::kRepartitionCacheHit: ++s.repartition_cache_hits; return;
   }
 }
 
@@ -1407,34 +1240,25 @@ RepartitionOutcome Engine::repartition(const Job& job,
   //             — the delta was too large or the warm start too skewed, the
   //             portfolio answers and IS cached for future twins.
   const std::uint64_t graph_fp = shared_graph_fingerprint(out.graph);
-  const WarmStartSeed seed{&prev.partition, out.node_map, out.touched};
   part::IncrementalStats istats;
-  auto state = admit(Job{out.graph, job.request}, graph_fp,
-                     /*owns_graph=*/true, &seed, &istats);
-  out.outcome = wait(state->id);
+  const WarmStartSeed seed{&prev.partition, out.node_map, out.touched,
+                           &istats};
+  out.outcome = wait(
+      admit(Job{out.graph, job.request}, graph_fp, /*owns_graph=*/true, &seed));
   out.outcome.seconds = timer.seconds();
 
-  switch (state->route) {
-    case Route::kResultCache:
+  switch (out.outcome.decision.path) {
+    case Path::kExactHit:
       out.fallback_reason = "result-cache hit for the edited graph";
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.repartition_cache_hits;
-      }
+      count(Tally::kRepartitionCacheHit);
       break;
-    case Route::kWarmStart:
+    case Path::kWarmStart:
       out.incremental = true;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.repartitions_incremental;
-      }
+      count(Tally::kRepartitionIncremental);
       break;
     default:
       out.fallback_reason = istats.fallback_reason;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.repartitions_fallback;
-      }
+      count(Tally::kRepartitionFallback);
       break;
   }
   return out;

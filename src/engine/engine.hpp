@@ -65,6 +65,13 @@
 // through to the untouched full path. One pipeline, one cache, one stats
 // block; all entry points are safe to call from multiple client threads.
 //
+// Every job, whichever stage answered it (or refused it), finishes in ONE
+// completion path (Engine::complete): stamp the outcome, publish eligible
+// answers to the cache and the similarity index, settle the ledger in one
+// transaction, resume parked near-twins, pump the queue, and only then
+// publish `done` — followers of a single-flight leader finish through the
+// same code with the leader's answer.
+//
 // Winner selection is deterministic: members are compared by (goodness,
 // member index), never by completion order.
 
@@ -209,10 +216,10 @@ struct EngineOptions {
   /// portfolio member (1 = serial members, the default; 0 = auto = pool
   /// size; >= 2 = the parallel multilevel path). The engine caps the
   /// effective value so members x threads never oversubscribes the pool
-  /// (see Engine::threads_per_job()); deterministic mode makes the cap
-  /// result-neutral — parallel-path answers are identical at any thread
-  /// count, so capping (or nested serial degradation when the pool is
-  /// saturated) changes timing only, never output or cache contents.
+  /// (see Engine::threads_per_job()). The cap is result-neutral —
+  /// parallel-path answers are identical at any thread count, so capping
+  /// (or nested serial degradation when the pool is saturated) changes
+  /// timing only, never output or cache contents.
   std::uint32_t threads_per_job = 1;
 
   /// Metrics sink (non-owning; must outlive the engine). Null = the
@@ -285,7 +292,8 @@ const char* to_string(AdmissionDecision::DegradeRung rung);
 struct PortfolioOutcome {
   /// Why there is no answer, when there is none: shed jobs carry
   /// kResourceExhausted (queue full) or kDeadlineExceeded (deadline-aware
-  /// admission), and a job whose every member failed carries kInternal.
+  /// admission), and a job whose every member failed (or whose projected
+  /// answer could not be built) carries kInternal.
   /// ok() whenever `winner` is non-empty — check this FIRST; `best` is
   /// meaningless on error.
   support::Status status;
@@ -329,8 +337,9 @@ struct EngineStats {
   /// stage-3 job ends in exactly one of completed / rejected / shed:
   /// `rejected` = refused at admission (queue full under reject_new /
   /// deadline_aware, or an unmeetable deadline); `shed` = admitted, queued,
-  /// then evicted by drop_oldest before running. Both complete immediately
-  /// with a typed error outcome. `degraded` counts jobs ADMITTED below the
+  /// then evicted by drop_oldest before running, or coalesced onto a job
+  /// that was refused or shed. Both complete immediately with a typed error
+  /// outcome. `degraded` counts jobs ADMITTED below the
   /// full rung (decision-time count; a degraded job later evicted by
   /// drop_oldest still counted here).
   std::uint64_t jobs_rejected = 0;
@@ -428,10 +437,9 @@ class Engine {
   /// Fans every job's every member onto the thread pool at once and waits;
   /// results are returned in job order. Throughput scales with cores
   /// because members of *different* jobs overlap, not just members of one.
-  /// Jobs hold their graphs by shared_ptr, so both overloads are cheap; the
-  /// && overload exists for callers that built the vector to hand over.
-  std::vector<PortfolioOutcome> run_batch(const std::vector<Job>& jobs);
-  std::vector<PortfolioOutcome> run_batch(std::vector<Job>&& jobs);
+  /// Jobs hold their graphs by shared_ptr, so copying the vector in is cheap
+  /// (pass an rvalue to hand it over outright).
+  std::vector<PortfolioOutcome> run_batch(std::vector<Job> jobs);
 
   /// Streaming: enqueue a job and return immediately. With overload
   /// protection on (EngineOptions::queue_capacity > 0) this NEVER blocks on
@@ -493,21 +501,29 @@ class Engine {
  private:
   struct JobState;
 
-  /// How the admission pipeline answered a job (recorded on its JobState).
-  enum class Route : std::uint8_t {
-    kFull,         // stage 3: portfolio member fan-out
-    kResultCache,  // stage 1: exact fingerprint hit
-    kWarmStart,    // stage 2: caller-supplied delta warm start
-    kSimilarity,   // stage 2: sketch near-hit, diffed and warm-started
+  /// What the ledger counts (see tally()). The first three are the
+  /// completion buckets: every submitted job ends in exactly one of them.
+  enum class Tally : std::uint8_t {
+    kCompleted,  // answered, or typed kInternal when no answer was produced
+    kRejected,   // refused at admission (queue full, unmeetable deadline)
+    kShed,       // evicted from the queue, or coalesced onto a refused job
+    kExactHit, kWarmStart, kSimNearHit, kFullPortfolio,  // answering path
+    kSimDecline, kSimDeferred, kSimParked,
+    kCoalesced,
+    kDegradeCheap, kDegradeGp, kDegradeProjected,
+    kMemberRun, kMemberSkipped, kMemberFailed,
+    kRepartitionIncremental, kRepartitionFallback, kRepartitionCacheHit,
   };
 
   /// A caller-supplied warm start (repartition): the previous partition of
-  /// the pre-edit graph plus the node map / touched set its delta produced.
-  /// Spans alias caller storage; valid only for the duration of admit().
+  /// the pre-edit graph plus the node map / touched set its delta produced,
+  /// and where the warm start's accounting goes (non-null). Spans alias
+  /// caller storage; valid only for the duration of admit().
   struct WarmStartSeed {
     const part::Partition* prev = nullptr;
     std::span<const graph::NodeId> node_map;
     std::span<const graph::NodeId> touched;
+    part::IncrementalStats* stats = nullptr;
   };
 
   std::uint64_t job_key(std::uint64_t graph_fp,
@@ -518,23 +534,12 @@ class Engine {
   std::uint64_t shared_graph_fingerprint(
       const std::shared_ptr<const graph::Graph>& g);
 
-  /// run_one's body: the synchronous entry points prepend an O(1)
-  /// exact-hit fast path ("a hash and a lookup", no JobState) before
-  /// joining the shared pipeline with check_cache=false, so a repeated
-  /// query never pays job bookkeeping.
-  PortfolioOutcome run_one_impl(std::shared_ptr<const graph::Graph> g,
-                                const part::PartitionRequest& request,
-                                std::uint64_t graph_fp, bool owns_graph);
-
   /// The one front door (see the file comment's pipeline). `owns_graph` is
   /// false only for run_one's aliasing const& overload, whose graph must
   /// never outlive the call — it may PROBE the similarity index but is
   /// never inserted into it (and never leads a near-twin cohort).
   /// `caller_warm`, when set, takes stage 2 (the similarity probe is
-  /// skipped; the caller's delta is the better signal) and `warm_stats`
-  /// receives the warm start's accounting. `check_cache` is false when the
-  /// caller already ran the stage-1 lookup (run_one's fast path) — the miss
-  /// was counted there and must not be recounted.
+  /// skipped; the caller's delta is the better signal).
   ///
   /// Stage 1 and the caller-delta warm start answer inline on the admitting
   /// thread (a cache hit is O(1); repartition is a synchronous API). A
@@ -542,15 +547,11 @@ class Engine {
   /// diff -> verify -> refine verdict runs as a warm-start task on the
   /// thread pool (spawn_warm_task / run_warm_task), so submit() returns in
   /// bounded time with the warm start still in flight.
-  std::shared_ptr<JobState> admit(Job job, std::uint64_t graph_fp,
-                                  bool owns_graph,
-                                  const WarmStartSeed* caller_warm,
-                                  part::IncrementalStats* warm_stats,
-                                  bool check_cache = true);
+  JobId admit(Job job, std::uint64_t graph_fp, bool owns_graph,
+              const WarmStartSeed* caller_warm = nullptr);
   /// Stage-2 helpers: run the engine-owned warm start machinery.
   std::optional<part::PartitionResult> run_warm_start(
-      const std::shared_ptr<JobState>& state, const WarmStartSeed& seed,
-      part::IncrementalStats* stats);
+      const std::shared_ptr<JobState>& state, const WarmStartSeed& seed);
   bool admit_similarity(const std::shared_ptr<JobState>& state);
   /// Hands the deferred similarity verdict to the pool (falls through to
   /// the full path when the task cannot be submitted). The probe is counted
@@ -571,22 +572,10 @@ class Engine {
   /// warm-starts from it, or declines to the full path.
   void resume_follower(const std::shared_ptr<JobState>& state);
   /// If `state` leads a near-twin cohort, unregisters it and hands every
-  /// parked follower its own resumption task. MUST be called on every
-  /// completion path of a potential leader, before its `done` flip — a
-  /// stranded follower would hang its waiter forever.
+  /// parked follower its own resumption task. complete() calls it on every
+  /// completion, after indexing and before the `done` flip — a stranded
+  /// follower would hang its waiter forever.
   void resolve_sim_pending(const std::shared_ptr<JobState>& state);
-  /// Publishes a stage-2 answer: indexes the fresh partition, wraps it as
-  /// a one-member PortfolioOutcome labelled `winner`, serves it inline.
-  void serve_warm(const std::shared_ptr<JobState>& state,
-                  part::PartitionResult result, const char* winner,
-                  bool similarity_served);
-  /// Publishes an admission-stage answer (stages 1-2) on the state.
-  void serve_inline(const std::shared_ptr<JobState>& state,
-                    PortfolioOutcome outcome);
-  /// Records the arriving graph + its fresh answer in the similarity index
-  /// (no-op when disabled or the job does not own its graph).
-  void maybe_index(const std::shared_ptr<JobState>& state,
-                   const part::Partition& partition);
   /// Stage 3: single-flight registration and portfolio member fan-out.
   void launch_full(const std::shared_ptr<JobState>& state);
   /// Bounded-admission gate (queue_capacity > 0): picks the degradation
@@ -599,18 +588,9 @@ class Engine {
   /// from the cheap set). Never empty.
   std::vector<std::size_t> members_for_rung(
       AdmissionDecision::DegradeRung rung) const;
-  /// The actual pool fan-out of launch_full, factored out so the queue
-  /// pump can start held-back jobs later.
+  /// The actual pool fan-out of launch_full, factored out so complete() can
+  /// start held-back jobs from the queue later.
   void fan_out(const std::shared_ptr<JobState>& state);
-  /// Starts queued jobs while running slots are free. Called when a
-  /// finishing job releases its slot — before its `done` flip, per
-  /// finalize_job's ordering rule.
-  void pump_queue();
-  /// Completes a job WITHOUT an answer: publishes a typed-error outcome,
-  /// drains single-flight followers with the same error, erases the
-  /// inflight entry. The shed path's finalize_job.
-  void serve_error(const std::shared_ptr<JobState>& state,
-                   support::Status status);
   /// The ladder's last rung: coarsen (via the coarsening cache when on) +
   /// greedy-grow on the coarsest level + project to the finest — a valid,
   /// feasible-balance-effort answer at a fraction of one member's cost.
@@ -620,7 +600,21 @@ class Engine {
   std::shared_ptr<JobState> find_job(JobId id);
   PortfolioOutcome take_outcome(const std::shared_ptr<JobState>& state);
   void run_member(const std::shared_ptr<JobState>& state, std::size_t index);
-  void finalize_job(const std::shared_ptr<JobState>& state);
+  /// Builds a fan-out's outcome from its member results (the winner, or a
+  /// typed kInternal when every member failed) and completes the job.
+  void collect_members(const std::shared_ptr<JobState>& state);
+  /// The one completion path. Stamps the outcome, publishes an eligible
+  /// answer to the result cache and the similarity index, settles the
+  /// ledger (`bucket` is kCompleted, kRejected or kShed) in one mutex_
+  /// transaction, resolves pending near-twins, pumps the queue, then flips
+  /// `done` and completes the single-flight followers the same way.
+  void complete(const std::shared_ptr<JobState>& state,
+                PortfolioOutcome outcome, Tally bucket);
+  /// The one ledger: an EngineStats counter and its registry mirror move
+  /// together here and nowhere else. Caller holds mutex_.
+  void tally(Tally what);
+  /// tally() as its own mutex_ transaction.
+  void count(Tally what);
 
   bool similarity_enabled() const {
     return options_.similarity.enabled && options_.similarity.capacity > 0;

@@ -149,8 +149,7 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
   PhaseContextScope<Workspace> phase_ctx(ws, request.phases, kTraceCat);
 
   support::ThreadPool& pool = support::ThreadPool::global();
-  const ParallelOptions par =
-      resolve_parallel(request.threads, request.deterministic, pool);
+  const ParallelOptions par = resolve_parallel(request.threads, pool);
 
   std::optional<std::vector<PartId>> best_assign;
   Goodness best_goodness;
@@ -188,8 +187,7 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
           shared_h = request.coarsen_cache->hierarchy(gkey, coarsen_opts, g);
         }
       } else if (par.threads > 1) {
-        // Parallel heavy-edge coarsening (deterministic by default; no RNG
-        // consumed). A coarsen_cache, when present, wins instead: reusing
+        // Parallel heavy-edge coarsening (deterministic; no RNG consumed). A coarsen_cache, when present, wins instead: reusing
         // the shared canonical hierarchy beats rebuilding it in parallel.
         local = parallel_coarsen(g, coarsen_opts, par, ws, pool);
       } else {

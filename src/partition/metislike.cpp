@@ -107,8 +107,7 @@ PartitionResult MetisLikePartitioner::run(const Graph& g,
   PhaseContextScope<Workspace> phase_ctx(ws, request.phases, kTraceCat);
 
   support::ThreadPool& pool = support::ThreadPool::global();
-  const ParallelOptions par =
-      resolve_parallel(request.threads, request.deterministic, pool);
+  const ParallelOptions par = resolve_parallel(request.threads, pool);
 
   // Under unit balance, partition a copy whose node weights are all 1 (edge
   // weights — the cut — are untouched); metrics are computed on the real

@@ -1,10 +1,8 @@
 #include "partition/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <future>
-#include <mutex>
 #include <stdexcept>
 
 #include "graph/contract.hpp"
@@ -19,8 +17,8 @@ namespace {
 using graph::kInvalidNode;
 
 /// Contiguous node range handled by one task/arena. Chunk boundaries are a
-/// scheduling choice only: every deterministic kernel below produces output
-/// that is invariant under re-chunking (per-node work is a pure function of
+/// scheduling choice only: every kernel below produces output that is
+/// invariant under re-chunking (per-node work is a pure function of
 /// phase-start state; merges happen in node order).
 struct Chunk {
   std::size_t index;
@@ -47,7 +45,7 @@ std::vector<Chunk> make_chunks(NodeId n, std::uint32_t parts) {
 /// Runs fn(chunk) for every chunk, fanning out through the pool. Falls back
 /// to inline execution for a single chunk or when already on a pool worker
 /// (nested parallelism would deadlock a saturated pool); the fallback cannot
-/// change deterministic results, which never depend on the executing thread.
+/// change results, which never depend on the executing thread.
 /// All chunks run to completion even if one throws; the first exception is
 /// rethrown.
 template <typename Fn>
@@ -86,17 +84,30 @@ bool edge_better(Weight w_a, NodeId a1, NodeId a2, Weight w_b, NodeId b1,
   return amax < bmax;
 }
 
-/// Deterministic parallel matching: synchronous rounds of (A) every free
-/// node proposes its best free neighbour under edge_better, (B) mutual
-/// proposals pair up, proposal-less nodes finalize single. Each phase is a
+/// Per-part resource budget (uniform or heterogeneous).
+Weight budget_of(const Constraints& c, PartId p) { return c.rmax_of(p); }
+
+}  // namespace
+
+ParallelOptions resolve_parallel(std::uint32_t requested,
+                                 support::ThreadPool& pool) {
+  ParallelOptions out;
+  out.threads = requested == 0 ? std::max(1u, pool.size()) : requested;
+  return out;
+}
+
+/// Synchronous rounds of (A) every free node proposes its best free
+/// neighbour under edge_better, (B) mutual proposals pair up, proposal-less
+/// nodes finalize single. Each phase is a
 /// pure function of the previous barrier's state and every slot has exactly
 /// one writer, so the result is a pure function of the graph — identical at
 /// any chunk count, no RNG consumed. Terminates because every round with a
 /// free-free edge matches at least the globally best one, and free nodes
 /// without free neighbours finalize immediately.
-Weight deterministic_matching(const Graph& g, const ParallelOptions& options,
-                              Matching& match, Workspace& ws,
-                              support::ThreadPool& pool) {
+Weight parallel_heavy_edge_matching(const Graph& g,
+                                    const ParallelOptions& options,
+                                    Matching& match, Workspace& ws,
+                                    support::ThreadPool& pool) {
   const NodeId n = g.num_nodes();
   support::AllocStats* stats = ws.parallel.stats;
   support::assign_tracked(match, n, kInvalidNode, stats);
@@ -171,100 +182,6 @@ Weight deterministic_matching(const Graph& g, const ParallelOptions& options,
     }
   }
   return total;
-}
-
-/// Free-running parallel matching: chunks race to claim pairs with CAS on a
-/// per-node `matched` word (kInvalidNode = free; claims[u] == u = locked or
-/// single; claims[u] == v = matched to v). The matching depends on
-/// scheduling — valid but not reproducible — and exists for the
-/// deterministic-mode-OFF path and the TSan stress.
-Weight free_running_matching(const Graph& g, const ParallelOptions& options,
-                             Matching& match, Workspace& ws,
-                             support::ThreadPool& pool) {
-  const NodeId n = g.num_nodes();
-  support::AllocStats* stats = ws.parallel.stats;
-  support::assign_tracked(match, n, kInvalidNode, stats);
-  std::atomic<NodeId>* claims = ws.parallel.claims(n);
-
-  const std::vector<Chunk> chunks = make_chunks(n, options.threads);
-  run_chunks(pool, chunks, [claims](const Chunk& ch) {
-    for (NodeId u = ch.begin; u < ch.end; ++u)
-      claims[u].store(kInvalidNode, std::memory_order_relaxed);
-  });
-
-  const Graph* gp = &g;
-  run_chunks(pool, chunks, [gp, claims](const Chunk& ch) {
-    for (NodeId u = ch.begin; u < ch.end; ++u) {
-      NodeId expected = kInvalidNode;
-      // Lock u by self-claiming; failure means another chunk took it.
-      if (!claims[u].compare_exchange_strong(expected, u,
-                                             std::memory_order_acq_rel))
-        continue;
-      auto nbrs = gp->neighbors(u);
-      auto wgts = gp->edge_weights(u);
-      for (;;) {
-        NodeId best = u;
-        Weight best_w = 0;
-        for (std::size_t i = 0; i < nbrs.size(); ++i) {
-          const NodeId v = nbrs[i];
-          if (v == u) continue;
-          if (claims[v].load(std::memory_order_relaxed) != kInvalidNode)
-            continue;
-          if (best == u || edge_better(wgts[i], u, v, best_w, u, best)) {
-            best = v;
-            best_w = wgts[i];
-          }
-        }
-        if (best == u) break;  // stays single: claims[u] == u already
-        NodeId free_v = kInvalidNode;
-        if (claims[best].compare_exchange_strong(free_v, u,
-                                                 std::memory_order_acq_rel)) {
-          claims[u].store(best, std::memory_order_release);
-          break;
-        }
-        // best was taken between the scan and the CAS; rescan.
-      }
-    }
-  });
-
-  // Materialize into the plain matching; per-chunk weight partials.
-  std::vector<Weight> chunk_weight(chunks.size(), 0);
-  NodeId* m = match.data();
-  Weight* cw = chunk_weight.data();
-  run_chunks(pool, chunks, [gp, claims, m, cw](const Chunk& ch) {
-    Weight w = 0;
-    for (NodeId u = ch.begin; u < ch.end; ++u) {
-      const NodeId v = claims[u].load(std::memory_order_relaxed);
-      m[u] = v;
-      if (v != u && u < v) w += gp->edge_weight_between(u, v);
-    }
-    cw[ch.index] = w;
-  });
-  Weight total = 0;
-  for (const Weight w : chunk_weight) total += w;
-  return total;
-}
-
-/// Per-part resource budget (uniform or heterogeneous).
-Weight budget_of(const Constraints& c, PartId p) { return c.rmax_of(p); }
-
-}  // namespace
-
-ParallelOptions resolve_parallel(std::uint32_t requested, bool deterministic,
-                                 support::ThreadPool& pool) {
-  ParallelOptions out;
-  out.threads = requested == 0 ? std::max(1u, pool.size()) : requested;
-  out.deterministic = deterministic;
-  return out;
-}
-
-Weight parallel_heavy_edge_matching(const Graph& g,
-                                    const ParallelOptions& options,
-                                    Matching& match, Workspace& ws,
-                                    support::ThreadPool& pool) {
-  if (options.deterministic)
-    return deterministic_matching(g, options, match, ws, pool);
-  return free_running_matching(g, options, match, ws, pool);
 }
 
 NodeId parallel_fine_to_coarse(const Graph& fine, const Matching& matching,
@@ -359,7 +276,6 @@ bool parallel_lp_refine(const Graph& g, Partition& p, const Constraints& c,
     arena_ptrs[i] = &ws.parallel.arena(i);
 
   std::vector<LpCandidate>& merged = ws.parallel.merged;
-  std::mutex merge_mutex;
   bool any_committed = false;
   for (std::uint32_t round = 0; round < options.max_rounds; ++round) {
     merged.clear();
@@ -371,50 +287,34 @@ bool parallel_lp_refine(const Graph& g, Partition& p, const Constraints& c,
     const MoveContext* mcp = &mc;
     const Constraints* cp = &c;
     ThreadArena* const* arenas = arena_ptrs.data();
-    const bool det = popts.deterministic;
-    std::vector<LpCandidate>* merged_ptr = &merged;
-    std::mutex* merge_mutex_ptr = &merge_mutex;
-    run_chunks(pool, chunks,
-               [mcp, cp, k, arenas, det, merged_ptr,
-                merge_mutex_ptr](const Chunk& ch) {
-                 ThreadArena& arena = *arenas[ch.index];
-                 arena.moves.clear();
-                 for (NodeId u = ch.begin; u < ch.end; ++u) {
-                   if (!mcp->is_boundary(u)) continue;
-                   const PartId from = mcp->part_of(u);
-                   const Weight conn_from = mcp->conn(u, from);
-                   PartId best = from;
-                   Weight best_conn = -1;
-                   for (PartId q = 0; q < k; ++q) {
-                     if (q == from) continue;
-                     const Weight cq = mcp->conn(u, q);
-                     if (cq > best_conn) {
-                       best = q;
-                       best_conn = cq;
-                     }
-                   }
-                   if (best == from) continue;
-                   const bool overloaded =
-                       mcp->load(from) > budget_of(*cp, from);
-                   if (best_conn > conn_from || overloaded)
-                     arena.moves.push_back(LpCandidate{u, best});
-                 }
-                 if (!det) {
-                   // Free-running reduction: merge in completion order. The
-                   // deterministic path instead merges after the barrier in
-                   // chunk-index order below.
-                   std::lock_guard<std::mutex> lock(*merge_mutex_ptr);
-                   merged_ptr->insert(merged_ptr->end(), arena.moves.begin(),
-                                      arena.moves.end());
-                 }
-               });
-    if (popts.deterministic) {
-      // Chunks are contiguous ascending ranges, so chunk-index order is
-      // node-id order — the reduction is independent of the chunk count.
-      for (std::size_t i = 0; i < chunks.size(); ++i) {
-        ThreadArena& arena = *arena_ptrs[i];
-        merged.insert(merged.end(), arena.moves.begin(), arena.moves.end());
+    run_chunks(pool, chunks, [mcp, cp, k, arenas](const Chunk& ch) {
+      ThreadArena& arena = *arenas[ch.index];
+      arena.moves.clear();
+      for (NodeId u = ch.begin; u < ch.end; ++u) {
+        if (!mcp->is_boundary(u)) continue;
+        const PartId from = mcp->part_of(u);
+        const Weight conn_from = mcp->conn(u, from);
+        PartId best = from;
+        Weight best_conn = -1;
+        for (PartId q = 0; q < k; ++q) {
+          if (q == from) continue;
+          const Weight cq = mcp->conn(u, q);
+          if (cq > best_conn) {
+            best = q;
+            best_conn = cq;
+          }
+        }
+        if (best == from) continue;
+        const bool overloaded = mcp->load(from) > budget_of(*cp, from);
+        if (best_conn > conn_from || overloaded)
+          arena.moves.push_back(LpCandidate{u, best});
       }
+    });
+    // Chunks are contiguous ascending ranges, so chunk-index order is
+    // node-id order — the reduction is independent of the chunk count.
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+      ThreadArena& arena = *arena_ptrs[i];
+      merged.insert(merged.end(), arena.moves.begin(), arena.moves.end());
     }
     // Commit phase (serial): re-validate every candidate against the exact
     // lexicographic goodness on the *current* state and apply strictly

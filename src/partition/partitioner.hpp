@@ -34,15 +34,10 @@ struct PartitionRequest {
   /// levels. Unlike `workspace`/`phases` this is an algorithm knob: the
   /// parallel path is a *different* (still deterministic) algorithm than
   /// the serial one, so results differ between threads == 1 and >= 2 — but
-  /// with `deterministic` set they are identical across ALL values >= 2
-  /// (and across machines), so the golden policy survives.
+  /// they are identical across ALL values >= 2 (and across machines): the
+  /// parallel reductions merge in a fixed order, so the golden policy
+  /// survives.
   std::uint32_t threads = 1;
-  /// Fix the parallel reduction order (chunk-index merges, synchronous LP
-  /// rounds, node-id tie-breaks): fixed-seed results become a pure function
-  /// of (graph, options), bit-identical at any thread count. Default ON;
-  /// free-running mode (false) may differ run to run and exists for peak
-  /// throughput and for hammering the lock-free paths under TSan.
-  bool deterministic = true;
 
   /// Optional cooperative-stop signal (non-owning; may be null). Iterative
   /// partitioners poll it at checkpoint granularity — V-cycle, temperature

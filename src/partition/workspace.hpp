@@ -121,32 +121,19 @@ struct ThreadArena {
 };
 
 /// Shared buffers of the parallel multilevel kernels (parallel.hpp). The
-/// proposal/weight arrays back the deterministic mutual-proposal matching
-/// (phase-separated plain access: every slot has exactly one writer per
-/// phase); the atomic claim array backs the free-running CAS matching.
+/// proposal/weight arrays back the mutual-proposal matching (phase-separated
+/// plain access: every slot has exactly one writer per phase).
 struct ParallelScratch {
   support::AllocStats* stats = nullptr;
   /// Per-node proposed partner (mutual-proposal rounds).
   std::vector<NodeId> proposal;
   /// Weight of the proposed edge, consumed when a proposal pairs up.
   std::vector<Weight> proposal_weight;
-  /// Chunk-merged LP candidates (deterministic: chunk-index order == node
-  /// order; free-running: completion order).
+  /// Chunk-merged LP candidates (chunk-index order == node order).
   std::vector<LpCandidate> merged;
   /// Per-chunk representative counts / exclusive prefix bases for the
   /// parallel fine-to-coarse id assignment.
   std::vector<NodeId> chunk_base;
-
-  /// Atomic per-node `matched` words for the CAS claim protocol, grown to
-  /// `n` (contents unspecified on return; callers re-initialize).
-  std::atomic<NodeId>* claims(std::size_t n) {
-    if (n > claims_cap_) {
-      if (stats != nullptr) stats->note(n * sizeof(std::atomic<NodeId>));
-      claims_ = std::make_unique<std::atomic<NodeId>[]>(n);
-      claims_cap_ = n;
-    }
-    return claims_.get();
-  }
 
   /// The i-th chunk arena, created on first use (a growth event) and reused
   /// by every later phase, level and run.
@@ -160,8 +147,6 @@ struct ParallelScratch {
   }
 
  private:
-  std::unique_ptr<std::atomic<NodeId>[]> claims_;
-  std::size_t claims_cap_ = 0;
   std::vector<std::unique_ptr<ThreadArena>> arenas_;
 };
 

@@ -9,10 +9,8 @@
 // kInvalidArgument spec; a service client backs off on kResourceExhausted
 // but fails fast on kInternal.
 //
-// New call sites must name a code: `Status::error(StatusCode::k..., msg)`.
-// The single-argument overload exists for legacy callers only and maps to
-// kInternal; tools/check_invariants.py (rule `status-error-code`) rejects
-// code-less Status::error calls in src/.
+// Every error names a code: `Status::error(StatusCode::k..., msg)`. There is
+// no code-less overload, so the compiler rejects an untyped error.
 
 #include <cstdint>
 #include <optional>
@@ -32,7 +30,8 @@ namespace ppnpart::support {
 ///                      full; the typed rejection of overload protection)
 ///   kUnavailable       a dependency is missing or unreachable (file cannot
 ///                      be opened/written); retrying may succeed
-///   kInternal          an invariant broke or the error predates typing
+///   kInternal          an invariant broke, or no attempt produced an
+///                      answer (every portfolio member failed)
 enum class StatusCode : std::uint8_t {
   kOk = 0,
   kInvalidArgument,
@@ -69,11 +68,6 @@ class Status {
     s.message_ = std::move(message);
     return s;
   }
-  /// Legacy untyped error — maps to kInternal. New src/ call sites must use
-  /// the typed overload (lint rule `status-error-code`).
-  static Status error(std::string message) {
-    return error(StatusCode::kInternal, std::move(message));
-  }
 
   bool is_ok() const { return code_ == StatusCode::kOk; }
   explicit operator bool() const { return is_ok(); }
@@ -104,10 +98,6 @@ class Result {
 
   static Result error(StatusCode code, std::string message) {
     return Result(Status::error(code, std::move(message)));
-  }
-  /// Legacy untyped error — maps to kInternal, like Status::error(message).
-  static Result error(std::string message) {
-    return Result(Status::error(StatusCode::kInternal, std::move(message)));
   }
 
   bool is_ok() const { return status_.is_ok(); }

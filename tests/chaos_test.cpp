@@ -180,6 +180,35 @@ TEST(ChaosTest, CoarsenLeaderFaultLeavesCacheRetryable) {
   EXPECT_TRUE(retry.best.partition.complete());
 }
 
+TEST(ChaosTest, ProjectedCoarsenFaultCompletesWithTypedError) {
+  if (!support::faults_compiled_in()) GTEST_SKIP() << "faults compiled out";
+  engine::EngineOptions opts;
+  opts.portfolio = engine::Portfolio{{"gp", "metislike"}};
+  opts.queue_capacity = 2;
+  engine::Engine eng(opts);
+
+  // An expired caller budget takes the projected rung, whose coarsening
+  // throws here. The job ends like a fan-out whose every member failed: a
+  // typed kInternal on its own path and rung, counted as completed — not an
+  // answerless job in no ledger bucket.
+  support::StopToken expired;
+  expired.set_deadline_after(0.0);
+  engine::Job job = make_job(350, /*nodes=*/96);
+  job.request.stop = &expired;
+  const ArmedFaults armed("seed=1,rate=1,sites=coarsen.leader");
+  const engine::PortfolioOutcome out = eng.run_one(job.graph, job.request);
+  EXPECT_EQ(out.status.code(), support::StatusCode::kInternal);
+  EXPECT_TRUE(out.winner.empty());
+  EXPECT_EQ(out.decision.path,
+            engine::AdmissionDecision::Path::kFullPortfolio);
+  EXPECT_EQ(out.decision.rung,
+            engine::AdmissionDecision::DegradeRung::kProjected);
+  EXPECT_GT(fired_at(support::FaultSite::kCoarsenLeader), 0u);
+  const engine::EngineStats stats = eng.stats();
+  EXPECT_EQ(stats.jobs_completed, 1u);
+  EXPECT_EQ(stats.jobs_completed + stats.jobs_rejected + stats.jobs_shed, 1u);
+}
+
 TEST(ChaosTest, CacheInsertFaultDropsTheInsertOnly) {
   if (!support::faults_compiled_in()) GTEST_SKIP() << "faults compiled out";
   const engine::Job job = make_job(400);

@@ -19,6 +19,7 @@
 #include "engine/portfolio.hpp"
 #include "graph/generators.hpp"
 #include "partition/coarsen_cache.hpp"
+#include "support/fault_injection.hpp"
 #include "support/prng.hpp"
 #include "support/status.hpp"
 #include "support/stop_token.hpp"
@@ -1225,6 +1226,163 @@ TEST(Engine, ExpiredBudgetGetsProjectedAnswerInline) {
   EXPECT_FALSE(full.from_cache);
   EXPECT_NE(full.winner, "projected");
   EXPECT_TRUE(eng.run_one(shared, full_request).from_cache);
+}
+
+// ---------------------------------------------------------------- ledger ---
+
+/// The ledger cross-check: every registry mirror equals its EngineStats
+/// field, the similarity probes balance, and every submitted job sits in
+/// exactly one completion bucket.
+void expect_ledger_consistent(const engine::Engine& eng,
+                              std::uint64_t submitted, const char* step) {
+  const engine::EngineStats s = eng.stats();
+  const support::MetricsSnapshot& m = s.metrics;
+  EXPECT_EQ(m.counter_or("engine.jobs"), s.jobs_completed) << step;
+  EXPECT_EQ(m.counter_or("engine.admit.rejected"), s.jobs_rejected) << step;
+  EXPECT_EQ(m.counter_or("engine.admit.shed"), s.jobs_shed) << step;
+  EXPECT_EQ(m.counter_or("engine.admit.similarity"), s.similarity.near_hits)
+      << step;
+  EXPECT_EQ(m.counter_or("engine.admit.sim_decline"), s.similarity.declines)
+      << step;
+  EXPECT_EQ(m.counter_or("engine.admit.sim_deferred"), s.similarity.deferred)
+      << step;
+  EXPECT_EQ(m.counter_or("engine.admit.sim_parked"), s.similarity.parked)
+      << step;
+  EXPECT_EQ(m.counter_or("engine.degrade.cheap_members") +
+                m.counter_or("engine.degrade.gp_only") +
+                m.counter_or("engine.degrade.projected"),
+            s.jobs_degraded)
+      << step;
+  EXPECT_EQ(s.similarity.probes, s.similarity.near_hits + s.similarity.declines)
+      << step;
+  EXPECT_EQ(s.jobs_completed + s.jobs_rejected + s.jobs_shed, submitted)
+      << step;
+}
+
+TEST(Engine, LedgerMirrorsAgreeOnEveryCompletionPath) {
+  // Drives every completion path in turn and cross-checks the ledger after
+  // each one. Two engines, each with a private registry: a reject_new
+  // engine with similarity admission, and a drop_oldest engine without it
+  // (drop_oldest never rejects, and with similarity on an identical twin
+  // parks behind its pending leader instead of coalescing onto it).
+  using Path = engine::AdmissionDecision::Path;
+  engine::EngineOptions opts;
+  opts.portfolio = engine::Portfolio{{"gp"}};
+  opts.queue_capacity = 1;
+  opts.max_running_jobs = 1;
+  opts.similarity.enabled = true;
+  support::MetricsRegistry registry;
+  opts.metrics = &registry;
+  engine::Engine eng(opts);
+  std::uint64_t submitted = 0;
+
+  const engine::Job base = make_job(1300, /*nodes=*/300);
+  const engine::PortfolioOutcome full = eng.run_one(base.graph, base.request);
+  ++submitted;
+  ASSERT_EQ(full.decision.path, Path::kFullPortfolio);
+  expect_ledger_consistent(eng, submitted, "full");
+
+  EXPECT_TRUE(eng.run_one(base.graph, base.request).from_cache);
+  ++submitted;
+  expect_ledger_consistent(eng, submitted, "exact hit");
+
+  graph::GraphDelta delta(*base.graph);
+  delta.set_edge_weight(0, base.graph->neighbors(0)[0], 17);
+  EXPECT_TRUE(eng.repartition(base, delta, full.best).incremental);
+  ++submitted;
+  expect_ledger_consistent(eng, submitted, "caller warm start");
+
+  const auto near = perturb_graph(*base.graph, 77);
+  EXPECT_TRUE(eng.run_one(near, base.request).similarity);
+  ++submitted;
+  expect_ledger_consistent(eng, submitted, "similarity near-hit");
+
+  {
+    // A fresh graph leads a cohort; its near-twin parks behind it and
+    // warm-starts from the leader's indexed answer.
+    const engine::Job lead = make_job(1301, /*nodes=*/300);
+    PoolBlocker blocker;
+    const auto leader = eng.submit(lead);
+    const auto parked =
+        eng.submit(engine::Job{perturb_graph(*lead.graph, 5), lead.request});
+    submitted += 2;
+    blocker.release();
+    EXPECT_TRUE(eng.wait(leader).decision.warm_leader);
+    EXPECT_TRUE(eng.wait(parked).similarity);
+  }
+  expect_ledger_consistent(eng, submitted, "parked follower");
+
+  {
+    // One running slot, one queue place: the third distinct job is refused.
+    PoolBlocker blocker;
+    const auto running = eng.submit(make_job(1302, /*nodes=*/48));
+    const auto queued = eng.submit(make_job(1303, /*nodes=*/48));
+    const auto refused = eng.submit(make_job(1304, /*nodes=*/48));
+    submitted += 3;
+    EXPECT_EQ(eng.wait(refused).status.code(),
+              support::StatusCode::kResourceExhausted);
+    blocker.release();
+    EXPECT_TRUE(eng.wait(running).status.is_ok());
+    EXPECT_TRUE(eng.wait(queued).status.is_ok());
+  }
+  EXPECT_EQ(eng.stats().jobs_rejected, 1u);
+  expect_ledger_consistent(eng, submitted, "rejected");
+
+  support::StopToken expired;
+  expired.set_deadline_after(0.0);
+  engine::Job rushed = make_job(1305, /*nodes=*/96);
+  rushed.request.stop = &expired;
+  EXPECT_EQ(eng.run_one(rushed.graph, rushed.request).winner, "projected");
+  ++submitted;
+  expect_ledger_consistent(eng, submitted, "projected");
+
+  if (support::faults_compiled_in()) {
+    auto plan = support::parse_fault_plan("seed=1,rate=1,sites=member.run");
+    ASSERT_TRUE(plan.is_ok()) << plan.message();
+    struct Disarm {
+      ~Disarm() { support::FaultInjector::global().disarm(); }
+    } disarm;
+    support::FaultInjector::global().arm(plan.value());
+    const engine::Job doomed = make_job(1306, /*nodes=*/48);
+    EXPECT_EQ(eng.run_one(doomed.graph, doomed.request).status.code(),
+              support::StatusCode::kInternal);
+    ++submitted;
+  }
+  expect_ledger_consistent(eng, submitted, "all members failed");
+
+  engine::EngineOptions shed_opts = opts;
+  shed_opts.similarity.enabled = false;
+  shed_opts.shed_policy = engine::ShedPolicy::kDropOldest;
+  support::MetricsRegistry shed_registry;
+  shed_opts.metrics = &shed_registry;
+  engine::Engine shedder(shed_opts);
+  submitted = 0;
+  {
+    PoolBlocker blocker;
+    const engine::Job twin = make_job(1307, /*nodes=*/48);
+    const auto leader = shedder.submit(twin);
+    const auto follower = shedder.submit(twin);
+    submitted += 2;
+    blocker.release();
+    EXPECT_FALSE(shedder.wait(leader).coalesced);
+    EXPECT_TRUE(shedder.wait(follower).coalesced);
+  }
+  expect_ledger_consistent(shedder, submitted, "coalesced follower");
+
+  {
+    // The third job finds the queue full and evicts the queued second one.
+    PoolBlocker blocker;
+    const auto running = shedder.submit(make_job(1308, /*nodes=*/48));
+    const auto victim = shedder.submit(make_job(1309, /*nodes=*/48));
+    const auto late = shedder.submit(make_job(1310, /*nodes=*/48));
+    submitted += 3;
+    EXPECT_EQ(shedder.wait(victim).decision.path, Path::kShed);
+    blocker.release();
+    EXPECT_TRUE(shedder.wait(running).status.is_ok());
+    EXPECT_TRUE(shedder.wait(late).status.is_ok());
+  }
+  EXPECT_EQ(shedder.stats().jobs_shed, 1u);
+  expect_ledger_consistent(shedder, submitted, "drop_oldest shed");
 }
 
 }  // namespace

@@ -101,13 +101,13 @@ TEST(GoldenDeterminism, NLevelFixedSeed) {
 
 // ---- Parallel-mode determinism (PR 10). -----------------------------------
 // The parallel multilevel path (threads >= 2) is a different — still fully
-// deterministic — algorithm than the serial one: in deterministic mode
-// (the default) a fixed-seed run is a pure function of (graph, options),
-// bit-identical at ANY thread count. The issue's p=1 leg is covered at the
-// kernel level (parallel_test.cpp runs every kernel with 1, 2 and 8 chunks
-// and asserts identity); here the full GP/MetisLike runs are pinned against
-// each other across thread counts, on graphs big enough to cross the
-// min_parallel_nodes threshold so parallel LP actually runs.
+// deterministic — algorithm than the serial one: a fixed-seed run is a pure
+// function of (graph, options), bit-identical at ANY thread count. The p=1
+// leg is covered at the kernel level (parallel_test.cpp runs every kernel
+// with 1, 2 and 8 chunks and asserts identity); here the full GP/MetisLike
+// runs are pinned against each other across thread counts, on graphs big
+// enough to cross the min_parallel_nodes threshold so parallel LP actually
+// runs.
 
 TEST(ParallelDeterminism, GpBitIdenticalAcrossThreadCounts) {
   const graph::Graph g = pn_graph(4000, 7);
@@ -138,19 +138,6 @@ TEST(ParallelDeterminism, MetisLikeBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(fingerprint(metis.run(g, request).partition), ref)
         << "threads=" << p;
   }
-}
-
-TEST(ParallelDeterminism, SerialPathIgnoresDeterministicFlag) {
-  // threads == 1 must stay byte-for-byte the legacy serial path, whatever
-  // the deterministic flag says — the pinned serial goldens above are the
-  // proof for the default; this guards the flag's independence.
-  const graph::Graph g = pn_graph(300, 7);
-  part::GpOptions options;
-  options.max_cycles = 4;
-  part::GpPartitioner gp(options);
-  part::PartitionRequest request = request_for(g);
-  request.deterministic = false;
-  EXPECT_EQ(fingerprint(gp.run(g, request).partition), 0xb76d70c9c12ab48aull);
 }
 
 TEST(GoldenDeterminism, KlFixedSeed) {

@@ -1,8 +1,8 @@
 // Unit tests for the shared-memory parallel multilevel kernels
-// (partition/parallel.hpp): matching validity in both modes, bit-exact
-// agreement of the chunked fine-to-coarse assignment with the serial scan,
-// chunk-count invariance of every deterministic kernel, and the
-// goodness-monotonicity of parallel LP refinement.
+// (partition/parallel.hpp): matching validity, bit-exact agreement of the
+// chunked fine-to-coarse assignment with the serial scan, chunk-count
+// invariance of every kernel, and the goodness-monotonicity of parallel LP
+// refinement.
 
 #include <gtest/gtest.h>
 
@@ -30,10 +30,9 @@ graph::Graph pn_graph(graph::NodeId n, std::uint64_t seed) {
   return graph::random_process_network(params, rng);
 }
 
-ParallelOptions opts_for(std::uint32_t threads, bool deterministic = true) {
+ParallelOptions opts_for(std::uint32_t threads) {
   ParallelOptions o;
   o.threads = threads;
-  o.deterministic = deterministic;
   return o;
 }
 
@@ -67,20 +66,6 @@ TEST(ParallelMatching, DeterministicModeIsValidAndChunkCountInvariant) {
     const Weight w = parallel_heavy_edge_matching(g, opts_for(p), m, ws, pool);
     EXPECT_EQ(m, reference) << "threads=" << p;
     EXPECT_EQ(w, ref_w) << "threads=" << p;
-  }
-}
-
-TEST(ParallelMatching, FreeRunningModeIsValid) {
-  const graph::Graph g = pn_graph(3000, 11);
-  support::ThreadPool& pool = support::ThreadPool::global();
-  Workspace ws;
-  for (std::uint32_t p : {1u, 4u, 8u}) {
-    Matching m;
-    const Weight w =
-        parallel_heavy_edge_matching(g, opts_for(p, false), m, ws, pool);
-    EXPECT_EQ(part::validate_matching(g, m), "") << "threads=" << p;
-    EXPECT_GT(part::matched_pair_count(m), 0u);
-    EXPECT_EQ(w, part::matched_edge_weight(g, m));
   }
 }
 

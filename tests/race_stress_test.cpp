@@ -375,21 +375,19 @@ TEST(RaceStressTest, QueueShedRacesFaultsAndLateArming) {
             kThreads * kPerThread);
 }
 
-TEST(RaceStressTest, FreeRunningMatchingAndLpUnderContention) {
-  // PR 10's lock-free seams: the CAS claim protocol of free-running
-  // parallel matching (threads race compare_exchange on the per-node
-  // `matched` words) and the completion-order merge of LP scan candidates
-  // (per-chunk buffers appended under a mutex as chunks finish). Run both
-  // at 8 chunks across the pool, repeatedly, and check the structural
-  // invariants that must hold whatever interleaving TSan provokes: the
-  // matching is valid (symmetric, edge-backed), the derived coarse-id map
-  // is a bijection onto [0, coarse_n), and LP never worsens the exact
-  // lexicographic goodness.
+TEST(RaceStressTest, ParallelMatchingAndLpUnderContention) {
+  // The parallel kernels' cross-thread seams: the mutual-proposal matching
+  // rounds (chunks read the frozen match array while writing their own
+  // proposal slots) and the LP scan (chunks fill their own arena buffers
+  // against the round-start MoveContext). Run both at 8 chunks across the
+  // pool, repeatedly, and check the structural invariants that must hold
+  // whatever interleaving TSan provokes: the matching is valid (symmetric,
+  // edge-backed), the derived coarse-id map is a bijection onto
+  // [0, coarse_n), and LP never worsens the exact lexicographic goodness.
   const auto g = make_shared_graph(77, 2000);
   support::ThreadPool& pool = support::ThreadPool::global();
   part::ParallelOptions popts;
   popts.threads = 8;
-  popts.deterministic = false;
 
   for (int iteration = 0; iteration < 6; ++iteration) {
     part::Workspace ws;

@@ -461,7 +461,7 @@ TEST(Status, OkByDefault) {
 }
 
 TEST(Status, ErrorCarriesMessage) {
-  const Status s = Status::error("boom");
+  const Status s = Status::error(StatusCode::kInternal, "boom");
   EXPECT_FALSE(s.is_ok());
   EXPECT_EQ(s.message(), "boom");
 }
@@ -472,7 +472,7 @@ TEST(Result, ValueAndError) {
   EXPECT_EQ(ok.value(), 7);
   EXPECT_EQ(ok.value_or(9), 7);
 
-  Result<int> bad = Result<int>::error("nope");
+  Result<int> bad = Result<int>::error(StatusCode::kInvalidArgument, "nope");
   EXPECT_FALSE(bad.is_ok());
   EXPECT_EQ(bad.message(), "nope");
   EXPECT_EQ(bad.value_or(9), 9);
@@ -486,9 +486,6 @@ TEST(Status, TypedCodesRoundTrip) {
   EXPECT_EQ(s.message(), "queue full");
   EXPECT_EQ(s.to_string(), "RESOURCE_EXHAUSTED: queue full");
 
-  // The legacy untyped factory stays callable and maps to kInternal, so
-  // old call sites keep compiling while new ones branch on the code.
-  EXPECT_EQ(Status::error("boom").code(), StatusCode::kInternal);
   // An "error" may never smuggle kOk past is_ok() checks.
   EXPECT_NE(Status::error(StatusCode::kOk, "lying").code(), StatusCode::kOk);
   EXPECT_STREQ(to_string(StatusCode::kDeadlineExceeded), "DEADLINE_EXCEEDED");

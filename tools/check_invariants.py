@@ -9,7 +9,7 @@ Rules (each has a stable id, used in the allowlist):
                           flows through support::ThreadPool so saturation
                           deadlock rules and worker-thread detection hold.
   result-cache-write      writes to the engine result cache (cache_.insert)
-                          outside Engine::finalize_job's guarded path — the
+                          outside Engine::complete's guarded path — the
                           single seam where the completeness/cancellation
                           checks run before an entry becomes replayable.
   workspace-ref-capture   a lambda handed to submit()/parallel_for() that
@@ -26,20 +26,6 @@ Rules (each has a stable id, used in the allowlist):
                           identically under PPNPART_TRACE_DISABLED, so they
                           may only use the ScopedSpan/trace_* wrappers that
                           have no-op twins.
-  status-error-code       Status::error / Result<T>::error called without a
-                          leading StatusCode:: in src/ — the untyped overload
-                          exists only for legacy callers; new errors must be
-                          typed so callers can branch on *why* (retry on
-                          kUnavailable, give up on kInvalidArgument).
-  parallel-reduction-order  a lambda handed to the pool (submit/parallel_for/
-                          run_chunks) that merges per-thread buffers into a
-                          shared container under a mutex — completion-order
-                          reductions silently break the fixed-seed bit-
-                          reproducibility contract, so every such merge must
-                          be gated behind the deterministic flag (an
-                          identifier matching `determin` or the conventional
-                          `det` bool in the lambda) or allowlisted as a
-                          knowingly free-running path.
   workspace-pool-lease    an ad-hoc `Workspace <name>` local/member declared
                           in src/engine/ — engine code (warm-start tasks
                           especially, which run concurrently on the pool)
@@ -181,7 +167,7 @@ def rule_result_cache_write(path, stripped, lines):
         path,
         stripped,
         lines,
-        "result-cache write outside the guarded finalize path",
+        "result-cache write outside the guarded completion path",
     )
 
 
@@ -274,85 +260,6 @@ def rule_tracer_in_header(path, stripped, lines):
     )
 
 
-STATUS_ERROR_RE = re.compile(r"\b(?:Status|Result\s*<[^;{}()]*?>)\s*::\s*error\s*\(")
-
-
-def rule_status_error_code(path, stripped, lines):
-    if path.endswith("support/status.hpp"):
-        return []  # the legacy-overload forwarding shim itself
-    found = []
-    for m in STATUS_ERROR_RE.finditer(stripped):
-        first = stripped[m.end() : m.end() + 200].lstrip()
-        if re.match(r"(?:\w+\s*::\s*)*StatusCode\s*::", first):
-            continue  # possibly namespace-qualified (support::StatusCode::k...)
-        line_no = stripped.count("\n", 0, m.start()) + 1
-        found.append(
-            Finding(
-                "status-error-code",
-                path,
-                line_no,
-                enclosing_function(lines, line_no),
-                "untyped Status/Result error; name a StatusCode",
-            )
-        )
-    return found
-
-
-REDUCTION_CALL_RE = re.compile(r"\b(?:submit|parallel_for|run_chunks)\s*\(")
-LOCK_RE = re.compile(r"\b(?:lock_guard|unique_lock|scoped_lock)\b")
-MERGE_RE = re.compile(r"\b(?:push_back|emplace_back|insert|append)\s*\(")
-DET_GATE_RE = re.compile(r"determin|\bdet\b")
-
-
-def _lambda_span(stripped, call_end, limit=6000):
-    """Full text of the first lambda argument of a pool call: capture list
-    through the matching close brace of its body (None if no lambda)."""
-    region = stripped[call_end : call_end + limit]
-    lb = region.find("[")
-    if lb == -1:
-        return None
-    brace = region.find("{", lb)
-    if brace == -1:
-        return None
-    depth = 0
-    for j in range(brace, len(region)):
-        if region[j] == "{":
-            depth += 1
-        elif region[j] == "}":
-            depth -= 1
-            if depth == 0:
-                return region[lb : j + 1]
-    return None
-
-
-def rule_parallel_reduction_order(path, stripped, lines):
-    if "support/thread_pool" in path:
-        return []
-    found = []
-    for call in REDUCTION_CALL_RE.finditer(stripped):
-        body = _lambda_span(stripped, call.end())
-        if body is None:
-            continue
-        if (
-            LOCK_RE.search(body)
-            and MERGE_RE.search(body)
-            and not DET_GATE_RE.search(body)
-        ):
-            line_no = stripped.count("\n", 0, call.start()) + 1
-            found.append(
-                Finding(
-                    "parallel-reduction-order",
-                    path,
-                    line_no,
-                    enclosing_function(lines, line_no),
-                    "completion-order merge in a pool task; gate it behind "
-                    "the deterministic flag or allowlist the free-running "
-                    "path",
-                )
-            )
-    return found
-
-
 WORKSPACE_DECL_RE = re.compile(
     r"\b(?:part\s*::\s*)?Workspace\s+[A-Za-z_]\w*\s*[;{=(]"
 )
@@ -375,10 +282,8 @@ RULES = [
     rule_thread_outside_pool,
     rule_result_cache_write,
     rule_workspace_ref_capture,
-    rule_parallel_reduction_order,
     rule_raw_new_delete,
     rule_tracer_in_header,
-    rule_status_error_code,
     rule_workspace_pool_lease,
 ]
 
@@ -414,7 +319,7 @@ def load_allowlist(path: pathlib.Path) -> list[AllowEntry]:
         rule, target = parts
         if ":" in target:
             # First colon: paths never contain one, function names may
-            # (Engine::finalize_job).
+            # (Engine::complete).
             path_sub, func = target.split(":", 1)
         else:
             path_sub, func = target, None
@@ -492,21 +397,6 @@ SELF_TESTS = [
         "  parallel_for(0, n, run);\n  ws.fm.log.clear();\n}\n",
     ),
     (
-        "parallel-reduction-order",
-        "src/partition/parallel.cpp",
-        "void f() {\n"
-        "  run_chunks(pool, chunks, [out, mu](const Chunk& ch) {\n"
-        "    std::lock_guard<std::mutex> lock(*mu);\n"
-        "    out->insert(out->end(), local.begin(), local.end());\n"
-        "  });\n}\n",
-        "void f() {\n"
-        "  run_chunks(pool, chunks, [out, mu, det](const Chunk& ch) {\n"
-        "    if (!det) {\n"
-        "      std::lock_guard<std::mutex> lock(*mu);\n"
-        "      out->insert(out->end(), local.begin(), local.end());\n"
-        "    }\n  });\n}\n",
-    ),
-    (
         "raw-new-delete",
         "src/support/metrics.cpp",
         "void f() {\n  auto* p = new Counter();\n  delete p;\n}\n",
@@ -518,13 +408,6 @@ SELF_TESTS = [
         "src/partition/phase_profile.hpp",
         "inline void f() { Tracer::global().record(ev); }\n",
         "inline void f() { support::ScopedSpan span(\"cat\", \"name\"); }\n",
-    ),
-    (
-        "status-error-code",
-        "src/graph/io.cpp",
-        'Status f() {\n  return Status::error("bad header");\n}\n',
-        "Status f() {\n"
-        "  return Status::error(StatusCode::kInvalidArgument, reason);\n}\n",
     ),
     (
         "workspace-pool-lease",
