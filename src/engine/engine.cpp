@@ -191,21 +191,6 @@ Engine::Engine(EngineOptions options)
                                   "'");
   }
 
-  // Intra-member parallelism, capped against oversubscription: concurrent
-  // member tasks already occupy the pool, so members x threads must not
-  // exceed it. Parallel answers do not depend on the thread count, so the
-  // cap is result-neutral.
-  {
-    const std::uint32_t pool_size =
-        std::max(1u, support::ThreadPool::global().size());
-    const std::uint32_t requested = options_.threads_per_job == 0
-                                        ? pool_size
-                                        : options_.threads_per_job;
-    const std::uint32_t cap = std::max(
-        1u, pool_size / static_cast<std::uint32_t>(options_.portfolio.size()));
-    threads_per_job_ = std::min(requested, cap);
-  }
-
   // Resolve every metric handle once; the hot path then updates plain
   // relaxed atomics without name lookups or registry locks.
   path_metrics_.jobs = &metrics_.counter("engine.jobs");
@@ -933,11 +918,6 @@ void Engine::run_member(const std::shared_ptr<JobState>& state,
         req.seed =
             support::SeedStream(state->job.request.seed).seed_for(index);
         req.stop = &state->token;
-        // Intra-member parallelism (capped in the constructor). Members run
-        // on pool workers, where nested fan-out degrades to inline serial
-        // execution — harmless because parallel results do not depend on
-        // the executing thread count.
-        req.threads = threads_per_job_;
         span.arg("seed", static_cast<std::int64_t>(req.seed));
         // Coarsening reuse: hand every member the engine's cache plus the
         // job's memoized graph identity, so the multilevel members share one

@@ -212,16 +212,6 @@ struct EngineOptions {
   /// depends on transient load, the cache key does not.
   bool degrade_under_load = true;
 
-  /// Intra-member parallelism: PartitionRequest::threads handed to every
-  /// portfolio member (1 = serial members, the default; 0 = auto = pool
-  /// size; >= 2 = the parallel multilevel path). The engine caps the
-  /// effective value so members x threads never oversubscribes the pool
-  /// (see Engine::threads_per_job()). The cap is result-neutral —
-  /// parallel-path answers are identical at any thread count, so capping
-  /// (or nested serial degradation when the pool is saturated) changes
-  /// timing only, never output or cache contents.
-  std::uint32_t threads_per_job = 1;
-
   /// Metrics sink (non-owning; must outlive the engine). Null = the
   /// process-wide support::MetricsRegistry::global(). The engine records
   /// admission-path counters, job latency histograms and per-member
@@ -413,13 +403,6 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   const EngineOptions& options() const { return options_; }
-
-  /// Effective PartitionRequest::threads handed to every portfolio member:
-  /// EngineOptions::threads_per_job (0 = pool size) capped so that
-  /// members x threads <= pool size — concurrent member tasks already fill
-  /// the pool, so uncapped intra-member fan-out would only oversubscribe.
-  /// Always >= 1.
-  std::uint32_t threads_per_job() const { return threads_per_job_; }
 
   /// Synchronous single-job entry point. A cache hit returns without
   /// copying the graph or touching the pool. The const& overload aliases
@@ -621,8 +604,6 @@ class Engine {
   }
 
   EngineOptions options_;
-  /// Resolved in the constructor: threads_per_job capped by pool/portfolio.
-  std::uint32_t threads_per_job_ = 1;
   LruCache<PortfolioOutcome> cache_;
   part::CoarseningCache coarsen_cache_;
   part::IncrementalPartitioner incremental_;

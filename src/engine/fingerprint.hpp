@@ -28,7 +28,7 @@ std::uint64_t graph_fingerprint(const graph::Graph& g);
 
 /// Digest of the request fields that determine the answer: k, seed, rmax,
 /// bmax and any per-part budgets. The stop token is transient state and is
-/// deliberately excluded.
+/// deliberately excluded, as is `threads`: answers do not depend on it.
 std::uint64_t request_fingerprint(const part::PartitionRequest& r);
 
 /// Digest of the request fields a warm start must AGREE on — k and the

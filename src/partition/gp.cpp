@@ -49,13 +49,12 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
     p.reset(g.num_nodes(), k);
     for (NodeId u = 0; u < g.num_nodes(); ++u) p.set(u, assign[u]);
     support::Rng level_rng = rng.derive(0xFEEDull * (level + 1) + cycle);
-    if (par.threads > 1 && g.num_nodes() >= par.min_parallel_nodes) {
-      // Large level on the parallel path: goodness-monotone label
-      // propagation across the pool, then one bounded serial FM pass. LP
-      // does the bulk move work in parallel; the capped FM pass repairs
-      // what LP cannot see (tight constraint corners, negative-gain
-      // escapes) at a serial cost that stays a small fraction of the
-      // level — the Amdahl term is move_limit, not the node count.
+    if (g.num_nodes() >= par.min_parallel_nodes) {
+      // Large level, at every thread count: goodness-monotone label
+      // propagation (the thread count only sets its chunk count), then one
+      // bounded FM pass. LP does the bulk move work; the capped FM pass
+      // repairs what LP cannot see (tight constraint corners, negative-gain
+      // escapes) at a cost bounded by move_limit, not the node count.
       LpRefineOptions lp;
       parallel_lp_refine(g, p, c, lp, par, ws, pool);
       FmOptions polish = fm;
@@ -148,8 +147,8 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
   WorkspaceLease lease(ws);
   PhaseContextScope<Workspace> phase_ctx(ws, request.phases, kTraceCat);
 
-  support::ThreadPool& pool = support::ThreadPool::global();
-  const ParallelOptions par = resolve_parallel(request.threads, pool);
+  const ParallelOptions par =
+      resolve_parallel(request.threads, support::ThreadPool::global());
 
   std::optional<std::vector<PartId>> best_assign;
   Goodness best_goodness;
@@ -186,10 +185,6 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
               request.graph_key != 0 ? request.graph_key : graph_digest(g);
           shared_h = request.coarsen_cache->hierarchy(gkey, coarsen_opts, g);
         }
-      } else if (par.threads > 1) {
-        // Parallel heavy-edge coarsening (deterministic; no RNG consumed). A coarsen_cache, when present, wins instead: reusing
-        // the shared canonical hierarchy beats rebuilding it in parallel.
-        local = parallel_coarsen(g, coarsen_opts, par, ws, pool);
       } else {
         local = coarsen(g, coarsen_opts, cycle_rng, ws);
       }

@@ -9,11 +9,9 @@
 #include "partition/coarsen.hpp"
 #include "partition/coarsen_cache.hpp"
 #include "partition/initial.hpp"
-#include "partition/parallel.hpp"
 #include "partition/phase_profile.hpp"
 #include "partition/refine.hpp"
 #include "partition/workspace.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace ppnpart::part {
@@ -106,9 +104,6 @@ PartitionResult MetisLikePartitioner::run(const Graph& g,
   WorkspaceLease lease(ws);
   PhaseContextScope<Workspace> phase_ctx(ws, request.phases, kTraceCat);
 
-  support::ThreadPool& pool = support::ThreadPool::global();
-  const ParallelOptions par = resolve_parallel(request.threads, pool);
-
   // Under unit balance, partition a copy whose node weights are all 1 (edge
   // weights — the cut — are untouched); metrics are computed on the real
   // graph afterwards.
@@ -145,8 +140,6 @@ PartitionResult MetisLikePartitioner::run(const Graph& g,
                                    ? request.graph_key
                                    : graph_digest(*work);
     shared_h = request.coarsen_cache->hierarchy(gkey, coarsen_opts, *work);
-  } else if (par.threads > 1) {
-    local = parallel_coarsen(*work, coarsen_opts, par, ws, pool);
   } else {
     local = coarsen(*work, coarsen_opts, rng, ws);
   }
@@ -197,17 +190,7 @@ PartitionResult MetisLikePartitioner::run(const Graph& g,
     p.reset(level_graph.num_nodes(), k);
     for (NodeId u = 0; u < level_graph.num_nodes(); ++u) p.set(u, assign[u]);
     support::Rng level_rng = rng.derive(0x3E71ull * (level + 1));
-    if (par.threads > 1 && level_graph.num_nodes() >= par.min_parallel_nodes) {
-      // Large level on the parallel path: the uniform max-load cap maps
-      // onto the goodness resource budget (bandwidth unconstrained), so
-      // parallel LP enforces exactly greedy_cut_refine's balance contract.
-      Constraints lp_c;
-      lp_c.rmax = max_load;
-      LpRefineOptions lp;
-      parallel_lp_refine(level_graph, p, lp_c, lp, par, ws, pool);
-    } else {
-      greedy_cut_refine(level_graph, p, max_load, refine_opts, level_rng, ws);
-    }
+    greedy_cut_refine(level_graph, p, max_load, refine_opts, level_rng, ws);
     for (NodeId u = 0; u < level_graph.num_nodes(); ++u) assign[u] = p[u];
   }
 

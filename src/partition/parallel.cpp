@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <exception>
 #include <future>
-#include <stdexcept>
 
-#include "graph/contract.hpp"
 #include "partition/move_context.hpp"
-#include "partition/phase_profile.hpp"
 #include "support/alloc_stats.hpp"
 
 namespace ppnpart::part {
@@ -182,82 +179,6 @@ Weight parallel_heavy_edge_matching(const Graph& g,
     }
   }
   return total;
-}
-
-NodeId parallel_fine_to_coarse(const Graph& fine, const Matching& matching,
-                               const ParallelOptions& options,
-                               std::vector<NodeId>& fine_to_coarse,
-                               Workspace& ws, support::ThreadPool& pool) {
-  const NodeId n = fine.num_nodes();
-  if (matching.size() != n)
-    throw std::invalid_argument("parallel_fine_to_coarse: size mismatch");
-  support::AllocStats* stats = ws.parallel.stats;
-  support::assign_tracked(fine_to_coarse, n, kInvalidNode, stats);
-  const std::vector<Chunk> chunks = make_chunks(n, options.threads);
-  support::assign_tracked(ws.parallel.chunk_base, chunks.size(), NodeId{0},
-                          stats);
-
-  // A node represents its pair iff it is the smaller endpoint (or single).
-  // The serial scan assigns ids at the first touch of each pair — i.e. ids
-  // ascend by representative — so a per-chunk count + exclusive prefix over
-  // chunk-index order reproduces the serial assignment bit-exactly.
-  const NodeId* m = matching.data();
-  NodeId* base = ws.parallel.chunk_base.data();
-  run_chunks(pool, chunks, [m, base](const Chunk& ch) {
-    NodeId reps = 0;
-    for (NodeId u = ch.begin; u < ch.end; ++u)
-      if (m[u] == u || u < m[u]) ++reps;
-    base[ch.index] = reps;
-  });
-  NodeId next = 0;
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const NodeId count = base[i];
-    base[i] = next;
-    next += count;
-  }
-  NodeId* f2c = fine_to_coarse.data();
-  run_chunks(pool, chunks, [m, base, f2c](const Chunk& ch) {
-    NodeId id = base[ch.index];
-    for (NodeId u = ch.begin; u < ch.end; ++u) {
-      if (m[u] == u || u < m[u]) {
-        f2c[u] = id;
-        // The partner is never a representative, so this slot has exactly
-        // one writer even when it lives in another chunk.
-        if (m[u] != u) f2c[m[u]] = id;
-        ++id;
-      }
-    }
-  });
-  return next;
-}
-
-Hierarchy parallel_coarsen(const Graph& g, const CoarsenOptions& options,
-                           const ParallelOptions& popts, Workspace& ws,
-                           support::ThreadPool& pool) {
-  Hierarchy h;
-  h.graphs.push_back(g);
-  while (h.coarsest().num_nodes() > options.coarsen_to &&
-         h.num_levels() <= options.max_levels) {
-    const Graph& current = h.coarsest();
-    PhaseScope phase(ws.phases, PhaseProfile::kCoarsen, ws.phase_cat,
-                     static_cast<std::int64_t>(h.num_levels() - 1),
-                     static_cast<std::int64_t>(current.num_nodes()));
-    (void)parallel_heavy_edge_matching(current, popts, ws.match_best, ws,
-                                       pool);
-    std::vector<NodeId> fine_to_coarse;
-    const NodeId coarse_n = parallel_fine_to_coarse(
-        current, ws.match_best, popts, fine_to_coarse, ws, pool);
-    if (coarse_n == current.num_nodes()) break;  // no contractible pairs
-    Graph coarse =
-        graph::contract_csr(current, fine_to_coarse, coarse_n, ws.contract);
-    const double shrink = static_cast<double>(coarse.num_nodes()) /
-                          static_cast<double>(current.num_nodes());
-    if (shrink > options.min_shrink_factor) break;
-    h.maps.push_back(std::move(fine_to_coarse));
-    h.winners.push_back(MatchingKind::kHeavyEdge);
-    h.graphs.push_back(std::move(coarse));
-  }
-  return h;
 }
 
 bool parallel_lp_refine(const Graph& g, Partition& p, const Constraints& c,

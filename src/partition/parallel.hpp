@@ -1,37 +1,33 @@
 #pragma once
-// Shared-memory parallel multilevel kernels (ROADMAP open item 1).
+// Shared-memory parallel kernels of the multilevel refiner (ROADMAP item 1).
 //
-// Everything above this layer parallelizes *across* runs (portfolio members,
-// engine jobs); these kernels parallelize *inside* one run so a single large
-// polyhedral process network can use the machine. Three pieces, in the
-// Mt-KaHyPar mold adapted to this repo's CSR graphs and workspace rules:
+// There is one multilevel pipeline, and its answer never depends on the
+// thread count. GP refines every level with at least
+// ParallelOptions::min_parallel_nodes nodes with parallel_lp_refine plus one
+// bounded FM pass, at every `threads` value; coarsening is always the serial
+// matching competition. `threads` only sets how many chunks the LP scan is
+// cut into, so it changes speed, never the partition.
 //
-//  * parallel coarsening — heavy-edge matching chunked across
-//    support::ThreadPool as synchronous mutual-proposal rounds, then a
-//    parallel prefix-sum pass that reproduces the serial coarse-id
-//    assignment bit-exactly and feeds graph::contract_csr;
-//  * parallel refinement — size-constrained label propagation over the
-//    boundary set: a read-only parallel scan proposes moves against the
-//    round-start MoveContext state into per-thread buffers, then a serial
-//    commit re-validates each candidate against the exact lexicographic
-//    goodness (so LP is goodness-monotone and never worsens a projection);
-//  * a fixed reduction order — per-chunk results merged in chunk-index
-//    order, synchronous LP rounds, ties broken by node id — making
-//    fixed-seed results a pure function of (graph, options), bit-identical
-//    at ANY thread count.
+//  * parallel_lp_refine — size-constrained label propagation over the
+//    boundary set: a read-only scan proposes moves against the round-start
+//    MoveContext state into per-chunk buffers, then a serial commit
+//    re-validates each candidate against the exact lexicographic goodness
+//    (so LP is goodness-monotone and never worsens a projection);
+//  * parallel_heavy_edge_matching — synchronous mutual-proposal rounds; a
+//    kernel on its own, no partitioner coarsens with it.
 //
-// Threading rules: chunks are contiguous node ranges, one ThreadArena per
-// chunk task, carved from the single leased Workspace (the one-lease-per-run
+// Both merge per-chunk results in chunk-index order (== node-id order) and
+// break ties by node id, so each is a pure function of its input at ANY
+// chunk count. Chunks are contiguous node ranges, one ThreadArena per chunk
+// task, carved from the single leased Workspace (the one-lease-per-run
 // invariant holds; arenas are interior and disjoint). Scan phases only read
 // shared state; mutation happens in serial phases between them, so the
 // kernels are data-race-free by construction. All fan-out goes through
-// support::ThreadPool and degrades to inline execution on a pool worker
-// (nested parallelism) — results are unaffected because they do not depend
-// on the executing thread count.
+// support::ThreadPool and runs inline on a pool worker (an engine member),
+// which cannot change a result either.
 
 #include <cstdint>
 
-#include "partition/coarsen.hpp"
 #include "partition/partition.hpp"
 #include "partition/workspace.hpp"
 #include "support/thread_pool.hpp"
@@ -41,24 +37,22 @@ namespace ppnpart::part {
 /// Resolved intra-run parallelism knobs, derived from
 /// PartitionRequest::threads by resolve_parallel().
 struct ParallelOptions {
-  /// Worker chunks per phase (>= 1). 1 still runs the parallel kernels —
-  /// inline, single-chunk — which is how the p=1 leg of the determinism
-  /// golden exercises the same code path.
+  /// Chunks per scan phase (>= 1). 1 runs the same kernels inline as a
+  /// single chunk; every value yields the same answer.
   std::uint32_t threads = 1;
-  /// Levels smaller than this use the serial kernels (task overhead and
-  /// quality both favour serial on small graphs).
+  /// Levels with at least this many nodes are refined by LP + bounded FM;
+  /// smaller levels by full FM + swap rounds. Chosen by level size alone.
   NodeId min_parallel_nodes = 2048;
 };
 
-/// Maps PartitionRequest::threads (0 = auto = pool size, 1 = serial path,
-/// n = n chunks) onto the pool. Values above the pool size are kept: chunk
-/// count is a partitioning choice, not a thread count, and results do not
-/// depend on it.
+/// Maps PartitionRequest::threads (0 = auto = pool size, n = n chunks) onto
+/// the pool. Values above the pool size are kept: chunk count is a
+/// partitioning choice, not a thread count, and results do not depend on it.
 ParallelOptions resolve_parallel(std::uint32_t requested,
                                  support::ThreadPool& pool);
 /// Three-argument form for callers that pass a `deterministic` flag
-/// (perfbench/src/probes.cpp). Every parallel run is deterministic, so the
-/// flag is ignored.
+/// (perfbench/src/probes.cpp). Every run is deterministic, so the flag is
+/// ignored.
 inline ParallelOptions resolve_parallel(std::uint32_t requested,
                                         bool /*deterministic*/,
                                         support::ThreadPool& pool) {
@@ -73,22 +67,6 @@ Weight parallel_heavy_edge_matching(const Graph& g,
                                     const ParallelOptions& options,
                                     Matching& match, Workspace& ws,
                                     support::ThreadPool& pool);
-
-/// Chunked prefix-sum coarse-id assignment: bit-identical to the serial
-/// ascending scan (ids ascend by the pair's smaller endpoint) at any chunk
-/// count. Returns the coarse node count.
-NodeId parallel_fine_to_coarse(const Graph& fine, const Matching& matching,
-                               const ParallelOptions& options,
-                               std::vector<NodeId>& fine_to_coarse,
-                               Workspace& ws, support::ThreadPool& pool);
-
-/// Multilevel coarsening through the parallel matching + prefix-sum map +
-/// graph::contract_csr. Winners are always kHeavyEdge (the parallel path
-/// does not run the serial matching competition). Yields one hierarchy per
-/// (graph, options) regardless of thread count.
-Hierarchy parallel_coarsen(const Graph& g, const CoarsenOptions& options,
-                           const ParallelOptions& popts, Workspace& ws,
-                           support::ThreadPool& pool);
 
 struct LpRefineOptions {
   /// Synchronous scan/commit rounds; a round that commits nothing stops.

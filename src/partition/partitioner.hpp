@@ -27,16 +27,10 @@ struct PartitionRequest {
   /// ignore them, exactly like METIS in the paper's experiments.
   Constraints constraints;
   std::uint64_t seed = 1;
-  /// Intra-run parallelism: worker chunks used by the parallel multilevel
-  /// kernels (parallel.hpp). 1 (default) = today's serial path, untouched
-  /// byte for byte; 0 = auto (thread-pool size); >= 2 routes GP/MetisLike
-  /// through parallel coarsening and parallel LP refinement for large
-  /// levels. Unlike `workspace`/`phases` this is an algorithm knob: the
-  /// parallel path is a *different* (still deterministic) algorithm than
-  /// the serial one, so results differ between threads == 1 and >= 2 — but
-  /// they are identical across ALL values >= 2 (and across machines): the
-  /// parallel reductions merge in a fixed order, so the golden policy
-  /// survives.
+  /// Intra-run parallelism: the chunk count of GP's label-propagation scan
+  /// (parallel.hpp); 0 = auto (thread-pool size). It changes speed only:
+  /// GP answers are bit-identical at every value, and MetisLike ignores it.
+  /// Like `workspace`, it is excluded from request fingerprints.
   std::uint32_t threads = 1;
 
   /// Optional cooperative-stop signal (non-owning; may be null). Iterative

@@ -131,9 +131,6 @@ struct ParallelScratch {
   std::vector<Weight> proposal_weight;
   /// Chunk-merged LP candidates (chunk-index order == node order).
   std::vector<LpCandidate> merged;
-  /// Per-chunk representative counts / exclusive prefix bases for the
-  /// parallel fine-to-coarse id assignment.
-  std::vector<NodeId> chunk_base;
 
   /// The i-th chunk arena, created on first use (a growth event) and reused
   /// by every later phase, level and run.

@@ -1,15 +1,12 @@
 // Unit tests for the shared-memory parallel multilevel kernels
-// (partition/parallel.hpp): matching validity, bit-exact agreement of the
-// chunked fine-to-coarse assignment with the serial scan, chunk-count
-// invariance of every kernel, and the goodness-monotonicity of parallel LP
-// refinement.
+// (partition/parallel.hpp): matching validity, chunk-count invariance of
+// every kernel, the goodness-monotonicity of parallel LP refinement, and
+// the allocation-free steady state of GP runs that use it.
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
-#include "partition/coarsen.hpp"
-#include "partition/coarsen_cache.hpp"
-#include "partition/initial.hpp"
+#include "partition/gp.hpp"
 #include "partition/parallel.hpp"
 #include "partition/workspace.hpp"
 #include "support/thread_pool.hpp"
@@ -36,21 +33,6 @@ ParallelOptions opts_for(std::uint32_t threads) {
   return o;
 }
 
-/// Serial reference of the coarse-id assignment (mirrors the ascending
-/// first-touch scan in coarsen.cpp).
-graph::NodeId serial_fine_to_coarse(const graph::Graph& g, const Matching& m,
-                                    std::vector<graph::NodeId>& out) {
-  out.assign(g.num_nodes(), graph::kInvalidNode);
-  graph::NodeId next = 0;
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    if (out[u] != graph::kInvalidNode) continue;
-    out[u] = next;
-    if (m[u] != u) out[m[u]] = next;
-    ++next;
-  }
-  return next;
-}
-
 TEST(ParallelMatching, DeterministicModeIsValidAndChunkCountInvariant) {
   const graph::Graph g = pn_graph(3000, 7);
   support::ThreadPool& pool = support::ThreadPool::global();
@@ -66,43 +48,6 @@ TEST(ParallelMatching, DeterministicModeIsValidAndChunkCountInvariant) {
     const Weight w = parallel_heavy_edge_matching(g, opts_for(p), m, ws, pool);
     EXPECT_EQ(m, reference) << "threads=" << p;
     EXPECT_EQ(w, ref_w) << "threads=" << p;
-  }
-}
-
-TEST(ParallelFineToCoarse, MatchesSerialScanBitExactly) {
-  const graph::Graph g = pn_graph(2500, 13);
-  support::ThreadPool& pool = support::ThreadPool::global();
-  Workspace ws;
-  Matching m;
-  parallel_heavy_edge_matching(g, opts_for(4), m, ws, pool);
-  std::vector<graph::NodeId> serial;
-  const graph::NodeId serial_n = serial_fine_to_coarse(g, m, serial);
-  for (std::uint32_t p : {1u, 2u, 5u, 8u}) {
-    std::vector<graph::NodeId> par;
-    const graph::NodeId par_n =
-        parallel_fine_to_coarse(g, m, opts_for(p), par, ws, pool);
-    EXPECT_EQ(par_n, serial_n) << "threads=" << p;
-    EXPECT_EQ(par, serial) << "threads=" << p;
-  }
-}
-
-TEST(ParallelCoarsen, HierarchyIsChunkCountInvariant) {
-  const graph::Graph g = pn_graph(4000, 17);
-  support::ThreadPool& pool = support::ThreadPool::global();
-  part::CoarsenOptions copts;
-  Workspace ws;
-  const part::Hierarchy ref = parallel_coarsen(g, copts, opts_for(1), ws, pool);
-  ASSERT_GT(ref.num_levels(), 1u);
-  EXPECT_LE(ref.coarsest().num_nodes(), 4000u);
-  for (std::uint32_t p : {2u, 8u}) {
-    const part::Hierarchy h = parallel_coarsen(g, copts, opts_for(p), ws, pool);
-    ASSERT_EQ(h.num_levels(), ref.num_levels()) << "threads=" << p;
-    for (std::size_t lvl = 0; lvl < h.num_levels(); ++lvl) {
-      EXPECT_EQ(part::graph_digest(h.graphs[lvl]),
-                part::graph_digest(ref.graphs[lvl]))
-          << "threads=" << p << " level=" << lvl;
-    }
-    EXPECT_EQ(h.maps, ref.maps) << "threads=" << p;
   }
 }
 
@@ -161,6 +106,29 @@ TEST(ParallelLpRefine, RespectsResourceBudgetAsLeadingObjective) {
   // (resource excess) can never regress.
   EXPECT_LE(after.resource_excess, before.resource_excess);
   EXPECT_FALSE(before < after);
+}
+
+TEST(ParallelGp, WarmRunThroughReusedWorkspaceDoesNotGrowIt) {
+  // GP refines every level of at least min_parallel_nodes with chunked LP;
+  // a second identical run through the same workspace must find every
+  // buffer (LP arenas included) already sized.
+  const graph::Graph g = pn_graph(5000, 31);
+  ASSERT_GE(g.num_nodes(), ParallelOptions{}.min_parallel_nodes);
+  Workspace ws;
+  part::GpOptions options;
+  options.max_cycles = 2;
+  part::GpPartitioner gp(options);
+  part::PartitionRequest request;
+  request.k = 4;
+  request.seed = 5;
+  request.threads = 4;
+  request.constraints.rmax = g.total_node_weight() / 3;
+  request.workspace = &ws;
+  const part::PartitionResult warm = gp.run(g, request);
+  const std::uint64_t growths_before = ws.stats().growths;
+  const part::PartitionResult again = gp.run(g, request);
+  EXPECT_EQ(ws.stats().growths - growths_before, 0u);
+  EXPECT_EQ(again.partition.assignments(), warm.partition.assignments());
 }
 
 }  // namespace

@@ -21,12 +21,10 @@
 //                       ("default" = gp,metislike,annealing,tabu; when
 //                       omitted, --algorithm runs as a 1-member portfolio)
 //   --time-budget-ms N  per-job wall-clock budget (cooperative)
-//   --threads-per-job N shared-memory threads inside each partitioner run
-//                       (default 1 = exact serial path, 0 = auto); the
-//                       engine caps members × threads at the pool size.
-//                       Deterministic mode (always on here) makes results
-//                       identical at any thread count; also honoured in
-//                       direct single-algorithm mode
+//   --threads-per-job N chunk count of GP's label-propagation scan in a
+//                       direct run (default 1, 0 = auto); changes speed
+//                       only, never the answer. Engine members run their
+//                       chunks inline on pool workers
 //   --jobs N            batch N jobs with seeds seed..seed+N-1 and report
 //                       the best answer plus engine throughput/cache stats
 //   --similarity on|off similarity-aware admission (default off): arrivals
@@ -234,8 +232,8 @@ int main(int argc, char** argv) {
   args.add_int("jobs", 1,
                "engine mode: batch N jobs with seeds seed..seed+N-1");
   args.add_int("threads-per-job", 1,
-               "shared-memory threads per partitioner run (1 = serial, "
-               "0 = auto); deterministic, so results do not depend on it");
+               "chunks of GP's label-propagation scan in a direct run "
+               "(0 = auto); changes speed only, never the answer");
   args.add_string("delta", "",
                   "replay an edit script against the input network "
                   "(incremental repartitioning per commit)");
@@ -401,8 +399,6 @@ int main(int argc, char** argv) {
   request.k = k;
   request.constraints = constraints;
   request.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  // Direct mode honours the flag as-is; engine mode overrides per member
-  // with the capped Engine::threads_per_job() value.
   request.threads = threads_per_job;
 
   const std::string algo_name = args.get_string("algorithm");
@@ -431,7 +427,6 @@ int main(int argc, char** argv) {
           static_cast<double>(args.get_int("time-budget-ms"));
       eopts.similarity.enabled = similarity_on;
       eopts.queue_capacity = queue_cap;
-      eopts.threads_per_job = threads_per_job;
       eopts.shed_policy = shed_policy.value();
       engine::Engine eng(eopts);
 
@@ -519,9 +514,9 @@ int main(int argc, char** argv) {
 
       const engine::EngineStats stats = eng.stats();
       std::printf(
-          "engine deltas=%d threads_per_job=%u incremental=%llu "
+          "engine deltas=%d incremental=%llu "
           "fallbacks=%llu repart_cache_hits=%llu ws_growths=%llu\n",
-          step, eng.threads_per_job(),
+          step,
           static_cast<unsigned long long>(stats.repartitions_incremental),
           static_cast<unsigned long long>(stats.repartitions_fallback),
           static_cast<unsigned long long>(stats.repartition_cache_hits),
@@ -547,7 +542,6 @@ int main(int argc, char** argv) {
           static_cast<double>(args.get_int("time-budget-ms"));
       eopts.similarity.enabled = similarity_on;
       eopts.queue_capacity = queue_cap;
-      eopts.threads_per_job = threads_per_job;
       eopts.shed_policy = shed_policy.value();
       engine::Engine eng(eopts);
 
@@ -632,14 +626,14 @@ int main(int argc, char** argv) {
       // followers' warm starts also run on the pool once the leader
       // lands). sim_* stay 0 under --similarity off.
       std::printf(
-          "engine jobs=%zu threads_per_job=%u seconds=%.4f throughput=%.2f "
+          "engine jobs=%zu seconds=%.4f throughput=%.2f "
           "cache_hits=%llu "
           "members_run=%llu members_skipped=%llu members_failed=%llu "
           "coalesced=%llu fingerprints=%llu coarsen_hits=%llu "
           "coarsen_builds=%llu sim_probes=%llu sim_near_hits=%llu "
           "sim_declines=%llu sim_deferred=%llu sim_parked=%llu "
           "rejected=%llu shed=%llu degraded=%llu\n",
-          outcomes.size(), eng.threads_per_job(), batch_seconds,
+          outcomes.size(), batch_seconds,
           batch_seconds > 0 ? outcomes.size() / batch_seconds : 0.0,
           static_cast<unsigned long long>(stats.cache.hits),
           static_cast<unsigned long long>(stats.members_run),
