@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the library's hot kernels: the three
-// matching heuristics, contraction, FM passes, metrics, and the exact solver
-// at the paper's instance size. Performance guardrails rather than paper
-// reproduction.
+// matching heuristics, contraction, FM passes, swap refinement, metrics, and
+// the exact solver at the paper's instance size. Performance guardrails
+// rather than paper reproduction.
 
 #include <benchmark/benchmark.h>
 
@@ -53,7 +53,7 @@ void BM_KMeansMatching(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * g.num_nodes());
 }
-BENCHMARK(BM_KMeansMatching)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_KMeansMatching)->Arg(1000)->Arg(4000)->Arg(100000);
 
 void BM_ContractViaBuilder(benchmark::State& state) {
   const graph::Graph g = make_pn(static_cast<graph::NodeId>(state.range(0)), 7);
@@ -164,6 +164,29 @@ void BM_ConstrainedFmPassWorkspace(benchmark::State& state) {
   state.counters["ws_growths"] = static_cast<double>(ws.stats().growths);
 }
 BENCHMARK(BM_ConstrainedFmPassWorkspace)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// Dense small graph like GP's coarsest levels, the only place swap_refine
+// runs; Bmax has slack, as on the tracked workloads.
+void BM_SwapRefine(benchmark::State& state) {
+  const auto n = static_cast<graph::NodeId>(state.range(0));
+  support::Rng rng(21);
+  const graph::Graph g =
+      graph::erdos_renyi_gnm(n, std::uint64_t{n} * 30, rng, {1, 20}, {1, 15});
+  part::Constraints c;
+  c.rmax = g.total_node_weight() / 8 + g.max_node_weight();
+  c.bmax = g.total_edge_weight() / 8;
+  part::SwapRefineOptions options;
+  options.max_passes = 1;
+  part::Workspace ws;
+  for (auto _ : state) {
+    state.PauseTiming();
+    part::Partition p = part::random_balanced_partition(g, 8, rng);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(part::swap_refine(g, p, c, options, rng, ws));
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_SwapRefine)->Arg(170);
 
 void BM_CoarsenWorkspace(benchmark::State& state) {
   const graph::Graph g = make_pn(static_cast<graph::NodeId>(state.range(0)), 19);

@@ -9,6 +9,7 @@
 #include "partition/parallel.hpp"
 #include "partition/phase_profile.hpp"
 #include "partition/workspace.hpp"
+#include "support/contracts.hpp"
 #include "support/log.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
@@ -81,7 +82,10 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
       t.nodes = g.num_nodes();
       t.edges = g.num_edges();
       t.phase = GpLevelTrace::Phase::kUncoarsen;
-      t.goodness = compute_goodness(g, p, c);
+      // Every refiner above ends with ws.move_ctx armed on (g, p, c) and
+      // in sync with p, so its goodness is exact without a recompute.
+      t.goodness = ws.move_ctx.goodness();
+      PPN_DCHECK(t.goodness == compute_goodness(g, p, c));
       trace->push_back(t);
     }
   }

@@ -142,64 +142,86 @@ Weight kmeans_matching_into(const Graph& g, support::Rng& rng, Matching& match,
   k = std::min<std::uint32_t>(k, n);
 
   // --- 1-D k-means on node weight. --------------------------------------
-  // 1-D structure makes the usual O(n*k) Lloyd step unnecessary: with
-  // centroids kept sorted, the nearest centroid of a weight w is found by
-  // binary search over the k-1 midpoints, so one iteration costs
-  // O(n log k). Seeding uses jittered quantiles of the weight distribution
-  // (the 1-D equivalent of k-means++ spread, at O(n log n) once).
+  // Nodes of equal weight always share a cluster, so Lloyd's iterations run
+  // over the d distinct weights (each standing for its multiplicity). With
+  // centroids kept sorted, the nearest centroid is given by the k-1 sorted
+  // midpoints, and both lists ascend: one iteration is a single merge walk,
+  // O(d + k). Cluster sums are exact integers, so each centroid is the
+  // correctly rounded mean of its nodes' weights. Seeding uses jittered
+  // quantiles of the weight distribution (the 1-D equivalent of k-means++
+  // spread); the one O(n log n) sort also yields the distinct weights.
   std::vector<double>& centroid = scratch.centroid;
   support::assign_tracked(centroid, k, 0.0, scratch.stats);
   {
-    std::vector<double>& weight_of = scratch.weight_of;
-    support::assign_tracked(weight_of, n, 0.0, scratch.stats);
-    for (NodeId u = 0; u < n; ++u)
-      weight_of[u] = static_cast<double>(g.node_weight(u));
+    std::vector<Weight>& distinct = scratch.distinct_w;
+    support::reserve_tracked(distinct, n, scratch.stats);
+    distinct.resize(n);
+    for (NodeId u = 0; u < n; ++u) distinct[u] = g.node_weight(u);
+    std::sort(distinct.begin(), distinct.end());
+    std::size_t d = 1;
+    for (std::size_t i = 1; i < n; ++i) d += distinct[i] != distinct[i - 1];
+    std::vector<std::uint32_t>& mult = scratch.distinct_count;
+    support::assign_tracked(mult, d, 0u, scratch.stats);
+    for (std::size_t i = 0, r = 0; i < n; ++i) {
+      if (distinct[i] != distinct[r]) distinct[++r] = distinct[i];
+      ++mult[r];
+    }
+    distinct.resize(d);
 
-    std::vector<double>& sorted_w = scratch.sorted_w;
-    support::reserve_tracked(sorted_w, n, scratch.stats);
-    sorted_w.assign(weight_of.begin(), weight_of.end());
-    std::sort(sorted_w.begin(), sorted_w.end());
+    // Quantile ranks ascend with c, so one walk over the multiplicities
+    // finds each seed's weight.
+    std::size_t r = 0;
+    std::uint64_t below = 0;  // nodes lighter than distinct[r]
     for (std::uint32_t c = 0; c < k; ++c) {
       const double jitter = rng.uniform_real(-0.25, 0.25);
       const double pos =
           (static_cast<double>(c) + 0.5 + jitter) * n / static_cast<double>(k);
       const auto idx = static_cast<std::size_t>(std::clamp(
           pos, 0.0, static_cast<double>(n - 1)));
-      centroid[c] = sorted_w[idx];
+      while (below + mult[r] <= idx) below += mult[r++];
+      centroid[c] = static_cast<double>(distinct[r]);
     }
     std::sort(centroid.begin(), centroid.end());
 
-    std::vector<std::uint32_t>& cluster_of = scratch.cluster_of;
-    support::assign_tracked(cluster_of, n, 0u, scratch.stats);
+    std::vector<std::uint32_t>& cluster_at = scratch.distinct_cluster;
+    support::assign_tracked(cluster_at, d, 0u, scratch.stats);
     std::vector<double>& midpoints = scratch.midpoints;
     support::assign_tracked(midpoints, k > 0 ? k - 1 : 0, 0.0, scratch.stats);
-    std::vector<double>& sum = scratch.cluster_sum;
+    std::vector<Weight>& sum = scratch.cluster_sum;
     std::vector<std::uint32_t>& cnt = scratch.cluster_count;
     for (std::uint32_t it = 0; it < options.max_iterations; ++it) {
       for (std::uint32_t c = 0; c + 1 < k; ++c)
         midpoints[c] = 0.5 * (centroid[c] + centroid[c + 1]);
       bool changed = false;
-      support::assign_tracked(sum, k, 0.0, scratch.stats);
+      support::assign_tracked(sum, k, 0, scratch.stats);
       support::assign_tracked(cnt, k, 0u, scratch.stats);
-      for (NodeId u = 0; u < n; ++u) {
-        const auto best = static_cast<std::uint32_t>(
-            std::upper_bound(midpoints.begin(), midpoints.end(),
-                             weight_of[u]) -
-            midpoints.begin());
-        if (cluster_of[u] != best) {
-          cluster_of[u] = best;
+      std::uint32_t best = 0;  // midpoints <= the current weight
+      for (std::size_t i = 0; i < d; ++i) {
+        const auto w = static_cast<double>(distinct[i]);
+        while (best + 1 < k && midpoints[best] <= w) ++best;
+        if (cluster_at[i] != best) {
+          cluster_at[i] = best;
           changed = true;
         }
-        sum[best] += weight_of[u];
-        ++cnt[best];
+        sum[best] += distinct[i] * mult[i];
+        cnt[best] += mult[i];
       }
       for (std::uint32_t c = 0; c < k; ++c) {
-        if (cnt[c] > 0) centroid[c] = sum[c] / cnt[c];
+        if (cnt[c] > 0) centroid[c] = static_cast<double>(sum[c]) / cnt[c];
       }
       // Means of disjoint sorted intervals stay sorted; re-sort only to
       // guard against empty-cluster carry-overs.
       std::sort(centroid.begin(), centroid.end());
       if (!changed) break;
+    }
+
+    std::vector<std::uint32_t>& cluster_of = scratch.cluster_of;
+    support::reserve_tracked(cluster_of, n, scratch.stats);
+    cluster_of.resize(n);
+    for (NodeId u = 0; u < n; ++u) {
+      cluster_of[u] = cluster_at[static_cast<std::size_t>(
+          std::lower_bound(distinct.begin(), distinct.end(), g.node_weight(u)) -
+          distinct.begin())];
     }
 
     // --- Match within clusters, heaviest incident edge first. ----------

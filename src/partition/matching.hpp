@@ -42,11 +42,12 @@ struct MatchingScratch {
   std::vector<NodeId> candidates;        // free-neighbour pool
   std::vector<WeightedEdge> edges;       // sorted-edge sweeps
   // k-means matching state
-  std::vector<double> weight_of;
-  std::vector<double> sorted_w;
+  std::vector<Weight> distinct_w;        // sorted node weights, deduplicated
+  std::vector<std::uint32_t> distinct_count;    // nodes per distinct weight
+  std::vector<std::uint32_t> distinct_cluster;  // cluster per distinct weight
   std::vector<double> centroid;
   std::vector<double> midpoints;
-  std::vector<double> cluster_sum;
+  std::vector<Weight> cluster_sum;
   std::vector<std::uint32_t> cluster_of;
   std::vector<std::uint32_t> cluster_count;
 };

@@ -21,6 +21,7 @@ void MoveContext::reset(const Graph& g, Partition& p, const Constraints& c) {
   cut_ = 0;
   resource_excess_ = 0;
   bandwidth_excess_ = 0;
+  pair_ub_ = 0;
   apply_count_ = 0;
 
   const NodeId n = g.num_nodes();
@@ -56,6 +57,7 @@ void MoveContext::reset(const Graph& g, Partition& p, const Constraints& c) {
   for (PartId a = 0; a < k_; ++a) {
     for (PartId b = a + 1; b < k_; ++b) {
       bandwidth_excess_ += over(pairwise_.at(a, b), constraints_.bmax);
+      pair_ub_ = std::max(pair_ub_, pairwise_.at(a, b));
     }
   }
 
@@ -88,7 +90,7 @@ Goodness MoveContext::goodness_after(NodeId u, PartId q) const {
   res += over(load(q) + w, constraints_.rmax_of(q));
 
   Weight bw = bandwidth_excess_;
-  if (constraints_.bmax != Constraints::kUnlimited) {
+  if (!bandwidth_inert(incident_[u])) {
     const Weight pq_old = pairwise_.at(p, q);
     const Weight pq_new = pq_old + cup - cuq;
     bw += over(pq_new, constraints_.bmax) - over(pq_old, constraints_.bmax);
@@ -108,6 +110,29 @@ Goodness MoveContext::goodness_after(NodeId u, PartId q) const {
   return Goodness{res, bw, cut_ + cup - cuq};
 }
 
+Goodness MoveContext::goodness_after_swap(NodeId u, NodeId v) {
+  const PartId pu = part_of(u);
+  const PartId pv = part_of(v);
+  if (pu == pv) return goodness();
+  if (!bandwidth_inert(incident_[u] + incident_[v])) {
+    apply(u, pv);
+    const Goodness after = goodness_after(v, pu);
+    apply(u, pu);
+    return after;
+  }
+  // Moving u first shifts w(u,v) of v's connectivity from pu to pv, hence
+  // the 2 * w(u,v) term.
+  const Weight shift = graph_->node_weight(u) - graph_->node_weight(v);
+  const Weight ru = constraints_.rmax_of(pu);
+  const Weight rv = constraints_.rmax_of(pv);
+  const Weight res = resource_excess_ - over(load(pu), ru) -
+                     over(load(pv), rv) + over(load(pu) - shift, ru) +
+                     over(load(pv) + shift, rv);
+  const Weight cut = cut_ + conn(u, pu) - conn(u, pv) + conn(v, pv) -
+                     conn(v, pu) + 2 * graph_->edge_weight_between(u, v);
+  return Goodness{res, bandwidth_excess_, cut};
+}
+
 void MoveContext::apply(NodeId u, PartId q) {
   const PartId p = part_of(u);
   if (p == q) return;
@@ -123,6 +148,7 @@ void MoveContext::apply(NodeId u, PartId q) {
     const Weight old = pairwise_.at(a, b);
     pairwise_.add(a, b, delta);
     bandwidth_excess_ += over(old + delta, bmax) - over(old, bmax);
+    pair_ub_ = std::max(pair_ub_, old + delta);
   };
   update_pair(p, q, cup - cuq);
   for (PartId r = 0; r < k_; ++r) {
@@ -212,7 +238,7 @@ std::optional<MoveContext::Candidate> MoveContext::best_move(
                           over(load(p), constraints_.rmax_of(p)) +
                           over(load(p) - w, constraints_.rmax_of(p));
 
-  const bool bw_limited = bmax != Constraints::kUnlimited;
+  const bool bw_limited = !bandwidth_inert(incident_[u]);
   const bool het = constraints_.heterogeneous();
   const Weight uniform_rmax = constraints_.rmax;
   const Weight* conn_row = conn_.data() + conn_base;

@@ -17,6 +17,13 @@
 // compute_metrics() (full recomputation) is the reference implementation the
 // tests compare against.
 //
+// Bandwidth slack: the context also keeps pair_ub_, an upper bound on every
+// pairwise cut (exact at reset(), raised by apply(), never lowered). A move
+// of u changes any pairwise cut by at most incident(u), so while
+// pair_ub_ + incident(u) <= bmax no move of u can change the bandwidth
+// excess (which is then 0); evaluations skip their bandwidth terms exactly
+// as they do when bmax is unlimited.
+//
 // A MoveContext is designed to be owned by a part::Workspace and re-armed
 // with reset() across refinement levels and passes: every internal buffer
 // keeps its capacity, so steady-state resets allocate nothing.
@@ -73,8 +80,18 @@ class MoveContext {
   std::uint64_t apply_count() const { return apply_count_; }
 
   /// Goodness of the partition if u moved to part q (u's part unchanged is
-  /// allowed and returns current goodness). O(k).
+  /// allowed and returns current goodness). O(k), or O(1) while
+  /// pair_ub_ + incident(u) <= bmax (no bandwidth terms to evaluate).
   Goodness goodness_after(NodeId u, PartId q) const;
+
+  /// Goodness of the partition if u and v exchanged parts (same part:
+  /// current goodness). When pair_ub_ + incident(u) + incident(v) <= bmax
+  /// the answer is closed-form integer arithmetic (loads, conn and the u-v
+  /// edge weight; bandwidth excess unchanged), O(log degree(u)) and free of
+  /// side effects. Otherwise it applies u's half of the swap, evaluates v's
+  /// half with goodness_after and moves u back: goodness, loads and pairwise
+  /// cuts are restored, but apply_count() advances by 2.
+  Goodness goodness_after_swap(NodeId u, NodeId v);
 
   /// Moves u to part q, updating all incremental state. O(degree(u) + k).
   void apply(NodeId u, PartId q);
@@ -100,6 +117,8 @@ class MoveContext {
   };
   /// Best target part for u by resulting goodness; never empties u's part
   /// when `allow_emptying` is false. nullopt when no legal target exists.
+  /// O(k * nz) for nz parts u connects to, or O(k) while
+  /// pair_ub_ + incident(u) <= bmax.
   std::optional<Candidate> best_move(NodeId u, bool allow_emptying = false) const;
 
  private:
@@ -111,6 +130,13 @@ class MoveContext {
       in_boundary_list_[u] = 1;
       boundary_list_.push_back(u);
     }
+  }
+
+  /// True iff no move touching at most `reach` edge weight can change the
+  /// bandwidth excess (see the bandwidth-slack note at the top).
+  bool bandwidth_inert(Weight reach) const {
+    return constraints_.bmax == Constraints::kUnlimited ||
+           pair_ub_ + reach <= constraints_.bmax;
   }
 
   const Graph* graph_ = nullptr;
@@ -125,6 +151,7 @@ class MoveContext {
   Weight cut_ = 0;
   Weight resource_excess_ = 0;
   Weight bandwidth_excess_ = 0;
+  Weight pair_ub_ = 0;  // >= every pairwise cut; exact at reset()
   std::uint64_t apply_count_ = 0;
   /// Superset of the boundary (lazily compacted on enumeration).
   mutable std::vector<NodeId> boundary_list_;

@@ -224,10 +224,7 @@ bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
         for (NodeId v = u + 1; v < n; ++v) {
           const PartId pv = ctx.part_of(v);
           if (pu == pv) continue;
-          // Evaluate the swap by applying half of it temporarily.
-          ctx.apply(u, pv);
-          const Goodness after = ctx.goodness_after(v, pu);
-          ctx.apply(u, pu);
+          const Goodness after = ctx.goodness_after_swap(u, v);
           if (after < best_after) {
             best_after = after;
             best_u = u;

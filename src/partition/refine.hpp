@@ -76,7 +76,11 @@ struct SwapRefineOptions {
 /// goodness objective. When Rmax is tight every part is full, so any single
 /// FM move transits a deep resource violation — swaps sidestep that by
 /// exchanging near-equal weights, which is exactly the move the paper's
-/// tight Experiment 3 needs. Returns true iff goodness improved.
+/// tight Experiment 3 needs. Returns true iff goodness improved. Each step
+/// scans all O(n^2) cross-part pairs through
+/// MoveContext::goodness_after_swap: closed-form, O(log degree), while the
+/// bandwidth bound has slack for both endpoints; two temporary moves,
+/// O(degree + k) each, otherwise.
 bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
                  const SwapRefineOptions& options, support::Rng& rng,
                  Workspace& ws);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "partition/matching.hpp"
 
@@ -152,6 +156,131 @@ TEST(Matching, EmptyAndSingleNodeGraphs) {
   const Matching m = kmeans_matching(single, rng);
   ASSERT_EQ(m.size(), 1u);
   EXPECT_EQ(m[0], 0u);
+}
+
+/// The per-node k-means matching the distinct-weight version replaced: one
+/// binary search per node per Lloyd iteration, double cluster sums. Kept as
+/// the reference the rewrite must match exactly, rng draws included.
+Matching reference_kmeans_matching(const Graph& g, support::Rng& rng,
+                                   const KMeansMatchingOptions& options,
+                                   Weight& matched_weight) {
+  const NodeId n = g.num_nodes();
+  Matching match(n);
+  std::iota(match.begin(), match.end(), NodeId{0});
+  matched_weight = 0;
+  if (n < 2) return match;
+  std::uint32_t k = options.clusters;
+  if (k == 0) k = std::max<std::uint32_t>(1, (n + 7) / 8);
+  k = std::min<std::uint32_t>(k, n);
+
+  std::vector<double> weight_of(n);
+  for (NodeId u = 0; u < n; ++u)
+    weight_of[u] = static_cast<double>(g.node_weight(u));
+  std::vector<double> sorted_w = weight_of;
+  std::sort(sorted_w.begin(), sorted_w.end());
+  std::vector<double> centroid(k);
+  for (std::uint32_t c = 0; c < k; ++c) {
+    const double jitter = rng.uniform_real(-0.25, 0.25);
+    const double pos =
+        (static_cast<double>(c) + 0.5 + jitter) * n / static_cast<double>(k);
+    const auto idx = static_cast<std::size_t>(
+        std::clamp(pos, 0.0, static_cast<double>(n - 1)));
+    centroid[c] = sorted_w[idx];
+  }
+  std::sort(centroid.begin(), centroid.end());
+
+  std::vector<std::uint32_t> cluster_of(n, 0);
+  std::vector<double> midpoints(k - 1);
+  for (std::uint32_t it = 0; it < options.max_iterations; ++it) {
+    for (std::uint32_t c = 0; c + 1 < k; ++c)
+      midpoints[c] = 0.5 * (centroid[c] + centroid[c + 1]);
+    bool changed = false;
+    std::vector<double> sum(k, 0.0);
+    std::vector<std::uint32_t> cnt(k, 0);
+    for (NodeId u = 0; u < n; ++u) {
+      const auto best = static_cast<std::uint32_t>(
+          std::upper_bound(midpoints.begin(), midpoints.end(), weight_of[u]) -
+          midpoints.begin());
+      if (cluster_of[u] != best) {
+        cluster_of[u] = best;
+        changed = true;
+      }
+      sum[best] += weight_of[u];
+      ++cnt[best];
+    }
+    for (std::uint32_t c = 0; c < k; ++c) {
+      if (cnt[c] > 0) centroid[c] = sum[c] / cnt[c];
+    }
+    std::sort(centroid.begin(), centroid.end());
+    if (!changed) break;
+  }
+
+  std::vector<WeightedEdge> intra;
+  for (NodeId u = 0; u < n; ++u) {
+    auto nbrs = g.neighbors(u);
+    auto wgts = g.edge_weights(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (u < nbrs[i] && cluster_of[u] == cluster_of[nbrs[i]])
+        intra.push_back({wgts[i], u, nbrs[i], 0});
+    }
+  }
+  rng.shuffle(intra);
+  for (std::size_t i = 0; i < intra.size(); ++i)
+    intra[i].pos = static_cast<std::uint32_t>(i);
+  std::sort(intra.begin(), intra.end(),
+            [](const WeightedEdge& a, const WeightedEdge& b) {
+              return a.w != b.w ? a.w > b.w : a.pos < b.pos;
+            });
+  for (const WeightedEdge& e : intra) {
+    if (match[e.u] == e.u && match[e.v] == e.v) {
+      match[e.u] = e.v;
+      match[e.v] = e.u;
+      matched_weight += e.w;
+    }
+  }
+  return match;
+}
+
+TEST(Matching, KMeansMatchesPerNodeReference) {
+  struct Input {
+    NodeId n;
+    std::uint64_t m;
+    graph::WeightRange node_w;
+  };
+  const Input inputs[] = {
+      {120, 400, {7, 7}},          // a single weight value
+      {200, 700, {1, 4}},          // a few repeated weights
+      {3000, 9000, {1, 1000000}},  // near-all-distinct weights
+      {5, 6, {1, 9}},              // n < 8
+      {7, 12, {3, 3}},
+  };
+  // One scratch across every call, as in coarsening: buffers sized by an
+  // earlier, larger input must not leak into a later result.
+  MatchingScratch scratch;
+  Matching match;
+  for (const Input& in : inputs) {
+    for (std::uint32_t clusters : {0u, 1u, 3u, 50u}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        support::Rng grng(seed * 1000 + in.n);
+        const Graph g =
+            graph::erdos_renyi_gnm(in.n, in.m, grng, in.node_w, {1, 9});
+        KMeansMatchingOptions options;
+        options.clusters = clusters;
+        support::Rng ref_rng(seed);
+        Weight ref_weight = 0;
+        const Matching ref =
+            reference_kmeans_matching(g, ref_rng, options, ref_weight);
+        support::Rng rng(seed);
+        const Weight weight =
+            kmeans_matching_into(g, rng, match, scratch, options);
+        EXPECT_EQ(match, ref) << "n=" << in.n << " clusters=" << clusters
+                              << " seed=" << seed;
+        EXPECT_EQ(weight, ref_weight);
+        EXPECT_EQ(weight, matched_edge_weight(g, match));
+        EXPECT_EQ(rng(), ref_rng()) << "rng draws differ";
+      }
+    }
+  }
 }
 
 }  // namespace

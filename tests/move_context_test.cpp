@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <ostream>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "partition/initial.hpp"
@@ -9,22 +12,98 @@
 namespace ppnpart::part {
 namespace {
 
-// The core property: the incremental state equals full recomputation after
-// any sequence of moves.
-class MoveContextProperty : public ::testing::TestWithParam<std::uint64_t> {};
+// Bmax regimes for the property test. Binding keeps every pairwise cut over
+// budget (bandwidth terms always evaluated); borderline starts just above
+// the largest pairwise cut, so light nodes take the bandwidth-slack fast
+// path until moves raise the bound; slack (the total edge weight) and
+// unlimited take it for every node.
+enum class BmaxRegime { kBinding, kBorderline, kSlack, kUnlimited };
+
+struct PropertyCase {
+  std::uint64_t seed;
+  BmaxRegime regime;
+  bool heterogeneous;
+};
+
+void PrintTo(const PropertyCase& pc, std::ostream* os) {
+  *os << "seed" << pc.seed << "_regime" << static_cast<int>(pc.regime)
+      << (pc.heterogeneous ? "_het" : "");
+}
+
+// Brute-force best_move: the first target (ascending) with the least
+// recomputed goodness.
+std::optional<MoveContext::Candidate> reference_best_move(
+    const Graph& g, const Partition& p, const Constraints& c, NodeId u) {
+  const PartId from = p[u];
+  NodeId from_size = 0;
+  for (NodeId x = 0; x < g.num_nodes(); ++x) from_size += p[x] == from;
+  if (from_size <= 1) return std::nullopt;
+  std::optional<MoveContext::Candidate> best;
+  Partition moved = p;
+  for (PartId q = 0; q < p.k(); ++q) {
+    if (q == from) continue;
+    moved.set(u, q);
+    const Goodness after = compute_goodness(g, moved, c);
+    if (!best || after < best->after) best = MoveContext::Candidate{q, after};
+  }
+  return best;
+}
+
+// The core property: the incremental state, every prediction (single moves,
+// best_move, swaps) and the fast paths equal full recomputation after any
+// sequence of moves, in every Bmax regime.
+class MoveContextProperty : public ::testing::TestWithParam<PropertyCase> {};
 
 TEST_P(MoveContextProperty, IncrementalMatchesRecompute) {
-  support::Rng rng(GetParam());
+  const PropertyCase pc = GetParam();
+  support::Rng rng(pc.seed);
   const Graph g = graph::erdos_renyi_gnm(50, 200, rng, {1, 20}, {1, 15});
   const PartId k = 5;
   Partition p = random_balanced_partition(g, k, rng);
   Constraints c;
   c.rmax = g.total_node_weight() / k + 20;
-  c.bmax = 40;
+  if (pc.heterogeneous) {
+    for (PartId r = 0; r < k; ++r)
+      c.rmax_per_part.push_back(c.rmax - 30 + 15 * static_cast<Weight>(r));
+  }
+  switch (pc.regime) {
+    case BmaxRegime::kBinding: c.bmax = 40; break;
+    case BmaxRegime::kBorderline:
+      c.bmax = compute_metrics(g, p).max_pairwise_cut + 16;
+      break;
+    case BmaxRegime::kSlack: c.bmax = g.total_edge_weight(); break;
+    case BmaxRegime::kUnlimited: c.bmax = Constraints::kUnlimited; break;
+  }
   MoveContext ctx(g, p, c);
   for (int step = 0; step < 200; ++step) {
     const NodeId u = static_cast<NodeId>(rng.uniform_index(g.num_nodes()));
     const PartId q = static_cast<PartId>(rng.uniform_index(k));
+
+    const auto cand = ctx.best_move(u);
+    const auto expected_cand = reference_best_move(g, p, c, u);
+    ASSERT_EQ(cand.has_value(), expected_cand.has_value()) << "step " << step;
+    if (cand) {
+      EXPECT_EQ(cand->target, expected_cand->target) << "step " << step;
+      EXPECT_EQ(cand->after, expected_cand->after) << "step " << step;
+    }
+
+    const NodeId v = static_cast<NodeId>(rng.uniform_index(g.num_nodes()));
+    Partition swapped = p;
+    swapped.set(u, p[v]);
+    swapped.set(v, p[u]);
+    const Goodness before = ctx.goodness();
+    const PartitionMetrics before_m = compute_metrics(g, p);
+    const std::vector<PartId> before_p = p.assignments();
+    EXPECT_EQ(ctx.goodness_after_swap(u, v), compute_goodness(g, swapped, c))
+        << "step " << step;
+    EXPECT_EQ(ctx.goodness(), before);
+    EXPECT_EQ(p.assignments(), before_p);
+    for (PartId a = 0; a < k; ++a) {
+      EXPECT_EQ(ctx.load(a), before_m.loads[static_cast<std::size_t>(a)]);
+      for (PartId b2 = 0; b2 < k; ++b2)
+        EXPECT_EQ(ctx.pairwise().at(a, b2), before_m.pairwise.at(a, b2));
+    }
+
     // Check the prediction before applying.
     const Goodness predicted = ctx.goodness_after(u, q);
     ctx.apply(u, q);
@@ -35,10 +114,10 @@ TEST_P(MoveContextProperty, IncrementalMatchesRecompute) {
     if (step % 20 == 0) {
       // Full recompute cross-check.
       const PartitionMetrics m = compute_metrics(g, p);
-      const Violation v = compute_violation(m, c);
+      const Violation viol = compute_violation(m, c);
       EXPECT_EQ(ctx.cut(), m.total_cut);
-      EXPECT_EQ(ctx.goodness().resource_excess, v.resource_excess);
-      EXPECT_EQ(ctx.goodness().bandwidth_excess, v.bandwidth_excess);
+      EXPECT_EQ(ctx.goodness().resource_excess, viol.resource_excess);
+      EXPECT_EQ(ctx.goodness().bandwidth_excess, viol.bandwidth_excess);
       for (PartId a = 0; a < k; ++a) {
         EXPECT_EQ(ctx.load(a), m.loads[static_cast<std::size_t>(a)]);
         for (PartId b2 = 0; b2 < k; ++b2) {
@@ -49,8 +128,19 @@ TEST_P(MoveContextProperty, IncrementalMatchesRecompute) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, MoveContextProperty,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+std::vector<PropertyCase> property_cases() {
+  std::vector<PropertyCase> cases;
+  for (BmaxRegime regime : {BmaxRegime::kBinding, BmaxRegime::kBorderline,
+                            BmaxRegime::kSlack, BmaxRegime::kUnlimited}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed)
+      cases.push_back({seed, regime, false});
+    cases.push_back({9, regime, true});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Regimes, MoveContextProperty,
+                         ::testing::ValuesIn(property_cases()));
 
 /// Reference boundary enumeration: full scan against compute_metrics-style
 /// adjacency inspection, ascending by id.
@@ -149,6 +239,38 @@ TEST(MoveContext, ConnMatchesAdjacency) {
   EXPECT_EQ(ctx.conn(1, 0), 3);
   EXPECT_EQ(ctx.conn(1, 1), 0);
   EXPECT_EQ(ctx.cut(), 12);
+}
+
+TEST(MoveContext, SwapOfAdjacentNodesCountsTheirEdgeTwice) {
+  // 0-1 (weight 5) crosses the parts; 0-2 (3) and 1-3 (4) stay inside.
+  // Swapping 0 and 1 keeps 0-1 cut and cuts both inner edges: 5 + 3 + 4.
+  graph::GraphBuilder b(4);
+  b.add_edge(0, 1, 5);
+  b.add_edge(0, 2, 3);
+  b.add_edge(1, 3, 4);
+  const Graph g = b.build();
+  Partition p(4, 2);
+  p.set(0, 0);
+  p.set(2, 0);
+  p.set(1, 1);
+  p.set(3, 1);
+  Partition swapped = p;
+  swapped.set(0, 1);
+  swapped.set(1, 0);
+  // Unlimited Bmax: closed form, no temporary moves. Bmax 6 is below
+  // pair_ub + incident(0) + incident(1) = 5 + 8 + 9, so the evaluation
+  // applies and undoes one move (and the swapped pair cut 12 exceeds it).
+  for (Weight bmax : {Constraints::kUnlimited, Weight{6}}) {
+    Constraints c;
+    c.bmax = bmax;
+    MoveContext ctx(g, p, c);
+    const Goodness after = ctx.goodness_after_swap(0, 1);
+    EXPECT_EQ(after.cut, 12);
+    EXPECT_EQ(after, compute_goodness(g, swapped, c));
+    EXPECT_EQ(ctx.apply_count(), bmax == Constraints::kUnlimited ? 0u : 2u);
+    EXPECT_EQ(ctx.goodness(), compute_goodness(g, p, c));
+    EXPECT_EQ(ctx.goodness_after_swap(2, 0), ctx.goodness());  // same part
+  }
 }
 
 TEST(MoveContext, MoveToSamePartIsNoop) {
