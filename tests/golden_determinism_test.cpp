@@ -174,6 +174,48 @@ TEST(QualityGate, GpTrackedWorkloadKeepsSerialCutAtEveryThreadCount) {
   EXPECT_LE(one.metrics.total_cut, 10013);
 }
 
+TEST(QualityGate, ServiceClassGpTotalCut) {
+  // The fresh-request classes of the service benchmark: 1k/4k-node PNs, K=8,
+  // slack 1.3 and 1.05, built with perfbench's family_instance formula and
+  // solved by GP at registry defaults without a coarsening cache. The bound
+  // is the summed cut when the gate was introduced; a refiner or matching
+  // change that loses quality on these classes shows up here.
+  constexpr graph::NodeId kSizes[] = {1000, 4000};
+  constexpr double kSlacks[] = {1.3, 1.05};
+  constexpr part::PartId k = 8;
+  const double pairs = k * (k - 1) / 2.0;
+  graph::Weight total_cut = 0;
+  int feasible = 0;
+  for (const graph::NodeId n : kSizes) {
+    for (const double slack : kSlacks) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        graph::ProcessNetworkParams params;
+        params.num_nodes = n;
+        params.layers = std::max<std::uint32_t>(4, n / 16);
+        support::Rng rng(seed);
+        const graph::Graph g = graph::random_process_network(params, rng);
+        part::PartitionRequest request;
+        request.k = k;
+        request.seed = seed * 7 + 1;
+        const auto total_w = static_cast<double>(g.total_node_weight());
+        const auto total_e = static_cast<double>(g.total_edge_weight());
+        request.constraints.rmax = std::max<graph::Weight>(
+            static_cast<graph::Weight>(slack * total_w / k),
+            g.max_node_weight());
+        request.constraints.bmax = std::max<graph::Weight>(
+            1, static_cast<graph::Weight>(slack * total_e / pairs / 2.0));
+        const part::PartitionResult r = part::GpPartitioner{}.run(g, request);
+        total_cut += r.metrics.total_cut;
+        feasible += r.feasible ? 1 : 0;
+      }
+    }
+  }
+  std::printf("GP service-class total cut: %lld, feasible %d/16\n",
+              static_cast<long long>(total_cut), feasible);
+  EXPECT_EQ(feasible, 16);
+  EXPECT_LE(total_cut, 39622);
+}
+
 TEST(GoldenDeterminism, KlFixedSeed) {
   const graph::Graph g = pn_graph(200, 11);
   part::KlPartitioner kl;
