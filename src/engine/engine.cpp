@@ -6,6 +6,7 @@
 
 #include "engine/fingerprint.hpp"
 #include "partition/coarsen.hpp"
+#include "partition/gp.hpp"
 #include "partition/initial.hpp"
 #include "support/contracts.hpp"
 #include "support/fault_injection.hpp"
@@ -824,10 +825,11 @@ void Engine::serve_projected(const std::shared_ptr<JobState>& state) {
   part::PartitionResult result;
   try {
     part::CoarsenOptions copts;
+    copts.strategies = part::GpOptions{}.matchings;
     std::shared_ptr<const part::Hierarchy> h;
     if (options_.coarsen_cache_capacity > 0) {
-      // Reuse (or build) the canonical hierarchy every multilevel member
-      // shares — under overload it is usually already hot.
+      // Reuse (or build) the canonical hierarchy GP shares (same options
+      // key) — under overload it is usually already hot.
       h = coarsen_cache_.hierarchy(state->graph_fp, copts, g);
     } else {
       support::Rng coarsen_rng(hash_combine(req.seed, 0x70726f6aull));

@@ -53,15 +53,13 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
     if (g.num_nodes() >= par.min_parallel_nodes) {
       // Large level, at every thread count: goodness-monotone label
       // propagation (the thread count only sets its chunk count), then one
-      // bounded FM pass. LP does the bulk move work; the capped FM pass
-      // repairs what LP cannot see (tight constraint corners, negative-gain
-      // escapes) at a cost bounded by move_limit, not the node count.
+      // FM pass. LP does the bulk move work; the FM pass repairs what LP
+      // cannot see (tight constraint corners, negative-gain escapes), and
+      // the stall rule ends it once its moves stop paying.
       LpRefineOptions lp;
       parallel_lp_refine(g, p, c, lp, par, ws, pool);
       FmOptions polish = fm;
       polish.max_passes = 1;
-      polish.move_limit = std::max<std::uint64_t>(
-          4096, static_cast<std::uint64_t>(g.num_nodes()) / 8);
       constrained_fm_refine(g, p, c, polish, level_rng, ws);
     } else {
       constrained_fm_refine(g, p, c, fm, level_rng, ws);

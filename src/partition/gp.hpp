@@ -33,8 +33,15 @@ struct GpOptions {
   std::uint32_t max_cycles = 16;
   std::uint32_t fresh_restart_period = 3;  // every Nth cycle restarts fresh
   std::uint32_t refine_passes = 8;
-  std::vector<MatchingKind> matchings = {
-      MatchingKind::kRandom, MatchingKind::kHeavyEdge, MatchingKind::kKMeans};
+  /// Matchings raced at every coarsening level. The paper races random,
+  /// heavy-edge and k-means; random is off by default because it never won
+  /// a level: 0 of 60 on the tracked 100k-node PN (heavy-edge 54, k-means 6)
+  /// and 0 of 709 on 32 service-class PNs (1k/4k nodes, K=8). Each strategy
+  /// draws from its own stream, so dropping it changes no answer where it
+  /// never won (a coarsening cache reseeds: its canonical seed hashes this
+  /// list). The paper's three-way race stays selectable.
+  std::vector<MatchingKind> matchings = {MatchingKind::kHeavyEdge,
+                                         MatchingKind::kKMeans};
   double balance_slack = 1.0;  // growth cap slack in greedy initial
   bool parallel_restarts = true;
   /// Once a feasible finest-level partition exists, run this many further

@@ -170,7 +170,6 @@ std::optional<PartitionResult> IncrementalPartitioner::try_repartition(
   // ---- 3. Boundary-driven FM around the edit sites. ----------------------
   FmOptions fm;
   fm.max_passes = options_.refine_passes;
-  fm.seed_boundary_only = true;
   support::Rng rng = support::Rng(request.seed).derive(kIncrementalSeedTag);
   constrained_fm_refine(g, p, c, fm, rng, ws);
 

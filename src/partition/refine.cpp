@@ -80,29 +80,21 @@ Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
   // Seed: boundary nodes plus every node of an over-capacity part (those
   // repair resource violations but need not touch the boundary), in random
   // order so equal-goodness candidates break ties stochastically.
-  {
-    std::vector<NodeId>& seeds = fs.seeds;
-    if (options.seed_boundary_only) {
-      ctx.boundary_nodes(seeds);
-      if (ctx.goodness().resource_excess > 0) {
-        support::assign_tracked(fs.seeded, n, 0, fs.stats);
-        for (NodeId u : seeds) fs.seeded[u] = 1;
-        const Constraints& c = ctx.constraints();
-        for (NodeId u = 0; u < n; ++u) {
-          const PartId pu = ctx.part_of(u);
-          if (!fs.seeded[u] && ctx.load(pu) > c.rmax_of(pu)) seeds.push_back(u);
-        }
-      }
-    } else {
-      support::reserve_tracked(seeds, n, fs.stats);
-      seeds.resize(n);
-      for (NodeId u = 0; u < n; ++u) seeds[u] = u;
+  std::vector<NodeId>& seeds = fs.seeds;
+  ctx.boundary_nodes(seeds);
+  if (ctx.goodness().resource_excess > 0) {
+    support::assign_tracked(fs.seeded, n, 0, fs.stats);
+    for (NodeId u : seeds) fs.seeded[u] = 1;
+    const Constraints& c = ctx.constraints();
+    for (NodeId u = 0; u < n; ++u) {
+      const PartId pu = ctx.part_of(u);
+      if (!fs.seeded[u] && ctx.load(pu) > c.rmax_of(pu)) seeds.push_back(u);
     }
-    rng.shuffle(seeds);
-    support::reserve_tracked(heap, seeds.size(), fs.stats);
-    support::reserve_tracked(pool, seeds.size(), fs.stats);
-    for (NodeId u : seeds) push_candidate(u);
   }
+  rng.shuffle(seeds);
+  support::reserve_tracked(heap, seeds.size(), fs.stats);
+  support::reserve_tracked(pool, seeds.size(), fs.stats);
+  for (NodeId u : seeds) push_candidate(u);
 
   std::vector<FmMoveRecord>& log = fs.log;
   support::reserve_tracked(log, n, fs.stats);
@@ -121,7 +113,8 @@ Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
   const std::size_t pool_cap = pool.capacity();
   const std::size_t heap_cap = heap.capacity();
 
-  while (!heap.empty() && log.size() < limit && pops++ < pop_limit) {
+  while (!heap.empty() && log.size() < limit &&
+         log.size() - best_prefix < kFmStallMoves && pops++ < pop_limit) {
     const FmHeapEntry e = pool[heap.front()];
     std::pop_heap(heap.begin(), heap.end(), WorseDelta{pool.data()});
     heap.pop_back();
@@ -162,6 +155,14 @@ Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
       }
     }
   }
+
+  FmTotals& t = fs.totals;
+  ++t.passes;
+  t.seeds += seeds.size();
+  t.pops += std::min(pops, pop_limit);
+  t.applied += log.size();
+  t.kept += best_prefix;
+  if (log.size() - best_prefix >= kFmStallMoves) ++t.stalled;
 
   if (fs.stats != nullptr) {
     if (pool.capacity() > pool_cap) {

@@ -6,7 +6,9 @@
 //    lexicographic goodness (resource excess, bandwidth excess, cut). Each
 //    pass moves every node at most once, accepts temporarily-worsening moves
 //    and commits the best prefix (classic FM hill-climbing), so it can
-//    escape local minima while repairing constraint violations.
+//    escape local minima while repairing constraint violations. A pass also
+//    ends once kFmStallMoves applied moves have gone by without a new best
+//    (the early stop of KaHyPar's FM, as a fixed count).
 //  * greedy_cut_refine — METIS-style k-way boundary refinement: positive
 //    cut-gain moves only, subject to a hard balance cap. Used by the
 //    MetisLike baseline, which models METIS's behavioural contract.
@@ -22,13 +24,20 @@
 
 namespace ppnpart::part {
 
+/// A constrained FM pass ends once this many applied moves have gone by
+/// without a new best goodness; the moves after the best prefix are rolled
+/// back as before, so a pass still never makes goodness worse. Without the
+/// rule, 97% of the moves applied on the tracked 100k-node PN were rolled
+/// back. Why 350: it keeps the tracked 10k and 20k cuts and gives 90,027 at
+/// 100k (90,058 without the rule); 100 and 50 lose cut at 100k (91,333 and
+/// 93,216); 1000 keeps the cut but saves ~20% less time. A graph of at most
+/// 350 nodes can never reach it.
+constexpr std::uint64_t kFmStallMoves = 350;
+
 struct FmOptions {
   std::uint32_t max_passes = 8;
   /// Per-pass move budget; 0 means every node may move once.
   std::uint64_t move_limit = 0;
-  /// Seed the candidate heap with boundary nodes plus the nodes of
-  /// overloaded parts (false: every node).
-  bool seed_boundary_only = true;
 };
 
 /// Refines `p` in place toward lower goodness under `c`. Returns true iff

@@ -55,6 +55,18 @@ struct FmMoveRecord {
   PartId from;
 };
 
+/// Lifetime totals of the constrained FM passes run through one workspace,
+/// added once per pass from the pass's locals. Observe-only: the algorithm
+/// never reads them.
+struct FmTotals {
+  std::uint64_t passes = 0;
+  std::uint64_t seeds = 0;    // seed candidates evaluated
+  std::uint64_t pops = 0;     // heap pops
+  std::uint64_t applied = 0;  // moves applied
+  std::uint64_t kept = 0;     // moves in the best prefix (not rolled back)
+  std::uint64_t stalled = 0;  // passes ended by the stall rule
+};
+
 /// Per-pass scratch of constrained_fm_pass, hoisted out of the pass. The
 /// heap sifts 4-byte pool indices instead of 40-byte entries (identical pop
 /// order: the comparator sees the same values); popped entries stay in the
@@ -68,6 +80,7 @@ struct FmScratch {
   std::vector<NodeId> seeds;
   std::vector<std::uint8_t> seeded;
   std::vector<FmMoveRecord> log;
+  FmTotals totals;
 };
 
 /// Scratch of bisection_fm_refine (2-way FM with side caps).

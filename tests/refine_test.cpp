@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "graph/generators.hpp"
 #include "partition/initial.hpp"
 #include "partition/refine.hpp"
@@ -113,6 +115,35 @@ TEST(ConstrainedFm, FindsObviousCutImprovement) {
   support::Rng rng(7);
   constrained_fm_refine(g, p, Constraints{}, FmOptions{}, rng);
   EXPECT_EQ(compute_goodness(g, p, Constraints{}).cut, 1);
+}
+
+TEST(ConstrainedFm, StallRuleBoundsRolledBackMoves) {
+  // A 3000-node PN from a random 8-way split under slack-1.3 constraints:
+  // passes run far past their best prefix, so the stall rule ends them, and
+  // no pass rolls back more than kFmStallMoves moves.
+  graph::ProcessNetworkParams params;
+  params.num_nodes = 3000;
+  params.layers = 3000 / 16;
+  support::Rng rng(21);
+  const Graph g = graph::random_process_network(params, rng);
+  const PartId k = 8;
+  Partition p = random_balanced_partition(g, k, rng);
+  Constraints c;
+  c.rmax = g.total_node_weight() * 13 / (10 * k);
+  c.bmax = g.total_edge_weight() * 13 / (10 * k * (k - 1));
+  const Goodness before = compute_goodness(g, p, c);
+  Workspace ws;
+  support::Rng frng(22);
+  constrained_fm_refine(g, p, c, FmOptions{}, frng, ws);
+  const FmTotals& t = ws.fm.totals;
+  std::printf("passes %llu stalled %llu applied %llu kept %llu\n",
+              static_cast<unsigned long long>(t.passes),
+              static_cast<unsigned long long>(t.stalled),
+              static_cast<unsigned long long>(t.applied),
+              static_cast<unsigned long long>(t.kept));
+  EXPECT_GE(t.stalled, 1u);
+  EXPECT_LE(t.applied - t.kept, t.passes * kFmStallMoves);
+  EXPECT_FALSE(before < compute_goodness(g, p, c));
 }
 
 // ------------------------------------------------------- greedy refine ---
