@@ -166,15 +166,18 @@ void BM_ConstrainedFmPassWorkspace(benchmark::State& state) {
 BENCHMARK(BM_ConstrainedFmPassWorkspace)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // Dense small graph like GP's coarsest levels, the only place swap_refine
-// runs; Bmax has slack, as on the tracked workloads.
+// runs. The second argument picks Bmax: 0 leaves it slack, as on the tracked
+// workloads; 1 sets it below the pairwise cuts of a random 8-way start, so
+// every swap evaluation takes the bandwidth terms.
 void BM_SwapRefine(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
+  const bool binding_bmax = state.range(1) != 0;
   support::Rng rng(21);
   const graph::Graph g =
       graph::erdos_renyi_gnm(n, std::uint64_t{n} * 30, rng, {1, 20}, {1, 15});
   part::Constraints c;
   c.rmax = g.total_node_weight() / 8 + g.max_node_weight();
-  c.bmax = g.total_edge_weight() / 8;
+  c.bmax = g.total_edge_weight() / (binding_bmax ? 64 : 8);
   part::SwapRefineOptions options;
   options.max_passes = 1;
   part::Workspace ws;
@@ -186,7 +189,7 @@ void BM_SwapRefine(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_SwapRefine)->Arg(170);
+BENCHMARK(BM_SwapRefine)->Args({170, 0})->Args({170, 1});
 
 void BM_CoarsenWorkspace(benchmark::State& state) {
   const graph::Graph g = make_pn(static_cast<graph::NodeId>(state.range(0)), 19);

@@ -38,30 +38,32 @@ Graph contract_csr(const Graph& fine, std::span<const NodeId> fine_to_coarse,
     scratch.members[scratch.member_cursor[fine_to_coarse[u]]++] = u;
   }
 
-  // --- Timestamped dedup state. ------------------------------------------
-  if (scratch.last_seen.size() < num_coarse) {
-    support::assign_tracked(scratch.last_seen, num_coarse, 0, stats);
-    scratch.epoch = 0;
-  }
-  support::reserve_tracked(scratch.slot, static_cast<std::size_t>(num_coarse),
-                           stats);
-  scratch.slot.resize(num_coarse);
-  support::reserve_tracked(scratch.row, static_cast<std::size_t>(num_coarse),
-                           stats);
+  // --- Row positions: pos[cv] is cv's offset in the row being built, -1
+  // when absent. Every entry is -1 between rows and between calls.
+  support::reserve_tracked(scratch.pos, num_coarse, stats);
+  scratch.pos.resize(std::max<std::size_t>(scratch.pos.size(), num_coarse), -1);
+  std::int32_t* pos = scratch.pos.data();
 
-  // --- One pass: gather, dedup and sort each coarse row. -----------------
+  // --- One pass: gather, dedup and sort each coarse row in place. --------
   support::reserve_tracked(scratch.xadj,
                            static_cast<std::size_t>(num_coarse) + 1, stats);
   scratch.xadj.resize(static_cast<std::size_t>(num_coarse) + 1);
   scratch.xadj[0] = 0;  // remaining slots overwritten below
-  support::reserve_tracked(scratch.adj, fine.adj().size(), stats);
-  support::reserve_tracked(scratch.ewgt, fine.adj().size(), stats);
-  scratch.adj.clear();
-  scratch.ewgt.clear();
+  // A coarse row is never longer than its members' fine rows, so the rows
+  // fit in fine.adj().size() entries; ewgt keeps num_coarse more, where a
+  // long row gathers its sorted weights. The buffers only ever grow; rows
+  // are written through raw pointers behind the `end` cursor.
+  const std::size_t cap = fine.adj().size();
+  support::reserve_tracked(scratch.adj, cap, stats);
+  support::reserve_tracked(scratch.ewgt, cap + num_coarse, stats);
+  scratch.adj.resize(std::max(scratch.adj.size(), cap));
+  scratch.ewgt.resize(std::max(scratch.ewgt.size(), cap + num_coarse));
+  NodeId* const adj = scratch.adj.data();
+  Weight* const ewgt = scratch.ewgt.data();
+  std::size_t end = 0;
 
   for (NodeId c = 0; c < num_coarse; ++c) {
-    const std::uint64_t row_epoch = ++scratch.epoch;
-    scratch.row.clear();
+    const std::size_t row_start = end;
     for (std::uint64_t i = scratch.member_off[c]; i < scratch.member_off[c + 1];
          ++i) {
       const NodeId u = scratch.members[i];
@@ -70,12 +72,12 @@ Graph contract_csr(const Graph& fine, std::span<const NodeId> fine_to_coarse,
       for (std::size_t j = 0; j < nbrs.size(); ++j) {
         const NodeId cv = fine_to_coarse[nbrs[j]];
         if (cv == c) continue;  // now-internal edge: drop
-        if (scratch.last_seen[cv] == row_epoch) {
-          scratch.row[scratch.slot[cv]].second += wgts[j];
+        if (pos[cv] >= 0) {
+          ewgt[row_start + static_cast<std::size_t>(pos[cv])] += wgts[j];
         } else {
-          scratch.last_seen[cv] = row_epoch;
-          scratch.slot[cv] = static_cast<std::uint32_t>(scratch.row.size());
-          scratch.row.emplace_back(cv, wgts[j]);
+          pos[cv] = static_cast<std::int32_t>(end - row_start);
+          adj[end] = cv;
+          ewgt[end++] = wgts[j];
         }
       }
     }
@@ -83,43 +85,48 @@ Graph contract_csr(const Graph& fine, std::span<const NodeId> fine_to_coarse,
     // yields the identical id-ordered row GraphBuilder produces. Coarse
     // rows are short (average degree), where insertion sort beats the
     // introsort call overhead.
-    auto* row_data = scratch.row.data();
-    const std::size_t row_len = scratch.row.size();
+    NodeId* row = adj + row_start;
+    Weight* row_w = ewgt + row_start;
+    const std::size_t row_len = end - row_start;
     if (row_len <= 24) {
       for (std::size_t i = 1; i < row_len; ++i) {
-        const auto key = row_data[i];
+        const NodeId key = row[i];
+        const Weight key_w = row_w[i];
         std::size_t j = i;
-        while (j > 0 && key < row_data[j - 1]) {
-          row_data[j] = row_data[j - 1];
-          --j;
+        for (; j > 0 && key < row[j - 1]; --j) {
+          row[j] = row[j - 1];
+          row_w[j] = row_w[j - 1];
         }
-        row_data[j] = key;
+        row[j] = key;
+        row_w[j] = key_w;
       }
     } else {
-      std::sort(scratch.row.begin(), scratch.row.end());
+      // Sort the ids alone; pos still holds each id's offset before the
+      // sort, so the weights follow through the spare entries behind the
+      // row (it is at most num_coarse - 1 long).
+      std::sort(row, row + row_len);
+      Weight* spare = row_w + row_len;
+      for (std::size_t i = 0; i < row_len; ++i) spare[i] = row_w[pos[row[i]]];
+      std::copy_n(spare, row_len, row_w);
     }
+    for (std::size_t i = 0; i < row_len; ++i) pos[row[i]] = -1;
 #if PPN_CONTRACTS_ENABLED
     // Produced-row audit: each coarse row must be strictly sorted and free
     // of self loops, or downstream binary searches (edge_weight_between)
     // silently misread the coarse graph.
     for (std::size_t i = 0; i < row_len; ++i) {
-      PPN_DCHECK(row_data[i].first != c);
-      PPN_DCHECK(i == 0 || row_data[i - 1].first < row_data[i].first);
+      PPN_DCHECK(row[i] != c);
+      PPN_DCHECK(i == 0 || row[i - 1] < row[i]);
     }
 #endif
-    for (const auto& [cv, w] : scratch.row) {
-      scratch.adj.push_back(cv);
-      scratch.ewgt.push_back(w);
-    }
-    scratch.xadj[c + 1] = scratch.adj.size();
+    scratch.xadj[c + 1] = end;
   }
 
   // The Graph owns its arrays (it outlives the scratch), so the final copies
   // are the one unavoidable allocation per level: the product itself.
   return Graph(
       std::vector<std::uint64_t>(scratch.xadj.begin(), scratch.xadj.end()),
-      std::vector<NodeId>(scratch.adj.begin(), scratch.adj.end()),
-      std::vector<Weight>(scratch.ewgt.begin(), scratch.ewgt.end()),
+      std::vector<NodeId>(adj, adj + end), std::vector<Weight>(ewgt, ewgt + end),
       std::vector<Weight>(scratch.node_w.begin(), scratch.node_w.end()));
 }
 

@@ -4,8 +4,9 @@
 //
 // Given a fine graph and a surjective fine-to-coarse node map, contract_csr
 // walks the fine CSR once per coarse row, dedups parallel coarse edges with
-// a timestamped scratch array (no hashing, no sort over the whole edge
-// list), sorts each short coarse row, and emits the coarse CSR directly.
+// one position array over the coarse nodes (no hashing, no sort over the
+// whole edge list), sorts each short coarse row in place, and emits the
+// coarse CSR directly.
 // The result is bit-identical to building the same contraction through
 // GraphBuilder — same sorted adjacency, same merged weights — so graph
 // digests and CoarseningCache keys are unaffected by which path produced a
@@ -15,7 +16,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -29,15 +29,15 @@ namespace ppnpart::graph {
 struct ContractScratch {
   support::AllocStats* stats = nullptr;
 
-  /// Per-coarse-node timestamp; last_seen[c] == epoch marks c as already
-  /// present in the current row.
-  std::vector<std::uint64_t> last_seen;
-  /// Position of a seen coarse neighbour inside the current row buffer.
-  std::vector<std::uint32_t> slot;
-  /// Current coarse row under construction: (neighbour, merged weight).
-  std::vector<std::pair<NodeId, Weight>> row;
+  /// Per-coarse-node offset inside the row under construction, -1 when
+  /// absent. Each finished row resets its own entries, so the array is all
+  /// -1 between calls and is never refilled.
+  std::vector<std::int32_t> pos;
 
-  /// Coarse CSR under construction (exact copies go into the Graph).
+  /// Coarse CSR under construction (exact copies go into the Graph). Rows
+  /// are built and sorted in place; adj/ewgt only grow, and their first
+  /// xadj[num_coarse] entries are the product (ewgt keeps num_coarse spare
+  /// entries behind them for sorting long rows).
   std::vector<std::uint64_t> xadj;
   std::vector<NodeId> adj;
   std::vector<Weight> ewgt;
@@ -47,8 +47,6 @@ struct ContractScratch {
   std::vector<std::uint64_t> member_off;
   std::vector<std::uint64_t> member_cursor;
   std::vector<NodeId> members;
-
-  std::uint64_t epoch = 0;
 };
 
 /// Contracts `fine` along `fine_to_coarse` (values in [0, num_coarse); every

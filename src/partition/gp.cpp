@@ -49,6 +49,10 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
     Partition& p = ws.level_partition;
     p.reset(g.num_nodes(), k);
     for (NodeId u = 0; u < g.num_nodes(); ++u) p.set(u, assign[u]);
+    // One arm per level: every refiner below moves nodes through this
+    // context, which stays exact under their moves, so none re-arms it.
+    MoveContext& ctx = ws.move_ctx;
+    ctx.reset(g, p, c);
     support::Rng level_rng = rng.derive(0xFEEDull * (level + 1) + cycle);
     if (g.num_nodes() >= par.min_parallel_nodes) {
       // Large level, at every thread count: goodness-monotone label
@@ -56,20 +60,18 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
       // FM pass. LP does the bulk move work; the FM pass repairs what LP
       // cannot see (tight constraint corners, negative-gain escapes), and
       // the stall rule ends it once its moves stop paying.
-      LpRefineOptions lp;
-      parallel_lp_refine(g, p, c, lp, par, ws, pool);
+      parallel_lp_refine(ctx, LpRefineOptions{}, par, ws.parallel, pool);
       FmOptions polish = fm;
       polish.max_passes = 1;
-      constrained_fm_refine(g, p, c, polish, level_rng, ws);
+      constrained_fm_refine(ctx, polish, level_rng, ws.fm);
     } else {
-      constrained_fm_refine(g, p, c, fm, level_rng, ws);
+      constrained_fm_refine(ctx, fm, level_rng, ws.fm);
       // Alternate FM with the swap neighbourhood on small graphs (coarsest
       // levels and small instances); swaps are what tight-Rmax repairs need.
       SwapRefineOptions swap_opts;
       for (std::uint32_t round = 0; round < 3; ++round) {
-        const bool swapped = swap_refine(g, p, c, swap_opts, level_rng, ws);
-        if (!swapped) break;
-        constrained_fm_refine(g, p, c, fm, level_rng, ws);
+        if (!swap_refine(ctx, swap_opts, ws.swap_totals)) break;
+        constrained_fm_refine(ctx, fm, level_rng, ws.fm);
       }
     }
     for (NodeId u = 0; u < g.num_nodes(); ++u) assign[u] = p[u];
@@ -80,9 +82,9 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
       t.nodes = g.num_nodes();
       t.edges = g.num_edges();
       t.phase = GpLevelTrace::Phase::kUncoarsen;
-      // Every refiner above ends with ws.move_ctx armed on (g, p, c) and
-      // in sync with p, so its goodness is exact without a recompute.
-      t.goodness = ws.move_ctx.goodness();
+      // ctx is still armed on (g, p, c) and in sync with p, so its
+      // goodness is exact without a recompute.
+      t.goodness = ctx.goodness();
       PPN_DCHECK(t.goodness == compute_goodness(g, p, c));
       trace->push_back(t);
     }

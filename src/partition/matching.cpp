@@ -1,6 +1,7 @@
 #include "partition/matching.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -10,6 +11,8 @@
 namespace ppnpart::part {
 
 namespace {
+
+constexpr std::uint32_t kNoBucket = std::numeric_limits<std::uint32_t>::max();
 
 void identity_matching_into(NodeId n, Matching& m, MatchingScratch& scratch) {
   support::reserve_tracked(m, n, scratch.stats);
@@ -149,24 +152,56 @@ Weight kmeans_matching_into(const Graph& g, support::Rng& rng, Matching& match,
   // O(d + k). Cluster sums are exact integers, so each centroid is the
   // correctly rounded mean of its nodes' weights. Seeding uses jittered
   // quantiles of the weight distribution (the 1-D equivalent of k-means++
-  // spread); the one O(n log n) sort also yields the distinct weights.
+  // spread).
   std::vector<double>& centroid = scratch.centroid;
   support::assign_tracked(centroid, k, 0.0, scratch.stats);
   {
+    // Bucket the weights in O(n): an open-addressing table, at most half
+    // full, maps each weight to a bucket id in first-seen order, and
+    // cluster_of holds each node's bucket until the clusters are known.
+    const std::size_t slots = std::bit_ceil(2 * static_cast<std::size_t>(n));
+    const int shift = 64 - std::countr_zero(slots);
+    std::vector<std::uint32_t>& table = scratch.weight_table;
+    support::assign_tracked(table, slots, kNoBucket, scratch.stats);
+    std::vector<Weight>& bucket_w = scratch.bucket_w;
+    std::vector<std::uint32_t>& bucket_n = scratch.bucket_count;
+    support::reserve_tracked(bucket_w, n, scratch.stats);
+    support::reserve_tracked(bucket_n, n, scratch.stats);
+    bucket_w.clear();
+    bucket_n.clear();
+    std::vector<std::uint32_t>& cluster_of = scratch.cluster_of;
+    support::reserve_tracked(cluster_of, n, scratch.stats);
+    cluster_of.resize(n);
+    for (NodeId u = 0; u < n; ++u) {
+      const Weight w = g.node_weight(u);
+      std::size_t s =
+          (static_cast<std::uint64_t>(w) * 0x9e3779b97f4a7c15ull) >> shift;
+      while (table[s] != kNoBucket && bucket_w[table[s]] != w)
+        s = (s + 1) & (slots - 1);
+      if (table[s] == kNoBucket) {
+        table[s] = static_cast<std::uint32_t>(bucket_w.size());
+        bucket_w.push_back(w);
+        bucket_n.push_back(0);
+      }
+      ++bucket_n[table[s]];
+      cluster_of[u] = table[s];
+    }
+    // Sort only the d distinct weights; each bucket learns its rank.
+    const std::size_t d = bucket_w.size();
     std::vector<Weight>& distinct = scratch.distinct_w;
-    support::reserve_tracked(distinct, n, scratch.stats);
-    distinct.resize(n);
-    for (NodeId u = 0; u < n; ++u) distinct[u] = g.node_weight(u);
+    support::reserve_tracked(distinct, d, scratch.stats);
+    distinct.assign(bucket_w.begin(), bucket_w.end());
     std::sort(distinct.begin(), distinct.end());
-    std::size_t d = 1;
-    for (std::size_t i = 1; i < n; ++i) d += distinct[i] != distinct[i - 1];
     std::vector<std::uint32_t>& mult = scratch.distinct_count;
     support::assign_tracked(mult, d, 0u, scratch.stats);
-    for (std::size_t i = 0, r = 0; i < n; ++i) {
-      if (distinct[i] != distinct[r]) distinct[++r] = distinct[i];
-      ++mult[r];
+    std::vector<std::uint32_t>& rank = scratch.bucket_rank;
+    support::assign_tracked(rank, d, 0u, scratch.stats);
+    for (std::size_t b = 0; b < d; ++b) {
+      rank[b] = static_cast<std::uint32_t>(
+          std::lower_bound(distinct.begin(), distinct.end(), bucket_w[b]) -
+          distinct.begin());
+      mult[rank[b]] = bucket_n[b];
     }
-    distinct.resize(d);
 
     // Quantile ranks ascend with c, so one walk over the multiplicities
     // finds each seed's weight.
@@ -215,14 +250,8 @@ Weight kmeans_matching_into(const Graph& g, support::Rng& rng, Matching& match,
       if (!changed) break;
     }
 
-    std::vector<std::uint32_t>& cluster_of = scratch.cluster_of;
-    support::reserve_tracked(cluster_of, n, scratch.stats);
-    cluster_of.resize(n);
-    for (NodeId u = 0; u < n; ++u) {
-      cluster_of[u] = cluster_at[static_cast<std::size_t>(
-          std::lower_bound(distinct.begin(), distinct.end(), g.node_weight(u)) -
-          distinct.begin())];
-    }
+    for (NodeId u = 0; u < n; ++u)
+      cluster_of[u] = cluster_at[rank[cluster_of[u]]];
 
     // --- Match within clusters, heaviest incident edge first. ----------
     std::vector<WeightedEdge>& intra = scratch.edges;

@@ -42,7 +42,11 @@ struct MatchingScratch {
   std::vector<NodeId> candidates;        // free-neighbour pool
   std::vector<WeightedEdge> edges;       // sorted-edge sweeps
   // k-means matching state
-  std::vector<Weight> distinct_w;        // sorted node weights, deduplicated
+  std::vector<std::uint32_t> weight_table;  // open addressing: weight -> bucket
+  std::vector<Weight> bucket_w;             // weight per bucket, first seen first
+  std::vector<std::uint32_t> bucket_count;  // nodes per bucket
+  std::vector<std::uint32_t> bucket_rank;   // bucket -> index into distinct_w
+  std::vector<Weight> distinct_w;           // distinct node weights, ascending
   std::vector<std::uint32_t> distinct_count;    // nodes per distinct weight
   std::vector<std::uint32_t> distinct_cluster;  // cluster per distinct weight
   std::vector<double> centroid;
@@ -79,8 +83,9 @@ struct KMeansMatchingOptions {
 };
 
 /// The paper's "K-Means Matching": nodes are clustered by weight (1-D
-/// k-means with k-means++ seeding); within each cluster, adjacent pairs are
-/// matched heaviest-edge-first. Nodes whose neighbours all fall in other
+/// k-means over the distinct weights, seeded at jittered quantiles; O(n)
+/// to bucket the weights plus O(d log d) for the d distinct ones); within
+/// each cluster, adjacent pairs are matched heaviest-edge-first. Nodes whose neighbours all fall in other
 /// clusters remain unmatched (maximality within clusters only), which is why
 /// this heuristic is only ever used in competition with the other two.
 Matching kmeans_matching(const Graph& g, support::Rng& rng,

@@ -23,6 +23,7 @@ void MoveContext::reset(const Graph& g, Partition& p, const Constraints& c) {
   bandwidth_excess_ = 0;
   pair_ub_ = 0;
   apply_count_ = 0;
+  ++reset_count_;
 
   const NodeId n = g.num_nodes();
   support::assign_tracked(conn_, static_cast<std::size_t>(n) * k_, 0,
@@ -110,27 +111,38 @@ Goodness MoveContext::goodness_after(NodeId u, PartId q) const {
   return Goodness{res, bw, cut_ + cup - cuq};
 }
 
-Goodness MoveContext::goodness_after_swap(NodeId u, NodeId v) {
+Goodness MoveContext::goodness_after_swap(NodeId u, NodeId v) const {
   const PartId pu = part_of(u);
   const PartId pv = part_of(v);
   if (pu == pv) return goodness();
-  if (!bandwidth_inert(incident_[u] + incident_[v])) {
-    apply(u, pv);
-    const Goodness after = goodness_after(v, pu);
-    apply(u, pu);
-    return after;
-  }
-  // Moving u first shifts w(u,v) of v's connectivity from pu to pv, hence
-  // the 2 * w(u,v) term.
   const Weight shift = graph_->node_weight(u) - graph_->node_weight(v);
   const Weight ru = constraints_.rmax_of(pu);
   const Weight rv = constraints_.rmax_of(pv);
   const Weight res = resource_excess_ - over(load(pu), ru) -
                      over(load(pv), rv) + over(load(pu) - shift, ru) +
                      over(load(pv) + shift, rv);
-  const Weight cut = cut_ + conn(u, pu) - conn(u, pv) + conn(v, pv) -
-                     conn(v, pu) + 2 * graph_->edge_weight_between(u, v);
-  return Goodness{res, bandwidth_excess_, cut};
+  // Change of the (pu, pv) pairwise cut, and so of the total cut: the u-v
+  // edge stays cut, but conn(u, pv) and conn(v, pu) both count it, hence
+  // the 2 * w(u,v) term.
+  const Weight d_uv = conn(u, pu) - conn(u, pv) + conn(v, pv) - conn(v, pu) +
+                      2 * graph_->edge_weight_between(u, v);
+  Weight bw = bandwidth_excess_;
+  if (!bandwidth_inert(incident_[u] + incident_[v])) {
+    // Every other part r trades edges between the pairs (pu, r) and
+    // (pv, r): the first changes by conn(v, r) - conn(u, r), the second by
+    // the opposite.
+    const Weight bmax = constraints_.bmax;
+    const Weight* row_u = pairwise_.row(pu);
+    const Weight* row_v = pairwise_.row(pv);
+    bw += over(row_u[pv] + d_uv, bmax) - over(row_u[pv], bmax);
+    for (PartId r = 0; r < k_; ++r) {
+      const Weight d = conn(v, r) - conn(u, r);
+      if (d == 0 || r == pu || r == pv) continue;
+      bw += over(row_u[r] + d, bmax) - over(row_u[r], bmax) +
+            over(row_v[r] - d, bmax) - over(row_v[r], bmax);
+    }
+  }
+  return Goodness{res, bw, cut_ + d_uv};
 }
 
 void MoveContext::apply(NodeId u, PartId q) {

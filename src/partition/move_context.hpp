@@ -79,19 +79,20 @@ class MoveContext {
   /// computed while this is unchanged is still exact.
   std::uint64_t apply_count() const { return apply_count_; }
 
+  /// Number of reset() calls over the context's lifetime (observe-only).
+  std::uint64_t reset_count() const { return reset_count_; }
+
   /// Goodness of the partition if u moved to part q (u's part unchanged is
   /// allowed and returns current goodness). O(k), or O(1) while
   /// pair_ub_ + incident(u) <= bmax (no bandwidth terms to evaluate).
   Goodness goodness_after(NodeId u, PartId q) const;
 
   /// Goodness of the partition if u and v exchanged parts (same part:
-  /// current goodness). When pair_ub_ + incident(u) + incident(v) <= bmax
-  /// the answer is closed-form integer arithmetic (loads, conn and the u-v
-  /// edge weight; bandwidth excess unchanged), O(log degree(u)) and free of
-  /// side effects. Otherwise it applies u's half of the swap, evaluates v's
-  /// half with goodness_after and moves u back: goodness, loads and pairwise
-  /// cuts are restored, but apply_count() advances by 2.
-  Goodness goodness_after_swap(NodeId u, NodeId v);
+  /// current goodness). Closed-form integer arithmetic over loads, conn and
+  /// the u-v edge weight: O(log degree(u) + k), or O(log degree(u)) while
+  /// pair_ub_ + incident(u) + incident(v) <= bmax (bandwidth excess
+  /// unchanged). Free of side effects.
+  Goodness goodness_after_swap(NodeId u, NodeId v) const;
 
   /// Moves u to part q, updating all incremental state. O(degree(u) + k).
   void apply(NodeId u, PartId q);
@@ -153,6 +154,7 @@ class MoveContext {
   Weight bandwidth_excess_ = 0;
   Weight pair_ub_ = 0;  // >= every pairwise cut; exact at reset()
   std::uint64_t apply_count_ = 0;
+  std::uint64_t reset_count_ = 0;
   /// Superset of the boundary (lazily compacted on enumeration).
   mutable std::vector<NodeId> boundary_list_;
   mutable std::vector<std::uint8_t> in_boundary_list_;

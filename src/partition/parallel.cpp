@@ -185,18 +185,23 @@ bool parallel_lp_refine(const Graph& g, Partition& p, const Constraints& c,
                         const LpRefineOptions& options,
                         const ParallelOptions& popts, Workspace& ws,
                         support::ThreadPool& pool) {
-  const NodeId n = g.num_nodes();
-  const PartId k = p.k();
+  ws.move_ctx.reset(g, p, c);
+  return parallel_lp_refine(ws.move_ctx, options, popts, ws.parallel, pool);
+}
+
+bool parallel_lp_refine(MoveContext& mc, const LpRefineOptions& options,
+                        const ParallelOptions& popts, ParallelScratch& ps,
+                        support::ThreadPool& pool) {
+  const NodeId n = mc.graph().num_nodes();
+  const PartId k = mc.k();
   if (n == 0 || k <= 1) return false;
-  MoveContext& mc = ws.move_ctx;
-  mc.reset(g, p, c);
 
   const std::vector<Chunk> chunks = make_chunks(n, popts.threads);
   std::vector<ThreadArena*> arena_ptrs(chunks.size(), nullptr);
   for (std::size_t i = 0; i < chunks.size(); ++i)
-    arena_ptrs[i] = &ws.parallel.arena(i);
+    arena_ptrs[i] = &ps.arena(i);
 
-  std::vector<LpCandidate>& merged = ws.parallel.merged;
+  std::vector<LpCandidate>& merged = ps.merged;
   bool any_committed = false;
   for (std::uint32_t round = 0; round < options.max_rounds; ++round) {
     merged.clear();
@@ -206,7 +211,7 @@ bool parallel_lp_refine(const Graph& g, Partition& p, const Constraints& c,
     // the smaller part id; an overloaded home part also proposes so the
     // exact commit check can trade cut for feasibility.
     const MoveContext* mcp = &mc;
-    const Constraints* cp = &c;
+    const Constraints* cp = &mc.constraints();
     ThreadArena* const* arenas = arena_ptrs.data();
     run_chunks(pool, chunks, [mcp, cp, k, arenas](const Chunk& ch) {
       ThreadArena& arena = *arenas[ch.index];

@@ -84,5 +84,10 @@ bool parallel_lp_refine(const Graph& g, Partition& p, const Constraints& c,
                         const LpRefineOptions& options,
                         const ParallelOptions& popts, Workspace& ws,
                         support::ThreadPool& pool);
+/// Armed form: runs on the partition `mc` is armed on, without a reset
+/// (the overload above is reset(g, p, c) on ws.move_ctx plus this call).
+bool parallel_lp_refine(MoveContext& mc, const LpRefineOptions& options,
+                        const ParallelOptions& popts, ParallelScratch& ps,
+                        support::ThreadPool& pool);
 
 }  // namespace ppnpart::part

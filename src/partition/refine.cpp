@@ -182,20 +182,24 @@ Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
 
 }  // namespace
 
-bool constrained_fm_refine(const Graph& g, Partition& p, const Constraints& c,
-                           const FmOptions& options, support::Rng& rng,
-                           Workspace& ws) {
-  MoveContext& ctx = ws.move_ctx;
-  ctx.reset(g, p, c);
+bool constrained_fm_refine(MoveContext& ctx, const FmOptions& options,
+                           support::Rng& rng, FmScratch& fs) {
   const Goodness initial = ctx.goodness();
   Goodness current = initial;
   for (std::uint32_t pass = 0; pass < options.max_passes; ++pass) {
     support::Rng pass_rng = rng.derive(0x9d5ull * (pass + 1));
-    const Goodness after = constrained_fm_pass(ctx, options, pass_rng, ws.fm);
+    const Goodness after = constrained_fm_pass(ctx, options, pass_rng, fs);
     if (!(after < current)) break;
     current = after;
   }
   return current < initial;
+}
+
+bool constrained_fm_refine(const Graph& g, Partition& p, const Constraints& c,
+                           const FmOptions& options, support::Rng& rng,
+                           Workspace& ws) {
+  ws.move_ctx.reset(g, p, c);
+  return constrained_fm_refine(ws.move_ctx, options, rng, ws.fm);
 }
 
 bool constrained_fm_refine(const Graph& g, Partition& p, const Constraints& c,
@@ -204,14 +208,12 @@ bool constrained_fm_refine(const Graph& g, Partition& p, const Constraints& c,
   return constrained_fm_refine(g, p, c, options, rng, ws);
 }
 
-bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
-                 const SwapRefineOptions& options, support::Rng& rng,
-                 Workspace& ws) {
-  const NodeId n = g.num_nodes();
+bool swap_refine(MoveContext& ctx, const SwapRefineOptions& options,
+                 SwapTotals& totals) {
+  const NodeId n = ctx.graph().num_nodes();
   if (n > options.max_nodes || n < 2) return false;
-  MoveContext& ctx = ws.move_ctx;
-  ctx.reset(g, p, c);
   const Goodness initial = ctx.goodness();
+  std::uint64_t evaluations = 0;
 
   for (std::uint32_t pass = 0; pass < options.max_passes; ++pass) {
     bool improved_this_pass = false;
@@ -225,6 +227,7 @@ bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
         for (NodeId v = u + 1; v < n; ++v) {
           const PartId pv = ctx.part_of(v);
           if (pu == pv) continue;
+          ++evaluations;
           const Goodness after = ctx.goodness_after_swap(u, v);
           if (after < best_after) {
             best_after = after;
@@ -242,8 +245,15 @@ bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
     }
     if (!improved_this_pass) break;
   }
-  (void)rng;
+  totals.evaluations += evaluations;
   return ctx.goodness() < initial;
+}
+
+bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
+                 const SwapRefineOptions& options, support::Rng& /*rng*/,
+                 Workspace& ws) {
+  ws.move_ctx.reset(g, p, c);
+  return swap_refine(ws.move_ctx, options, ws.swap_totals);
 }
 
 bool swap_refine(const Graph& g, Partition& p, const Constraints& c,

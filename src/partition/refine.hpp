@@ -47,6 +47,11 @@ struct FmOptions {
 bool constrained_fm_refine(const Graph& g, Partition& p, const Constraints& c,
                            const FmOptions& options, support::Rng& rng,
                            Workspace& ws);
+/// Armed form: refines the partition `ctx` is armed on, without a reset.
+/// The Workspace overload is reset(g, p, c) on ws.move_ctx plus this call;
+/// GP arms once per level and runs LP, FM and swap rounds on that arm.
+bool constrained_fm_refine(MoveContext& ctx, const FmOptions& options,
+                           support::Rng& rng, FmScratch& fs);
 bool constrained_fm_refine(const Graph& g, Partition& p, const Constraints& c,
                            const FmOptions& options, support::Rng& rng);
 
@@ -86,13 +91,17 @@ struct SwapRefineOptions {
 /// FM move transits a deep resource violation — swaps sidestep that by
 /// exchanging near-equal weights, which is exactly the move the paper's
 /// tight Experiment 3 needs. Returns true iff goodness improved. Each step
-/// scans all O(n^2) cross-part pairs through
-/// MoveContext::goodness_after_swap: closed-form, O(log degree), while the
-/// bandwidth bound has slack for both endpoints; two temporary moves,
-/// O(degree + k) each, otherwise.
+/// scans all O(n^2) cross-part pairs through the closed-form, side-effect
+/// free MoveContext::goodness_after_swap: O(log degree) while the bandwidth
+/// bound has slack for both endpoints, O(log degree + k) otherwise. `rng`
+/// is unused (the scan is deterministic).
 bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
                  const SwapRefineOptions& options, support::Rng& rng,
                  Workspace& ws);
+/// Armed form (see constrained_fm_refine); adds its swap evaluations to
+/// `totals`.
+bool swap_refine(MoveContext& ctx, const SwapRefineOptions& options,
+                 SwapTotals& totals);
 bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
                  const SwapRefineOptions& options, support::Rng& rng);
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "graph/contract.hpp"
 #include "graph/generators.hpp"
 #include "partition/coarsen.hpp"
@@ -138,6 +141,60 @@ TEST(ContractProperty, ScratchReuseAcrossShrinkingLevels) {
     expect_graphs_identical(direct.graph, reference.graph);
     g = direct.graph;
   }
+}
+
+/// GraphBuilder reference for an arbitrary surjective fine-to-coarse map.
+graph::Graph builder_contraction(const graph::Graph& g,
+                                 const std::vector<graph::NodeId>& map,
+                                 graph::NodeId num_coarse) {
+  graph::GraphBuilder b(num_coarse);
+  std::vector<graph::Weight> node_w(num_coarse, 0);
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    node_w[map[u]] += g.node_weight(u);
+    auto nbrs = g.neighbors(u);
+    auto wgts = g.edge_weights(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (u < nbrs[i] && map[u] != map[nbrs[i]])
+        b.add_edge(map[u], map[nbrs[i]], wgts[i]);
+    }
+  }
+  for (graph::NodeId c = 0; c < num_coarse; ++c) b.set_node_weight(c, node_w[c]);
+  return b.build();
+}
+
+TEST(ContractProperty, OneScratchAcrossGrowingAndShrinkingCoarseCounts) {
+  // contract_csr keeps one position array over the coarse nodes and resets
+  // each entry when its row is done. One scratch serves coarse counts that
+  // grow and shrink, with dense graphs whose rows pass 24 entries (the sort
+  // path) next to sparse ones (the insertion path): an entry left set by an
+  // earlier row or call would misplace a weight in a later one.
+  struct Case {
+    graph::NodeId n;
+    std::uint64_t m;
+    graph::NodeId coarse;
+  };
+  const Case cases[] = {{400, 4800, 150}, {120, 240, 100}, {600, 7200, 250},
+                        {90, 180, 60},    {500, 3000, 40}, {300, 600, 280}};
+  graph::ContractScratch scratch;
+  support::Rng rng(2024);
+  std::uint32_t longest_row = 0;
+  for (const Case& cs : cases) {
+    const graph::Graph g =
+        graph::erdos_renyi_gnm(cs.n, cs.m, rng, {1, 9}, {1, 9});
+    std::vector<graph::NodeId> map(cs.n);
+    for (graph::NodeId u = 0; u < cs.n; ++u) {
+      map[u] = u < cs.coarse ? u
+                             : static_cast<graph::NodeId>(
+                                   rng.uniform_index(cs.coarse));
+    }
+    const graph::Graph direct =
+        graph::contract_csr(g, map, cs.coarse, scratch);
+    expect_graphs_identical(direct, builder_contraction(g, map, cs.coarse));
+    EXPECT_EQ(direct.validate(), "");
+    for (graph::NodeId c = 0; c < cs.coarse; ++c)
+      longest_row = std::max(longest_row, direct.degree(c));
+  }
+  EXPECT_GT(longest_row, 24u);
 }
 
 TEST(ContractProperty, RejectsBadInput) {

@@ -2,6 +2,7 @@
 
 #include "graph/generators.hpp"
 #include "partition/gp.hpp"
+#include "partition/workspace.hpp"
 #include "ppn/paper_instances.hpp"
 
 namespace ppnpart::part {
@@ -153,6 +154,46 @@ TEST(Gp, KEqualsOneIsTrivial) {
 }
 
 TEST(Gp, NameIsGp) { EXPECT_EQ(GpPartitioner().name(), "GP"); }
+
+TEST(Gp, ArmsMoveContextOncePerLevel) {
+  // 4000 nodes: the finest level runs LP + FM, levels of at most 200 nodes
+  // run FM + swap rounds. GP arms the workspace's MoveContext once per
+  // refined level and once per fresh cycle for the coarsest-level seeding
+  // FM; LP, FM and swap run on the level's arm and never re-arm it.
+  graph::ProcessNetworkParams params;
+  params.num_nodes = 4000;
+  params.layers = 4000 / 24;
+  support::Rng rng(7);
+  const Graph g = graph::random_process_network(params, rng);
+  GpOptions options;
+  options.max_cycles = 4;
+  options.fresh_restart_period = 2;  // cycles 0 and 2 are fresh
+  options.extra_cycles_after_feasible = 4;
+  PartitionRequest r;
+  r.k = 4;
+  r.seed = 42;
+  r.constraints.rmax = g.total_node_weight() / 3;
+  r.constraints.bmax = g.total_edge_weight() / 6;
+  Workspace ws;
+  r.workspace = &ws;
+  const std::uint64_t resets_before = ws.move_ctx.reset_count();
+  const GpResult result = GpPartitioner(options).run_detailed(g, r);
+  ASSERT_EQ(result.cycles_used, 4u);
+  std::uint64_t refined_levels = 0;
+  bool saw_large = false, saw_swap_sized = false;
+  for (const GpLevelTrace& t : result.trace) {
+    if (t.phase != GpLevelTrace::Phase::kUncoarsen) continue;
+    ++refined_levels;
+    saw_large |= t.nodes >= 2048;
+    saw_swap_sized |= t.nodes <= SwapRefineOptions{}.max_nodes;
+  }
+  EXPECT_TRUE(saw_large);
+  EXPECT_TRUE(saw_swap_sized);
+  EXPECT_GT(ws.swap_totals.evaluations, 0u);
+  const std::uint64_t fresh_cycles = 2;
+  EXPECT_EQ(ws.move_ctx.reset_count() - resets_before,
+            refined_levels + fresh_cycles);
+}
 
 }  // namespace
 }  // namespace ppnpart::part

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -241,6 +244,14 @@ Matching reference_kmeans_matching(const Graph& g, support::Rng& rng,
   return match;
 }
 
+/// `g` with node weights weight(u); the CSR is unchanged.
+template <typename WeightFn>
+Graph with_node_weights(const Graph& g, WeightFn weight) {
+  std::vector<Weight> node_w(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) node_w[u] = weight(u);
+  return Graph(g.xadj(), g.adj(), g.raw_edge_weights(), std::move(node_w));
+}
+
 TEST(Matching, KMeansMatchesPerNodeReference) {
   struct Input {
     NodeId n;
@@ -254,16 +265,59 @@ TEST(Matching, KMeansMatchesPerNodeReference) {
       {5, 6, {1, 9}},              // n < 8
       {7, 12, {3, 3}},
   };
+  // Weight patterns that stress the bucketing table: keys equal in all
+  // low bits, and keys near 2^62 (two of them, so the total weight still
+  // fits in 63 bits; all are exact doubles, as the reference needs).
+  const auto all_equal = [](NodeId) { return Weight{5}; };
+  const auto all_distinct = [](NodeId u) {
+    return 1 + static_cast<Weight>((u * 7919ull) % 2000);
+  };
+  const auto shifted = [](int bits) {
+    return [bits](NodeId u) {
+      return static_cast<Weight>(1 + (u * 2654435761ull) % 37) << bits;
+    };
+  };
+  const auto near_2_62 = [](NodeId u) {
+    if (u == 3) return (Weight{1} << 62) - (Weight{1} << 20);
+    if (u == 11) return (Weight{1} << 62) - (Weight{1} << 21);
+    return 1 + static_cast<Weight>(u % 9);
+  };
+  struct Reweighted {
+    NodeId n;
+    std::uint64_t m;
+    std::function<Weight(NodeId)> weight;
+  };
+  const Reweighted reweighted[] = {
+      {600, 1800, all_equal},   {2000, 6000, all_distinct},
+      {400, 1200, shifted(20)}, {400, 1200, shifted(32)},
+      {300, 900, near_2_62},
+  };
+  std::vector<std::pair<std::string, std::function<Graph(std::uint64_t)>>>
+      cases;
+  for (const Input& in : inputs) {
+    cases.emplace_back("n=" + std::to_string(in.n), [in](std::uint64_t seed) {
+      support::Rng grng(seed * 1000 + in.n);
+      return graph::erdos_renyi_gnm(in.n, in.m, grng, in.node_w, {1, 9});
+    });
+  }
+  for (std::size_t i = 0; i < std::size(reweighted); ++i) {
+    const Reweighted& in = reweighted[i];
+    cases.emplace_back("reweighted " + std::to_string(i),
+                       [in](std::uint64_t seed) {
+                         support::Rng grng(seed * 1000 + in.n);
+                         return with_node_weights(
+                             graph::erdos_renyi_gnm(in.n, in.m, grng),
+                             in.weight);
+                       });
+  }
   // One scratch across every call, as in coarsening: buffers sized by an
   // earlier, larger input must not leak into a later result.
   MatchingScratch scratch;
   Matching match;
-  for (const Input& in : inputs) {
+  for (const auto& [label, make_graph] : cases) {
     for (std::uint32_t clusters : {0u, 1u, 3u, 50u}) {
       for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        support::Rng grng(seed * 1000 + in.n);
-        const Graph g =
-            graph::erdos_renyi_gnm(in.n, in.m, grng, in.node_w, {1, 9});
+        const Graph g = make_graph(seed);
         KMeansMatchingOptions options;
         options.clusters = clusters;
         support::Rng ref_rng(seed);
@@ -273,7 +327,7 @@ TEST(Matching, KMeansMatchesPerNodeReference) {
         support::Rng rng(seed);
         const Weight weight =
             kmeans_matching_into(g, rng, match, scratch, options);
-        EXPECT_EQ(match, ref) << "n=" << in.n << " clusters=" << clusters
+        EXPECT_EQ(match, ref) << label << " clusters=" << clusters
                               << " seed=" << seed;
         EXPECT_EQ(weight, ref_weight);
         EXPECT_EQ(weight, matched_edge_weight(g, match));

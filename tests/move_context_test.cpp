@@ -92,10 +92,13 @@ TEST_P(MoveContextProperty, IncrementalMatchesRecompute) {
     swapped.set(u, p[v]);
     swapped.set(v, p[u]);
     const Goodness before = ctx.goodness();
+    const std::uint64_t before_applies = ctx.apply_count();
     const PartitionMetrics before_m = compute_metrics(g, p);
     const std::vector<PartId> before_p = p.assignments();
     EXPECT_EQ(ctx.goodness_after_swap(u, v), compute_goodness(g, swapped, c))
         << "step " << step;
+    // The evaluation is pure: it moves no node, even temporarily.
+    EXPECT_EQ(ctx.apply_count(), before_applies) << "step " << step;
     EXPECT_EQ(ctx.goodness(), before);
     EXPECT_EQ(p.assignments(), before_p);
     for (PartId a = 0; a < k; ++a) {
@@ -257,17 +260,19 @@ TEST(MoveContext, SwapOfAdjacentNodesCountsTheirEdgeTwice) {
   Partition swapped = p;
   swapped.set(0, 1);
   swapped.set(1, 0);
-  // Unlimited Bmax: closed form, no temporary moves. Bmax 6 is below
+  // Unlimited Bmax skips the bandwidth terms. Bmax 6 is below
   // pair_ub + incident(0) + incident(1) = 5 + 8 + 9, so the evaluation
-  // applies and undoes one move (and the swapped pair cut 12 exceeds it).
+  // takes them: the swapped pair cut 12 exceeds it by 6. Neither regime
+  // moves a node to evaluate the swap.
   for (Weight bmax : {Constraints::kUnlimited, Weight{6}}) {
     Constraints c;
     c.bmax = bmax;
     MoveContext ctx(g, p, c);
     const Goodness after = ctx.goodness_after_swap(0, 1);
     EXPECT_EQ(after.cut, 12);
+    EXPECT_EQ(after.bandwidth_excess, bmax == 6 ? 6 : 0);
     EXPECT_EQ(after, compute_goodness(g, swapped, c));
-    EXPECT_EQ(ctx.apply_count(), bmax == Constraints::kUnlimited ? 0u : 2u);
+    EXPECT_EQ(ctx.apply_count(), 0u);
     EXPECT_EQ(ctx.goodness(), compute_goodness(g, p, c));
     EXPECT_EQ(ctx.goodness_after_swap(2, 0), ctx.goodness());  // same part
   }
