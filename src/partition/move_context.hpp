@@ -25,8 +25,13 @@
 // as they do when bmax is unlimited.
 //
 // A MoveContext is designed to be owned by a part::Workspace and re-armed
-// with reset() across refinement levels and passes: every internal buffer
-// keeps its capacity, so steady-state resets allocate nothing.
+// with reset() across refinement levels: every internal buffer keeps its
+// capacity, so steady-state resets allocate nothing. A reset costs
+// O(n * k + m), so GP arms it once per level and runs LP, FM and swap
+// rounds on that one arm (their armed forms in refine.hpp and
+// parallel.hpp). That changes no result: the state stays exact under
+// apply(), and only pair_ub_, which gates fast paths, is looser than a
+// fresh reset would make it.
 
 #include <optional>
 #include <vector>
