@@ -24,19 +24,16 @@ Graph contract_csr(const Graph& fine, std::span<const NodeId> fine_to_coarse,
     if (c >= num_coarse)
       throw std::invalid_argument("contract_csr: coarse id out of range");
     scratch.node_w[c] += fine.node_weight(u);
-    ++scratch.member_off[c + 1];
+    ++scratch.member_off[c];
   }
+  // Prefix sums make member_off[c] the end of c's members; filling them in
+  // backwards, in descending node order, turns it into their start.
   for (NodeId c = 0; c < num_coarse; ++c)
     scratch.member_off[c + 1] += scratch.member_off[c];
-  support::reserve_tracked(scratch.member_cursor,
-                           static_cast<std::size_t>(num_coarse), stats);
-  scratch.member_cursor.assign(scratch.member_off.begin(),
-                               scratch.member_off.end() - 1);
   support::reserve_tracked(scratch.members, n, stats);
   scratch.members.resize(n);  // every slot overwritten below
-  for (NodeId u = 0; u < n; ++u) {
-    scratch.members[scratch.member_cursor[fine_to_coarse[u]]++] = u;
-  }
+  for (NodeId u = n; u-- > 0;)
+    scratch.members[--scratch.member_off[fine_to_coarse[u]]] = u;
 
   // --- Row positions: pos[cv] is cv's offset in the row being built, -1
   // when absent. Every entry is -1 between rows and between calls.
@@ -50,37 +47,42 @@ Graph contract_csr(const Graph& fine, std::span<const NodeId> fine_to_coarse,
   scratch.xadj.resize(static_cast<std::size_t>(num_coarse) + 1);
   scratch.xadj[0] = 0;  // remaining slots overwritten below
   // A coarse row is never longer than its members' fine rows, so the rows
-  // fit in fine.adj().size() entries; ewgt keeps num_coarse more, where a
-  // long row gathers its sorted weights. The buffers only ever grow; rows
-  // are written through raw pointers behind the `end` cursor.
+  // fit in fine.adj().size() entries. The buffers only ever grow; rows are
+  // written through raw pointers behind the `end` cursor.
   const std::size_t cap = fine.adj().size();
   support::reserve_tracked(scratch.adj, cap, stats);
-  support::reserve_tracked(scratch.ewgt, cap + num_coarse, stats);
+  support::reserve_tracked(scratch.ewgt, cap, stats);
   scratch.adj.resize(std::max(scratch.adj.size(), cap));
-  scratch.ewgt.resize(std::max(scratch.ewgt.size(), cap + num_coarse));
+  scratch.ewgt.resize(std::max(scratch.ewgt.size(), cap));
   NodeId* const adj = scratch.adj.data();
   Weight* const ewgt = scratch.ewgt.data();
   std::size_t end = 0;
 
   for (NodeId c = 0; c < num_coarse; ++c) {
-    const std::size_t row_start = end;
-    for (std::uint64_t i = scratch.member_off[c]; i < scratch.member_off[c + 1];
-         ++i) {
-      const NodeId u = scratch.members[i];
-      auto nbrs = fine.neighbors(u);
-      auto wgts = fine.edge_weights(u);
-      for (std::size_t j = 0; j < nbrs.size(); ++j) {
-        const NodeId cv = fine_to_coarse[nbrs[j]];
-        if (cv == c) continue;  // now-internal edge: drop
-        if (pos[cv] >= 0) {
-          ewgt[row_start + static_cast<std::size_t>(pos[cv])] += wgts[j];
-        } else {
-          pos[cv] = static_cast<std::int32_t>(end - row_start);
-          adj[end] = cv;
-          ewgt[end++] = wgts[j];
+    // Calls add(cv, w) for every fine edge of c's members that leaves c;
+    // edges that became internal drop.
+    const auto for_each_edge = [&](auto&& add) {
+      for (std::uint64_t i = scratch.member_off[c];
+           i < scratch.member_off[c + 1]; ++i) {
+        const NodeId u = scratch.members[i];
+        auto nbrs = fine.neighbors(u);
+        auto wgts = fine.edge_weights(u);
+        for (std::size_t j = 0; j < nbrs.size(); ++j) {
+          const NodeId cv = fine_to_coarse[nbrs[j]];
+          if (cv != c) add(cv, wgts[j]);
         }
       }
-    }
+    };
+    const std::size_t row_start = end;
+    for_each_edge([&](NodeId cv, Weight w) {
+      if (pos[cv] >= 0) {
+        ewgt[row_start + static_cast<std::size_t>(pos[cv])] += w;
+      } else {
+        pos[cv] = static_cast<std::int32_t>(end - row_start);
+        adj[end] = cv;
+        ewgt[end++] = w;
+      }
+    });
     // Neighbour ids are unique after the merge, so any comparison sort
     // yields the identical id-ordered row GraphBuilder produces. Coarse
     // rows are short (average degree), where insertion sort beats the
@@ -101,13 +103,13 @@ Graph contract_csr(const Graph& fine, std::span<const NodeId> fine_to_coarse,
         row_w[j] = key_w;
       }
     } else {
-      // Sort the ids alone; pos still holds each id's offset before the
-      // sort, so the weights follow through the spare entries behind the
-      // row (it is at most num_coarse - 1 long).
+      // Sort the ids alone, then add the weights up again in sorted order.
       std::sort(row, row + row_len);
-      Weight* spare = row_w + row_len;
-      for (std::size_t i = 0; i < row_len; ++i) spare[i] = row_w[pos[row[i]]];
-      std::copy_n(spare, row_len, row_w);
+      for (std::size_t i = 0; i < row_len; ++i) {
+        pos[row[i]] = static_cast<std::int32_t>(i);
+        row_w[i] = 0;
+      }
+      for_each_edge([&](NodeId cv, Weight w) { row_w[pos[cv]] += w; });
     }
     for (std::size_t i = 0; i < row_len; ++i) pos[row[i]] = -1;
 #if PPN_CONTRACTS_ENABLED
@@ -126,7 +128,8 @@ Graph contract_csr(const Graph& fine, std::span<const NodeId> fine_to_coarse,
   // are the one unavoidable allocation per level: the product itself.
   return Graph(
       std::vector<std::uint64_t>(scratch.xadj.begin(), scratch.xadj.end()),
-      std::vector<NodeId>(adj, adj + end), std::vector<Weight>(ewgt, ewgt + end),
+      std::vector<NodeId>(adj, adj + end),
+      std::vector<Weight>(ewgt, ewgt + end),
       std::vector<Weight>(scratch.node_w.begin(), scratch.node_w.end()));
 }
 

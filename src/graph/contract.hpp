@@ -36,8 +36,7 @@ struct ContractScratch {
 
   /// Coarse CSR under construction (exact copies go into the Graph). Rows
   /// are built and sorted in place; adj/ewgt only grow, and their first
-  /// xadj[num_coarse] entries are the product (ewgt keeps num_coarse spare
-  /// entries behind them for sorting long rows).
+  /// xadj[num_coarse] entries are the product.
   std::vector<std::uint64_t> xadj;
   std::vector<NodeId> adj;
   std::vector<Weight> ewgt;
@@ -45,7 +44,6 @@ struct ContractScratch {
 
   /// Coarse -> fine member lists (counting-sorted CSR).
   std::vector<std::uint64_t> member_off;
-  std::vector<std::uint64_t> member_cursor;
   std::vector<NodeId> members;
 };
 

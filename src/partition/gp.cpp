@@ -70,7 +70,7 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
       // levels and small instances); swaps are what tight-Rmax repairs need.
       SwapRefineOptions swap_opts;
       for (std::uint32_t round = 0; round < 3; ++round) {
-        if (!swap_refine(ctx, swap_opts, ws.swap_totals)) break;
+        if (!swap_refine(ctx, swap_opts, ws.swap_evaluations)) break;
         constrained_fm_refine(ctx, fm, level_rng, ws.fm);
       }
     }

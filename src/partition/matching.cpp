@@ -159,7 +159,14 @@ Weight kmeans_matching_into(const Graph& g, support::Rng& rng, Matching& match,
     // Bucket the weights in O(n): an open-addressing table, at most half
     // full, maps each weight to a bucket id in first-seen order, and
     // cluster_of holds each node's bucket until the clusters are known.
-    const std::size_t slots = std::bit_ceil(2 * static_cast<std::size_t>(n));
+    // There are at most min(n, max - min + 1) distinct weights, which keeps
+    // the table small when the weights span a narrow range.
+    const auto [lo, hi] = std::minmax_element(g.node_weights().begin(),
+                                              g.node_weights().end());
+    const std::uint64_t gap = static_cast<std::uint64_t>(*hi) -
+                              static_cast<std::uint64_t>(*lo);
+    const std::size_t slots =
+        std::bit_ceil(2 * (std::min<std::uint64_t>(n - 1, gap) + 1));
     const int shift = 64 - std::countr_zero(slots);
     std::vector<std::uint32_t>& table = scratch.weight_table;
     support::assign_tracked(table, slots, kNoBucket, scratch.stats);

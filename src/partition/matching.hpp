@@ -41,12 +41,12 @@ struct MatchingScratch {
   std::vector<std::uint32_t> order;      // random visit order
   std::vector<NodeId> candidates;        // free-neighbour pool
   std::vector<WeightedEdge> edges;       // sorted-edge sweeps
-  // k-means matching state
-  std::vector<std::uint32_t> weight_table;  // open addressing: weight -> bucket
-  std::vector<Weight> bucket_w;             // weight per bucket, first seen first
+  // k-means matching state; buckets are numbered in first-seen order
+  std::vector<std::uint32_t> weight_table;  // open addressing -> bucket
+  std::vector<Weight> bucket_w;             // node weight per bucket
   std::vector<std::uint32_t> bucket_count;  // nodes per bucket
-  std::vector<std::uint32_t> bucket_rank;   // bucket -> index into distinct_w
-  std::vector<Weight> distinct_w;           // distinct node weights, ascending
+  std::vector<std::uint32_t> bucket_rank;   // bucket -> index in distinct_w
+  std::vector<Weight> distinct_w;           // distinct weights, ascending
   std::vector<std::uint32_t> distinct_count;    // nodes per distinct weight
   std::vector<std::uint32_t> distinct_cluster;  // cluster per distinct weight
   std::vector<double> centroid;
@@ -85,9 +85,10 @@ struct KMeansMatchingOptions {
 /// The paper's "K-Means Matching": nodes are clustered by weight (1-D
 /// k-means over the distinct weights, seeded at jittered quantiles; O(n)
 /// to bucket the weights plus O(d log d) for the d distinct ones); within
-/// each cluster, adjacent pairs are matched heaviest-edge-first. Nodes whose neighbours all fall in other
-/// clusters remain unmatched (maximality within clusters only), which is why
-/// this heuristic is only ever used in competition with the other two.
+/// each cluster, adjacent pairs are matched heaviest-edge-first. Nodes whose
+/// neighbours all fall in other clusters remain unmatched (maximality within
+/// clusters only), which is why this heuristic is only ever used in
+/// competition with the other two.
 Matching kmeans_matching(const Graph& g, support::Rng& rng,
                          const KMeansMatchingOptions& options = {});
 Weight kmeans_matching_into(const Graph& g, support::Rng& rng, Matching& match,

@@ -209,11 +209,11 @@ bool constrained_fm_refine(const Graph& g, Partition& p, const Constraints& c,
 }
 
 bool swap_refine(MoveContext& ctx, const SwapRefineOptions& options,
-                 SwapTotals& totals) {
+                 std::uint64_t& evaluations) {
   const NodeId n = ctx.graph().num_nodes();
   if (n > options.max_nodes || n < 2) return false;
   const Goodness initial = ctx.goodness();
-  std::uint64_t evaluations = 0;
+  std::uint64_t evaluated = 0;
 
   for (std::uint32_t pass = 0; pass < options.max_passes; ++pass) {
     bool improved_this_pass = false;
@@ -227,7 +227,7 @@ bool swap_refine(MoveContext& ctx, const SwapRefineOptions& options,
         for (NodeId v = u + 1; v < n; ++v) {
           const PartId pv = ctx.part_of(v);
           if (pu == pv) continue;
-          ++evaluations;
+          ++evaluated;
           const Goodness after = ctx.goodness_after_swap(u, v);
           if (after < best_after) {
             best_after = after;
@@ -245,7 +245,7 @@ bool swap_refine(MoveContext& ctx, const SwapRefineOptions& options,
     }
     if (!improved_this_pass) break;
   }
-  totals.evaluations += evaluations;
+  evaluations += evaluated;
   return ctx.goodness() < initial;
 }
 
@@ -253,7 +253,7 @@ bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
                  const SwapRefineOptions& options, support::Rng& /*rng*/,
                  Workspace& ws) {
   ws.move_ctx.reset(g, p, c);
-  return swap_refine(ws.move_ctx, options, ws.swap_totals);
+  return swap_refine(ws.move_ctx, options, ws.swap_evaluations);
 }
 
 bool swap_refine(const Graph& g, Partition& p, const Constraints& c,

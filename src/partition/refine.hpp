@@ -98,10 +98,10 @@ struct SwapRefineOptions {
 bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
                  const SwapRefineOptions& options, support::Rng& rng,
                  Workspace& ws);
-/// Armed form (see constrained_fm_refine); adds its swap evaluations to
-/// `totals`.
+/// Armed form (see constrained_fm_refine); adds its goodness_after_swap
+/// calls to `evaluations`.
 bool swap_refine(MoveContext& ctx, const SwapRefineOptions& options,
-                 SwapTotals& totals);
+                 std::uint64_t& evaluations);
 bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
                  const SwapRefineOptions& options, support::Rng& rng);
 

@@ -67,12 +67,6 @@ struct FmTotals {
   std::uint64_t stalled = 0;  // passes ended by the stall rule
 };
 
-/// Lifetime totals of the swap_refine runs through one workspace.
-/// Observe-only, like FmTotals.
-struct SwapTotals {
-  std::uint64_t evaluations = 0;  // goodness_after_swap calls
-};
-
 /// Per-pass scratch of constrained_fm_pass, hoisted out of the pass. The
 /// heap sifts 4-byte pool indices instead of 40-byte entries (identical pop
 /// order: the comparator sees the same values); popped entries stay in the
@@ -196,7 +190,9 @@ class Workspace {
 
   /// Reusable incremental mover (GP resets it once per refined level).
   MoveContext move_ctx;
-  SwapTotals swap_totals;
+  /// Lifetime count of swap_refine's goodness_after_swap calls through this
+  /// workspace. Observe-only, like FmScratch::totals.
+  std::uint64_t swap_evaluations = 0;
 
   /// Boundary/visit-order buffer for the greedy refiners.
   std::vector<NodeId> boundary;

@@ -158,7 +158,8 @@ graph::Graph builder_contraction(const graph::Graph& g,
         b.add_edge(map[u], map[nbrs[i]], wgts[i]);
     }
   }
-  for (graph::NodeId c = 0; c < num_coarse; ++c) b.set_node_weight(c, node_w[c]);
+  for (graph::NodeId c = 0; c < num_coarse; ++c)
+    b.set_node_weight(c, node_w[c]);
   return b.build();
 }
 

@@ -189,7 +189,7 @@ TEST(Gp, ArmsMoveContextOncePerLevel) {
   }
   EXPECT_TRUE(saw_large);
   EXPECT_TRUE(saw_swap_sized);
-  EXPECT_GT(ws.swap_totals.evaluations, 0u);
+  EXPECT_GT(ws.swap_evaluations, 0u);
   const std::uint64_t fresh_cycles = 2;
   EXPECT_EQ(ws.move_ctx.reset_count() - resets_before,
             refined_levels + fresh_cycles);
