@@ -66,20 +66,29 @@ void BM_ContractViaBuilder(benchmark::State& state) {
 }
 BENCHMARK(BM_ContractViaBuilder)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// Second argument: contraction chunks (coarse-row ranges on the pool); wall
+// time, since the chunks run on pool threads.
 void BM_ContractDirect(benchmark::State& state) {
   const graph::Graph g = make_pn(static_cast<graph::NodeId>(state.range(0)), 7);
   support::Rng rng(8);
   const part::Matching m = part::heavy_edge_matching(g, rng);
+  const auto chunks = static_cast<std::uint32_t>(state.range(1));
   part::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(part::contract(g, m, ws));
+    benchmark::DoNotOptimize(part::contract(g, m, ws, chunks));
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
   state.counters["ws_growths"] =
       static_cast<double>(ws.stats().growths);
 }
-BENCHMARK(BM_ContractDirect)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_ContractDirect)
+    ->Args({1000, 1})
+    ->Args({10000, 1})
+    ->Args({100000, 1})
+    ->Args({100000, 4})
+    ->UseRealTime();
 
+// Second argument: reset chunks (node ranges on the pool); wall time.
 void BM_MoveContextReset(benchmark::State& state) {
   const graph::Graph g = make_pn(static_cast<graph::NodeId>(state.range(0)), 15);
   support::Rng rng(16);
@@ -87,15 +96,20 @@ void BM_MoveContextReset(benchmark::State& state) {
   part::Constraints c;
   c.rmax = g.total_node_weight() / 8 + g.max_node_weight();
   c.bmax = g.total_edge_weight() / 8;
+  const auto chunks = static_cast<std::uint32_t>(state.range(1));
   part::Workspace ws;
   for (auto _ : state) {
-    ws.move_ctx.reset(g, p, c);
+    ws.move_ctx.reset(g, p, c, chunks);
     benchmark::DoNotOptimize(ws.move_ctx.cut());
   }
   state.SetItemsProcessed(state.iterations() * g.num_nodes());
   state.counters["ws_growths"] = static_cast<double>(ws.stats().growths);
 }
-BENCHMARK(BM_MoveContextReset)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_MoveContextReset)
+    ->Args({10000, 1})
+    ->Args({100000, 1})
+    ->Args({100000, 4})
+    ->UseRealTime();
 
 void BM_BoundaryEnumeration(benchmark::State& state) {
   const graph::Graph g = make_pn(static_cast<graph::NodeId>(state.range(0)), 17);

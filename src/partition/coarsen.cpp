@@ -6,7 +6,9 @@
 #include <stdexcept>
 
 #include "graph/contract.hpp"
+#include "partition/parallel.hpp"
 #include "partition/phase_profile.hpp"
+#include "support/thread_pool.hpp"
 
 namespace ppnpart::part {
 
@@ -44,46 +46,66 @@ NodeId build_fine_to_coarse(const Graph& fine, const Matching& matching,
   return next;
 }
 
-/// Runs the enabled matching heuristics on `current` and leaves the winner
-/// (most hidden weight; ties: more pairs, then strategy order) in
-/// ws.match_best. `filter`, when non-null, may unmatch pairs after a
-/// heuristic runs and must return the weight it removed (restricted
-/// coarsening breaks part-straddling pairs this way). Returns the winner's
-/// matched pair count.
-std::uint32_t compete_matchings(const Graph& current,
-                                const CoarsenOptions& options,
-                                std::size_t num_levels, support::Rng& rng,
-                                Workspace& ws,
-                                const std::function<Weight(Matching&)>& filter,
-                                MatchingKind& best_kind) {
-  Matching& m = ws.match_candidate;
-  Matching& best_matching = ws.match_best;
-  best_kind = options.strategies.front();
-  Weight best_weight = -1;
-  std::uint32_t best_pairs = 0;
-  for (MatchingKind kind : options.strategies) {
+/// Per-level chunking of the two coarsening kernels (grains in
+/// parallel.hpp); `threads` is the caller's resolved chunk count.
+bool race_concurrently(const Graph& current, std::uint32_t threads) {
+  return threads > 1 && current.num_nodes() >= kRaceMinNodes;
+}
+std::uint32_t contract_chunks(const Graph& current, std::uint32_t threads) {
+  return chunks_for(threads, current.adj().size(), kContractGrain);
+}
+
+/// Races the enabled matching heuristics on `current`: strategy i runs into
+/// ws.race_slot(i). Returns the winner's slot (most hidden weight; ties:
+/// more pairs, then strategy order). `filter`, when non-null, may unmatch
+/// pairs after a heuristic runs and must return the weight it removed
+/// (restricted coarsening breaks part-straddling pairs this way). With
+/// `concurrent`, the strategies run as tasks on the global pool. Each draws
+/// from its own stream derived from the const `rng` and the winner is
+/// picked serially in strategy order, so the outcome is the same either way.
+const RaceSlot& race_matchings(const Graph& current,
+                               const CoarsenOptions& options,
+                               std::size_t num_levels,
+                               const support::Rng& rng, Workspace& ws,
+                               const std::function<Weight(Matching&)>& filter,
+                               bool concurrent) {
+  const std::size_t count = options.strategies.size();
+  // Slots are created serially, before any task runs.
+  for (std::size_t i = 0; i < count; ++i) (void)ws.race_slot(i);
+  const auto run = [&](std::size_t i) {
+    const MatchingKind kind = options.strategies[i];
+    RaceSlot& slot = ws.race_slot(i);
     support::Rng stream = rng.derive(
         static_cast<std::uint64_t>(kind) * 977 + num_levels * 131071);
-    Weight w = run_matching_into(current, kind, stream, m, ws);
-    if (filter != nullptr) w -= filter(m);
-    const std::uint32_t pairs = matched_pair_count(m);
-    if (w > best_weight || (w == best_weight && pairs > best_pairs)) {
-      best_weight = w;
-      best_pairs = pairs;
-      std::swap(best_matching, m);
-      best_kind = kind;
-    }
+    slot.kind = kind;
+    slot.weight =
+        run_matching_into(current, kind, stream, slot.match, slot.scratch);
+    if (filter != nullptr) slot.weight -= filter(slot.match);
+    slot.pairs = matched_pair_count(slot.match);
+  };
+  if (concurrent) {
+    support::parallel_for(0, count, run);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) run(i);
   }
-  return best_pairs;
+  const RaceSlot* best = &ws.race_slot(0);
+  for (std::size_t i = 1; i < count; ++i) {
+    const RaceSlot& slot = ws.race_slot(i);
+    if (slot.weight > best->weight ||
+        (slot.weight == best->weight && slot.pairs > best->pairs))
+      best = &slot;
+  }
+  return *best;
 }
 
 }  // namespace
 
 CoarseLevel contract(const Graph& fine, const Matching& matching,
-                     Workspace& ws) {
+                     Workspace& ws, std::uint32_t chunks) {
   CoarseLevel out;
   const NodeId next = build_fine_to_coarse(fine, matching, out.fine_to_coarse);
-  out.graph = graph::contract_csr(fine, out.fine_to_coarse, next, ws.contract);
+  out.graph = graph::contract_csr(fine, out.fine_to_coarse, next, ws.contract,
+                                  chunks);
   return out;
 }
 
@@ -122,16 +144,21 @@ CoarseLevel contract_via_builder(const Graph& fine, const Matching& matching) {
 }
 
 Weight run_matching_into(const Graph& g, MatchingKind kind, support::Rng& rng,
-                         Matching& match, Workspace& ws) {
+                         Matching& match, MatchingScratch& scratch) {
   switch (kind) {
     case MatchingKind::kRandom:
-      return random_maximal_matching_into(g, rng, match, ws.matching);
+      return random_maximal_matching_into(g, rng, match, scratch);
     case MatchingKind::kHeavyEdge:
-      return heavy_edge_matching_into(g, rng, match, ws.matching);
+      return heavy_edge_matching_into(g, rng, match, scratch);
     case MatchingKind::kKMeans:
-      return kmeans_matching_into(g, rng, match, ws.matching);
+      return kmeans_matching_into(g, rng, match, scratch);
   }
   throw std::logic_error("run_matching: bad kind");
+}
+
+Weight run_matching_into(const Graph& g, MatchingKind kind, support::Rng& rng,
+                         Matching& match, Workspace& ws) {
+  return run_matching_into(g, kind, rng, match, ws.matching);
 }
 
 Matching run_matching(const Graph& g, MatchingKind kind, support::Rng& rng) {
@@ -161,7 +188,8 @@ std::vector<PartId> Hierarchy::project_to_level(
 RestrictedHierarchy coarsen_restricted(const Graph& g,
                                        const std::vector<PartId>& parts,
                                        const CoarsenOptions& options,
-                                       support::Rng& rng, Workspace& ws) {
+                                       support::Rng& rng, Workspace& ws,
+                                       std::uint32_t threads) {
   if (parts.size() != g.num_nodes())
     throw std::invalid_argument("coarsen_restricted: parts size mismatch");
   RestrictedHierarchy out;
@@ -188,12 +216,12 @@ RestrictedHierarchy coarsen_restricted(const Graph& g,
       }
       return removed;
     };
-    MatchingKind best_kind;
-    const std::uint32_t best_pairs = compete_matchings(
-        current, options, h.num_levels(), rng, ws, unmatch_straddlers,
-        best_kind);
-    if (best_pairs == 0) break;
-    CoarseLevel level = contract(current, ws.match_best, ws);
+    const RaceSlot& best =
+        race_matchings(current, options, h.num_levels(), rng, ws,
+                       unmatch_straddlers, race_concurrently(current, threads));
+    if (best.pairs == 0) break;
+    CoarseLevel level = contract(current, best.match, ws,
+                                 contract_chunks(current, threads));
     const double shrink = static_cast<double>(level.graph.num_nodes()) /
                           static_cast<double>(current.num_nodes());
     if (shrink > options.min_shrink_factor) break;
@@ -203,7 +231,7 @@ RestrictedHierarchy coarsen_restricted(const Graph& g,
     }
     level_parts = std::move(coarse_parts);
     h.maps.push_back(std::move(level.fine_to_coarse));
-    h.winners.push_back(best_kind);
+    h.winners.push_back(best.kind);
     h.graphs.push_back(std::move(level.graph));
   }
   out.coarse_parts = std::move(level_parts);
@@ -219,7 +247,7 @@ RestrictedHierarchy coarsen_restricted(const Graph& g,
 }
 
 Hierarchy coarsen(const Graph& g, const CoarsenOptions& options,
-                  support::Rng& rng, Workspace& ws) {
+                  support::Rng& rng, Workspace& ws, std::uint32_t threads) {
   if (options.strategies.empty())
     throw std::invalid_argument("coarsen: no matching strategies enabled");
   Hierarchy h;
@@ -230,19 +258,19 @@ Hierarchy coarsen(const Graph& g, const CoarsenOptions& options,
     PhaseScope phase(ws.phases, PhaseProfile::kCoarsen, ws.phase_cat,
                      static_cast<std::int64_t>(h.num_levels() - 1),
                      static_cast<std::int64_t>(current.num_nodes()));
-    // Compete the enabled heuristics; the candidate and best-so-far
-    // matchings live in workspace buffers swapped back and forth, so the
-    // competition allocates nothing once warm.
-    MatchingKind best_kind;
-    const std::uint32_t best_pairs = compete_matchings(
-        current, options, h.num_levels(), rng, ws, nullptr, best_kind);
-    if (best_pairs == 0) break;  // nothing contractible (e.g. no edges)
-    CoarseLevel level = contract(current, ws.match_best, ws);
+    // Race the enabled heuristics; each writes its own workspace slot, so
+    // the race allocates nothing once warm.
+    const RaceSlot& best =
+        race_matchings(current, options, h.num_levels(), rng, ws, nullptr,
+                       race_concurrently(current, threads));
+    if (best.pairs == 0) break;  // nothing contractible (e.g. no edges)
+    CoarseLevel level = contract(current, best.match, ws,
+                                 contract_chunks(current, threads));
     const double shrink = static_cast<double>(level.graph.num_nodes()) /
                           static_cast<double>(current.num_nodes());
     if (shrink > options.min_shrink_factor) break;
     h.maps.push_back(std::move(level.fine_to_coarse));
-    h.winners.push_back(best_kind);
+    h.winners.push_back(best.kind);
     h.graphs.push_back(std::move(level.graph));
   }
   return h;

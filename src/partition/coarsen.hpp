@@ -21,8 +21,6 @@
 
 namespace ppnpart::part {
 
-enum class MatchingKind { kRandom, kHeavyEdge, kKMeans };
-
 std::string to_string(MatchingKind kind);
 
 /// One contracted level: the coarse graph plus fine-to-coarse node map.
@@ -34,11 +32,12 @@ struct CoarseLevel {
 
 /// Contracts `fine` along `matching` (must be valid, see validate_matching)
 /// through the direct CSR path (graph::contract_csr). The Workspace overload
-/// reuses contraction scratch across levels; both produce a coarse graph
-/// bit-identical to contract_via_builder.
+/// reuses contraction scratch across levels and builds the coarse rows in
+/// `chunks` tasks; both produce a coarse graph bit-identical to
+/// contract_via_builder.
 CoarseLevel contract(const Graph& fine, const Matching& matching);
 CoarseLevel contract(const Graph& fine, const Matching& matching,
-                     Workspace& ws);
+                     Workspace& ws, std::uint32_t chunks = 1);
 
 /// Slow-but-simple reference contraction through GraphBuilder (copy, sort,
 /// merge). Kept as the oracle the direct CSR path is property-tested
@@ -74,15 +73,23 @@ struct Hierarchy {
 /// Builds the hierarchy, selecting the best of the enabled matchings at each
 /// level (ties by matched pair count, then strategy order). The Workspace
 /// overload reuses matching/contraction scratch across levels and runs.
+/// `threads` is the caller's resolved chunk count (parallel.hpp): at more
+/// than one, levels of at least kRaceMinNodes nodes run their matchings
+/// concurrently, and contraction gets chunks_for(threads, adjacency
+/// entries, kContractGrain) chunks. The hierarchy is the same at every
+/// value.
 Hierarchy coarsen(const Graph& g, const CoarsenOptions& options,
-                  support::Rng& rng, Workspace& ws);
+                  support::Rng& rng, Workspace& ws, std::uint32_t threads = 1);
 Hierarchy coarsen(const Graph& g, const CoarsenOptions& options,
                   support::Rng& rng);
 
 /// Runs one matching heuristic.
 Matching run_matching(const Graph& g, MatchingKind kind, support::Rng& rng);
-/// Allocation-free variant (result into `match`, temporaries from `ws`).
-/// Returns the total matched edge weight (== matched_edge_weight(g, match)).
+/// Allocation-free variants (result into `match`, temporaries from
+/// `scratch`, or from ws.matching). Return the total matched edge weight
+/// (== matched_edge_weight(g, match)).
+Weight run_matching_into(const Graph& g, MatchingKind kind, support::Rng& rng,
+                         Matching& match, MatchingScratch& scratch);
 Weight run_matching_into(const Graph& g, MatchingKind kind, support::Rng& rng,
                          Matching& match, Workspace& ws);
 
@@ -94,10 +101,12 @@ struct RestrictedHierarchy {
   Hierarchy hierarchy;
   std::vector<PartId> coarse_parts;
 };
+/// `threads` as in coarsen().
 RestrictedHierarchy coarsen_restricted(const Graph& g,
                                        const std::vector<PartId>& parts,
                                        const CoarsenOptions& options,
-                                       support::Rng& rng, Workspace& ws);
+                                       support::Rng& rng, Workspace& ws,
+                                       std::uint32_t threads = 1);
 RestrictedHierarchy coarsen_restricted(const Graph& g,
                                        const std::vector<PartId>& parts,
                                        const CoarsenOptions& options,

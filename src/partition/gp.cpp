@@ -51,27 +51,31 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
     for (NodeId u = 0; u < g.num_nodes(); ++u) p.set(u, assign[u]);
     // One arm per level: every refiner below moves nodes through this
     // context, which stays exact under their moves, so none re-arms it.
+    // The arm and each FM pass's seed evaluation run in chunks; the seed
+    // count of a pass is at most the level's node count.
+    const std::uint32_t seed_chunks =
+        chunks_for(par.threads, g.num_nodes(), kSeedGrain);
     MoveContext& ctx = ws.move_ctx;
-    ctx.reset(g, p, c);
+    ctx.reset(g, p, c, chunks_for(par.threads, g.num_nodes(), kResetGrain));
     support::Rng level_rng = rng.derive(0xFEEDull * (level + 1) + cycle);
     if (g.num_nodes() >= par.min_parallel_nodes) {
       // Large level, at every thread count: goodness-monotone label
-      // propagation (the thread count only sets its chunk count), then one
-      // FM pass. LP does the bulk move work; the FM pass repairs what LP
-      // cannot see (tight constraint corners, negative-gain escapes), and
-      // the stall rule ends it once its moves stop paying.
+      // propagation, then one FM pass. LP does the bulk move work; the FM
+      // pass repairs what LP cannot see (tight constraint corners,
+      // negative-gain escapes), and the stall rule ends it once its moves
+      // stop paying.
       parallel_lp_refine(ctx, LpRefineOptions{}, par, ws.parallel, pool);
       FmOptions polish = fm;
       polish.max_passes = 1;
-      constrained_fm_refine(ctx, polish, level_rng, ws.fm);
+      constrained_fm_refine(ctx, polish, level_rng, ws.fm, seed_chunks);
     } else {
-      constrained_fm_refine(ctx, fm, level_rng, ws.fm);
+      constrained_fm_refine(ctx, fm, level_rng, ws.fm, seed_chunks);
       // Alternate FM with the swap neighbourhood on small graphs (coarsest
       // levels and small instances); swaps are what tight-Rmax repairs need.
       SwapRefineOptions swap_opts;
       for (std::uint32_t round = 0; round < 3; ++round) {
         if (!swap_refine(ctx, swap_opts, ws.swap_evaluations)) break;
-        constrained_fm_refine(ctx, fm, level_rng, ws.fm);
+        constrained_fm_refine(ctx, fm, level_rng, ws.fm, seed_chunks);
       }
     }
     for (NodeId u = 0; u < g.num_nodes(); ++u) assign[u] = p[u];
@@ -138,10 +142,15 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
       options_.coarsen_to, static_cast<NodeId>(k));  // never below k nodes
   coarsen_opts.strategies = options_.matchings;
 
+  // `threads` is GP's one parallelism knob: par.threads caps every
+  // kernel's chunk count, and threads=1 never touches the pool.
+  const ParallelOptions par =
+      resolve_parallel(request.threads, support::ThreadPool::global());
+
   GreedyGrowOptions grow_opts;
   grow_opts.restarts = options_.restarts;
   grow_opts.balance_slack = options_.balance_slack;
-  grow_opts.parallel = options_.parallel_restarts;
+  grow_opts.parallel = par.threads > 1;
 
   FmOptions fm;
   fm.max_passes = options_.refine_passes;
@@ -150,9 +159,6 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
   Workspace& ws = request.workspace != nullptr ? *request.workspace : local_ws;
   WorkspaceLease lease(ws);
   PhaseContextScope<Workspace> phase_ctx(ws, request.phases, kTraceCat);
-
-  const ParallelOptions par =
-      resolve_parallel(request.threads, support::ThreadPool::global());
 
   std::optional<std::vector<PartId>> best_assign;
   Goodness best_goodness;
@@ -190,7 +196,7 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
           shared_h = request.coarsen_cache->hierarchy(gkey, coarsen_opts, g);
         }
       } else {
-        local = coarsen(g, coarsen_opts, cycle_rng, ws);
+        local = coarsen(g, coarsen_opts, cycle_rng, ws, par.threads);
       }
       const Hierarchy& h = shared_h ? *shared_h : local;
       record_coarsen_trace(h, g, cycle, &result.trace);
@@ -216,8 +222,8 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
       // the lowest level if needed … repeated a number of parametrized
       // times"), with a random kick so FM escapes the incumbent's basin
       // (iterated local search).
-      RestrictedHierarchy rh =
-          coarsen_restricted(g, *best_assign, coarsen_opts, cycle_rng, ws);
+      RestrictedHierarchy rh = coarsen_restricted(
+          g, *best_assign, coarsen_opts, cycle_rng, ws, par.threads);
       record_coarsen_trace(rh.hierarchy, g, cycle, &result.trace);
       std::vector<PartId>& coarse = rh.coarse_parts;
       const NodeId cn = rh.hierarchy.coarsest().num_nodes();

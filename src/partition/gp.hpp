@@ -43,7 +43,6 @@ struct GpOptions {
   std::vector<MatchingKind> matchings = {MatchingKind::kHeavyEdge,
                                          MatchingKind::kKMeans};
   double balance_slack = 1.0;  // growth cap slack in greedy initial
-  bool parallel_restarts = true;
   /// Once a feasible finest-level partition exists, run this many further
   /// cycles to polish the cut before stopping (0 = stop immediately; the
   /// paper's Table II shows GP beating METIS on cut, which needs polish).

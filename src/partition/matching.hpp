@@ -18,6 +18,8 @@ using graph::Graph;
 using graph::NodeId;
 using graph::Weight;
 
+enum class MatchingKind { kRandom, kHeavyEdge, kKMeans };
+
 /// match[u] == v means u and v are contracted together (match[v] == u);
 /// match[u] == u means u stays single.
 using Matching = std::vector<NodeId>;

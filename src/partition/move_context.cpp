@@ -1,7 +1,10 @@
 #include "partition/move_context.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
+
+#include "support/thread_pool.hpp"
 
 namespace ppnpart::part {
 
@@ -9,7 +12,8 @@ namespace {
 inline Weight over(Weight value, Weight cap) { return excess_over(value, cap); }
 }  // namespace
 
-void MoveContext::reset(const Graph& g, Partition& p, const Constraints& c) {
+void MoveContext::reset(const Graph& g, Partition& p, const Constraints& c,
+                        std::uint32_t chunks) {
   if (p.size() != g.num_nodes())
     throw std::invalid_argument("MoveContext: size mismatch");
   if (!p.complete())
@@ -26,30 +30,74 @@ void MoveContext::reset(const Graph& g, Partition& p, const Constraints& c) {
   ++reset_count_;
 
   const NodeId n = g.num_nodes();
-  support::assign_tracked(conn_, static_cast<std::size_t>(n) * k_, 0,
-                          alloc_stats_);
-  support::assign_tracked(loads_, static_cast<std::size_t>(k_), 0,
-                          alloc_stats_);
-  support::assign_tracked(counts_, static_cast<std::size_t>(k_), 0,
-                          alloc_stats_);
-  support::assign_tracked(incident_, n, 0, alloc_stats_);
-  pairwise_.reset(k_);
-  for (NodeId u = 0; u < n; ++u) {
-    const PartId pu = p[u];
-    loads_[static_cast<std::size_t>(pu)] += g.node_weight(u);
-    ++counts_[static_cast<std::size_t>(pu)];
-    auto nbrs = g.neighbors(u);
-    auto wgts = g.edge_weights(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId v = nbrs[i];
-      conn_[static_cast<std::size_t>(u) * k_ + static_cast<std::size_t>(p[v])] +=
-          wgts[i];
-      incident_[u] += wgts[i];
-      if (u < v && pu != p[v]) {
-        cut_ += wgts[i];
-        pairwise_.add(pu, p[v], wgts[i]);
+  const std::size_t k = static_cast<std::size_t>(k_);
+  // Every entry of these is written by the chunk that owns its node, so
+  // they are only resized here, never refilled.
+  support::reserve_tracked(conn_, static_cast<std::size_t>(n) * k,
+                           alloc_stats_);
+  conn_.resize(static_cast<std::size_t>(n) * k);
+  support::reserve_tracked(incident_, n, alloc_stats_);
+  incident_.resize(n);
+  support::reserve_tracked(in_boundary_list_, n, alloc_stats_);
+  in_boundary_list_.resize(n);
+
+  // Chunk i fills the conn rows, incident weights and boundary flags of
+  // nodes [n*i/chunks, n*(i+1)/chunks) and adds their loads, counts, cut
+  // and pairwise cut into its own partial sums (k loads, k counts, the cut,
+  // then a k x k matrix with each cut edge on one side).
+  const std::size_t nchunks =
+      std::clamp<std::size_t>(chunks, 1, std::max<std::size_t>(n, 1));
+  const std::size_t stride = 2 * k + 1 + k * k;
+  support::assign_tracked(partial_, nchunks * stride, 0, alloc_stats_);
+  const auto fill = [&](std::size_t chunk) {
+    Weight* const loads = partial_.data() + chunk * stride;
+    Weight* const counts = loads + k;
+    Weight& cut = counts[k];
+    Weight* const pairwise = counts + k + 1;
+    const std::size_t lo = n * chunk / nchunks;
+    const std::size_t hi = n * (chunk + 1) / nchunks;
+    std::fill(conn_.data() + lo * k, conn_.data() + hi * k, Weight{0});
+    for (NodeId u = static_cast<NodeId>(lo); u < hi; ++u) {
+      const std::size_t pu = static_cast<std::size_t>(p[u]);
+      loads[pu] += g.node_weight(u);
+      ++counts[pu];
+      Weight* const row = conn_.data() + static_cast<std::size_t>(u) * k;
+      Weight incident = 0;
+      auto nbrs = g.neighbors(u);
+      auto wgts = g.edge_weights(u);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        const NodeId v = nbrs[i];
+        const std::size_t pv = static_cast<std::size_t>(p[v]);
+        row[pv] += wgts[i];
+        incident += wgts[i];
+        if (u < v && pu != pv) {
+          cut += wgts[i];
+          pairwise[pu * k + pv] += wgts[i];
+        }
       }
+      incident_[u] = incident;
+      in_boundary_list_[u] = row[pu] < incident ? 1 : 0;
     }
+  };
+  support::parallel_for(0, nchunks, fill);
+
+  // Reduce the partial sums in chunk order.
+  support::assign_tracked(loads_, k, 0, alloc_stats_);
+  support::assign_tracked(counts_, k, 0, alloc_stats_);
+  pairwise_.reset(k_);
+  for (std::size_t chunk = 0; chunk < nchunks; ++chunk) {
+    const Weight* const part = partial_.data() + chunk * stride;
+    for (std::size_t r = 0; r < k; ++r) {
+      loads_[r] += part[r];
+      counts_[r] += static_cast<std::uint32_t>(part[k + r]);
+    }
+    cut_ += part[2 * k];
+    const Weight* const pairwise = part + 2 * k + 1;
+    for (std::size_t a = 0; a < k; ++a)
+      for (std::size_t b = 0; b < k; ++b)
+        if (pairwise[a * k + b] != 0)
+          pairwise_.add(static_cast<PartId>(a), static_cast<PartId>(b),
+                        pairwise[a * k + b]);
   }
   for (PartId r = 0; r < k_; ++r) {
     resource_excess_ +=
@@ -62,19 +110,11 @@ void MoveContext::reset(const Graph& g, Partition& p, const Constraints& c) {
     }
   }
 
-  support::reserve_tracked(nz_parts_, static_cast<std::size_t>(k_),
-                           alloc_stats_);
-
-  // Seed the incremental boundary set (ascending by construction).
-  support::assign_tracked(in_boundary_list_, n, 0, alloc_stats_);
+  // The incremental boundary set starts as exactly the boundary, ascending.
   support::reserve_tracked(boundary_list_, n, alloc_stats_);
   boundary_list_.clear();
-  for (NodeId u = 0; u < n; ++u) {
-    if (is_boundary(u)) {
-      in_boundary_list_[u] = 1;
-      boundary_list_.push_back(u);
-    }
-  }
+  for (NodeId u = 0; u < n; ++u)
+    if (in_boundary_list_[u]) boundary_list_.push_back(u);
 }
 
 Goodness MoveContext::goodness_after(NodeId u, PartId q) const {
@@ -256,15 +296,25 @@ std::optional<MoveContext::Candidate> MoveContext::best_move(
   const Weight* conn_row = conn_.data() + conn_base;
   const Weight* pair_row_p = pairwise_.row(p);
   // Parts (other than p) that u has edges into, ascending; and the
-  // source-side bandwidth delta summed over all of them.
-  nz_parts_.clear();
+  // source-side bandwidth delta summed over all of them. The list lives on
+  // this call's stack (on the heap past kStackParts parts), so concurrent
+  // calls on one context share no scratch.
+  constexpr PartId kStackParts = 64;
+  PartId stack_parts[kStackParts];
+  std::unique_ptr<PartId[]> heap_parts;
+  PartId* nz_parts = stack_parts;
+  std::size_t nz = 0;
   Weight sp_sum = 0;
   if (bw_limited) {
+    if (k_ > kStackParts) {
+      heap_parts = std::make_unique<PartId[]>(static_cast<std::size_t>(k_));
+      nz_parts = heap_parts.get();
+    }
     for (PartId r = 0; r < k_; ++r) {
       if (r == p) continue;
       const Weight cur = conn_row[r];
       if (cur == 0) continue;
-      nz_parts_.push_back(r);
+      nz_parts[nz++] = r;
       const Weight pr_old = pair_row_p[r];
       sp_sum += over(pr_old - cur, bmax) - over(pr_old, bmax);
     }
@@ -292,7 +342,8 @@ std::optional<MoveContext::Candidate> MoveContext::best_move(
         bw -= over(pq_old - cuq, bmax) - over(pq_old, bmax);
       }
       const Weight* pair_row_q = pairwise_.row(q);
-      for (PartId r : nz_parts_) {
+      for (std::size_t i = 0; i < nz; ++i) {
+        const PartId r = nz_parts[i];
         if (r == q) continue;
         const Weight cur = conn_row[r];
         const Weight qr_old = pair_row_q[r];

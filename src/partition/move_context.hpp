@@ -27,12 +27,16 @@
 // A MoveContext is designed to be owned by a part::Workspace and re-armed
 // with reset() across refinement levels: every internal buffer keeps its
 // capacity, so steady-state resets allocate nothing. A reset costs
-// O(n * k + m), so GP arms it once per level and runs LP, FM and swap
-// rounds on that one arm (their armed forms in refine.hpp and
-// parallel.hpp). That changes no result: the state stays exact under
-// apply(), and only pair_ub_, which gates fast paths, is looser than a
-// fresh reset would make it.
+// O(n * k + m), so GP arms it once per level, in chunks of node ranges at
+// threads > 1, and runs LP, FM and swap rounds on that one arm (their armed
+// forms in refine.hpp and parallel.hpp). That changes no result: the state
+// stays exact under apply(), and only pair_ub_, which gates fast paths, is
+// looser than a fresh reset would make it. The evaluations (best_move,
+// goodness_after, goodness_after_swap) and the accessors write nothing, so
+// the LP scan and FM seeding read one context from several threads between
+// moves; boundary_nodes() compacts its list and stays single-threaded.
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -54,8 +58,11 @@ class MoveContext {
 
   /// Re-arms the context on a (graph, partition, constraints) triple,
   /// reusing all internal buffer capacity. Same contract as the
-  /// constructor.
-  void reset(const Graph& g, Partition& p, const Constraints& c);
+  /// constructor. `chunks` (clamped to [1, n]) splits the O(n * k + m) fill
+  /// into that many node ranges, run as tasks on the global thread pool
+  /// (inline on a pool worker); the armed state is the same at every count.
+  void reset(const Graph& g, Partition& p, const Constraints& c,
+             std::uint32_t chunks = 1);
 
   /// Optional growth counter for the internal buffers (workspace hook).
   void set_alloc_stats(support::AllocStats* stats) { alloc_stats_ = stats; }
@@ -124,7 +131,8 @@ class MoveContext {
   /// Best target part for u by resulting goodness; never empties u's part
   /// when `allow_emptying` is false. nullopt when no legal target exists.
   /// O(k * nz) for nz parts u connects to, or O(k) while
-  /// pair_ub_ + incident(u) <= bmax.
+  /// pair_ub_ + incident(u) <= bmax. Writes nothing, so several threads may
+  /// evaluate moves on one context while none applies one.
   std::optional<Candidate> best_move(NodeId u, bool allow_emptying = false) const;
 
  private:
@@ -163,8 +171,8 @@ class MoveContext {
   /// Superset of the boundary (lazily compacted on enumeration).
   mutable std::vector<NodeId> boundary_list_;
   mutable std::vector<std::uint8_t> in_boundary_list_;
-  /// best_move scratch: parts the probed node connects to.
-  mutable std::vector<PartId> nz_parts_;
+  /// reset()'s per-chunk partial sums: loads, counts, cut, pairwise cut.
+  std::vector<Weight> partial_;
   support::AllocStats* alloc_stats_ = nullptr;
 };
 

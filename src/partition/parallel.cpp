@@ -1,8 +1,6 @@
 #include "partition/parallel.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <future>
 
 #include "partition/move_context.hpp"
 #include "support/alloc_stats.hpp"
@@ -37,34 +35,6 @@ std::vector<Chunk> make_chunks(NodeId n, std::uint32_t parts) {
   }
   if (chunks.empty()) chunks.push_back(Chunk{0, 0, 0});
   return chunks;
-}
-
-/// Runs fn(chunk) for every chunk, fanning out through the pool. Falls back
-/// to inline execution for a single chunk or when already on a pool worker
-/// (nested parallelism would deadlock a saturated pool); the fallback cannot
-/// change results, which never depend on the executing thread.
-/// All chunks run to completion even if one throws; the first exception is
-/// rethrown.
-template <typename Fn>
-void run_chunks(support::ThreadPool& pool, const std::vector<Chunk>& chunks,
-                const Fn& fn) {
-  if (chunks.size() <= 1 || pool.on_worker_thread()) {
-    for (const Chunk& ch : chunks) fn(ch);
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks.size());
-  for (const Chunk& ch : chunks)
-    futures.push_back(pool.submit([fn, ch] { fn(ch); }));
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
 }
 
 /// Globally consistent total order on edges: heavier first, then the
@@ -125,7 +95,9 @@ Weight parallel_heavy_edge_matching(const Graph& g,
   while (free_nodes > 0) {
     // Phase A: propose. Reads `m` (frozen since the last barrier), writes
     // only prop/prop_w slots the chunk owns.
-    run_chunks(pool, chunks, [gp, m, prop, prop_w](const Chunk& ch) {
+    support::parallel_for(pool, 0, chunks.size(),
+                          [&chunks, gp, m, prop, prop_w](std::size_t i) {
+      const Chunk& ch = chunks[i];
       for (NodeId u = ch.begin; u < ch.end; ++u) {
         if (m[u] != kInvalidNode) continue;
         auto nbrs = gp->neighbors(u);
@@ -150,7 +122,9 @@ Weight parallel_heavy_edge_matching(const Graph& g,
     // observe the same frozen proposals and write their own halves).
     Weight* cw = chunk_weight.data();
     NodeId* cf = chunk_free.data();
-    run_chunks(pool, chunks, [m, prop, prop_w, cw, cf](const Chunk& ch) {
+    support::parallel_for(pool, 0, chunks.size(),
+                          [&chunks, m, prop, prop_w, cw, cf](std::size_t i) {
+      const Chunk& ch = chunks[i];
       Weight w = 0;
       NodeId still_free = 0;
       for (NodeId u = ch.begin; u < ch.end; ++u) {
@@ -213,7 +187,9 @@ bool parallel_lp_refine(MoveContext& mc, const LpRefineOptions& options,
     const MoveContext* mcp = &mc;
     const Constraints* cp = &mc.constraints();
     ThreadArena* const* arenas = arena_ptrs.data();
-    run_chunks(pool, chunks, [mcp, cp, k, arenas](const Chunk& ch) {
+    support::parallel_for(pool, 0, chunks.size(),
+                          [&chunks, mcp, cp, k, arenas](std::size_t i) {
+      const Chunk& ch = chunks[i];
       ThreadArena& arena = *arenas[ch.index];
       arena.moves.clear();
       for (NodeId u = ch.begin; u < ch.end; ++u) {

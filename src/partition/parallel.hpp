@@ -1,13 +1,27 @@
 #pragma once
-// Shared-memory parallel kernels of the multilevel refiner (ROADMAP item 1).
+// Shared-memory parallelism of the multilevel pipeline (ROADMAP item 3).
 //
 // There is one multilevel pipeline, and its answer never depends on the
-// thread count. GP refines every level with at least
-// ParallelOptions::min_parallel_nodes nodes with parallel_lp_refine plus one
-// bounded FM pass, at every `threads` value; coarsening is always the serial
-// matching competition. `threads` only sets how many chunks the LP scan is
-// cut into, so it changes speed, never the partition.
+// thread count. PartitionRequest::threads, resolved by resolve_parallel(),
+// only caps how many chunks GP cuts its chunked kernels into:
+//  * graph::contract_csr, by coarse-row range (inside coarsen());
+//  * the matching race, one task per strategy (coarsen() and
+//    coarsen_restricted());
+//  * MoveContext::reset, by node range;
+//  * FM seed evaluation, by seed range (constrained_fm_refine);
+//  * the LP scan below, by node range;
+//  * greedy-growth restarts, one task per restart (threads > 1 only).
+// Each kernel takes an explicit chunk count that defaults to one, and one
+// chunk is the serial case of the same code. GP picks, per level,
+// chunks_for(threads, work, grain) with the grains below. Chunks write
+// disjoint outputs, and partial results merge in chunk-index order, so each
+// kernel is a pure function of its input at any chunk count. All fan-out
+// goes through support::parallel_for, which runs inline on a pool worker
+// (an engine member), so chunking there adds no parallelism and changes no
+// result. What stays serial: FM's move loop, LP's commit, swap rounds and
+// contraction's O(n) member lists.
 //
+// The two kernels of this file:
 //  * parallel_lp_refine — size-constrained label propagation over the
 //    boundary set: a read-only scan proposes moves against the round-start
 //    MoveContext state into per-chunk buffers, then a serial commit
@@ -15,17 +29,14 @@
 //    (so LP is goodness-monotone and never worsens a projection);
 //  * parallel_heavy_edge_matching — synchronous mutual-proposal rounds; a
 //    kernel on its own, no partitioner coarsens with it.
-//
-// Both merge per-chunk results in chunk-index order (== node-id order) and
-// break ties by node id, so each is a pure function of its input at ANY
-// chunk count. Chunks are contiguous node ranges, one ThreadArena per chunk
-// task, carved from the single leased Workspace (the one-lease-per-run
-// invariant holds; arenas are interior and disjoint). Scan phases only read
-// shared state; mutation happens in serial phases between them, so the
-// kernels are data-race-free by construction. All fan-out goes through
-// support::ThreadPool and runs inline on a pool worker (an engine member),
-// which cannot change a result either.
+// Both use contiguous node ranges, one ThreadArena per LP chunk task carved
+// from the single leased Workspace (the one-lease-per-run invariant holds;
+// arenas are interior and disjoint). Scan phases only read shared state;
+// mutation happens in serial phases between them, so the kernels are
+// data-race-free by construction.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 #include "partition/partition.hpp"
@@ -34,10 +45,29 @@
 
 namespace ppnpart::part {
 
+/// Scheduling grains of GP's chunked kernels. Answers never depend on the
+/// chunk count, so these are scheduling constants, not options.
+/// Fine adjacency entries per contraction chunk.
+inline constexpr std::size_t kContractGrain = 16384;
+/// Levels with at least this many nodes race their matchings concurrently.
+inline constexpr NodeId kRaceMinNodes = 2048;
+/// Nodes per MoveContext::reset chunk.
+inline constexpr std::size_t kResetGrain = 8192;
+/// Nodes per FM seeding chunk (a level's node count bounds its seeds).
+inline constexpr std::size_t kSeedGrain = 4096;
+
+/// min(threads, work / grain), at least 1: the chunk count of one kernel
+/// call on `work` units.
+inline std::uint32_t chunks_for(std::uint32_t threads, std::size_t work,
+                                std::size_t grain) {
+  return static_cast<std::uint32_t>(
+      std::max<std::size_t>(1, std::min<std::size_t>(threads, work / grain)));
+}
+
 /// Resolved intra-run parallelism knobs, derived from
 /// PartitionRequest::threads by resolve_parallel().
 struct ParallelOptions {
-  /// Chunks per scan phase (>= 1). 1 runs the same kernels inline as a
+  /// Most chunks per kernel call (>= 1). 1 runs every kernel inline as a
   /// single chunk; every value yields the same answer.
   std::uint32_t threads = 1;
   /// Levels with at least this many nodes are refined by LP + bounded FM;

@@ -27,8 +27,10 @@ struct PartitionRequest {
   /// ignore them, exactly like METIS in the paper's experiments.
   Constraints constraints;
   std::uint64_t seed = 1;
-  /// Intra-run parallelism: the chunk count of GP's label-propagation scan
-  /// (parallel.hpp); 0 = auto (thread-pool size). It changes speed only:
+  /// Intra-run parallelism: the most chunks GP cuts each of its chunked
+  /// kernels into (contraction, matching race, MoveContext arming, FM
+  /// seeding, LP scan, greedy-growth restarts; parallel.hpp); 0 = auto
+  /// (thread-pool size), 1 = never touch the pool. It changes speed only:
   /// GP answers are bit-identical at every value, and MetisLike ignores it.
   /// Like `workspace`, it is excluded from request fingerprints.
   std::uint32_t threads = 1;

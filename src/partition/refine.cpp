@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "support/thread_pool.hpp"
+
 namespace ppnpart::part {
 
 namespace {
@@ -33,7 +35,8 @@ struct WorseDelta {
 /// goodness (state of `p` on return corresponds to it). All scratch comes
 /// from `ws`; a warm workspace makes the pass allocation-free.
 Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
-                             support::Rng& rng, FmScratch& fs) {
+                             support::Rng& rng, FmScratch& fs,
+                             std::uint32_t seed_chunks) {
   const Graph& g = ctx.graph();
   const NodeId n = g.num_nodes();
 
@@ -94,7 +97,30 @@ Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
   rng.shuffle(seeds);
   support::reserve_tracked(heap, seeds.size(), fs.stats);
   support::reserve_tracked(pool, seeds.size(), fs.stats);
-  for (NodeId u : seeds) push_candidate(u);
+  // Evaluate every seed's best move against the pass-start state into its
+  // pool slot, in chunks of the seed order (no move happens until all are
+  // done, and no seed is locked yet); target kUnassigned marks a seed
+  // without a legal move. Pushing the rest in seed order gives the heap
+  // the push sequence of evaluating them one by one, and the heap only
+  // compares entry values, so its pops are the same too.
+  const std::size_t num_seeds = seeds.size();
+  const std::size_t nchunks = std::clamp<std::size_t>(
+      seed_chunks, 1, std::max<std::size_t>(num_seeds, 1));
+  pool.resize(num_seeds);
+  support::parallel_for(0, nchunks, [&](std::size_t chunk) {
+    for (std::size_t i = num_seeds * chunk / nchunks;
+         i < num_seeds * (chunk + 1) / nchunks; ++i) {
+      const NodeId u = seeds[i];
+      const auto cand = ctx.best_move(u);
+      pool[i] = cand ? entry_of(u, cand->target, cand->after, fs.stamp[u])
+                     : FmHeapEntry{0, 0, 0, u, kUnassigned, 0, 0};
+    }
+  });
+  for (std::size_t i = 0; i < num_seeds; ++i) {
+    if (pool[i].target == kUnassigned) continue;
+    heap.push_back(static_cast<std::uint32_t>(i));
+    std::push_heap(heap.begin(), heap.end(), WorseDelta{pool.data()});
+  }
 
   std::vector<FmMoveRecord>& log = fs.log;
   support::reserve_tracked(log, n, fs.stats);
@@ -183,12 +209,14 @@ Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
 }  // namespace
 
 bool constrained_fm_refine(MoveContext& ctx, const FmOptions& options,
-                           support::Rng& rng, FmScratch& fs) {
+                           support::Rng& rng, FmScratch& fs,
+                           std::uint32_t seed_chunks) {
   const Goodness initial = ctx.goodness();
   Goodness current = initial;
   for (std::uint32_t pass = 0; pass < options.max_passes; ++pass) {
     support::Rng pass_rng = rng.derive(0x9d5ull * (pass + 1));
-    const Goodness after = constrained_fm_pass(ctx, options, pass_rng, fs);
+    const Goodness after =
+        constrained_fm_pass(ctx, options, pass_rng, fs, seed_chunks);
     if (!(after < current)) break;
     current = after;
   }

@@ -50,8 +50,12 @@ bool constrained_fm_refine(const Graph& g, Partition& p, const Constraints& c,
 /// Armed form: refines the partition `ctx` is armed on, without a reset.
 /// The Workspace overload is reset(g, p, c) on ws.move_ctx plus this call;
 /// GP arms once per level and runs LP, FM and swap rounds on that arm.
+/// Each pass evaluates its seeds' best moves in `seed_chunks` (clamped to
+/// [1, seeds]) tasks on the global thread pool before its serial move
+/// loop; the result is the same at every count.
 bool constrained_fm_refine(MoveContext& ctx, const FmOptions& options,
-                           support::Rng& rng, FmScratch& fs);
+                           support::Rng& rng, FmScratch& fs,
+                           std::uint32_t seed_chunks = 1);
 bool constrained_fm_refine(const Graph& g, Partition& p, const Constraints& c,
                            const FmOptions& options, support::Rng& rng);
 

@@ -15,10 +15,14 @@
 //
 // Ownership rules: ONE Workspace per partitioner run, created by (or handed
 // to) the run and threaded down by reference. NEVER share a Workspace
-// across threads — it is deliberately unsynchronized scratch; parallel
-// sections (e.g. greedy-grow restarts) must not touch it. Reuse across
-// sequential runs is encouraged (PartitionRequest::workspace) and is where
-// the steady-state zero-allocation behaviour comes from.
+// across threads — it is deliberately unsynchronized scratch. A run's own
+// chunk tasks are the one exception: each writes only scratch carved out
+// for it (a ThreadArena, a RaceSlot, a contraction chunk's region and
+// position array, a MoveContext chunk's rows and partial sums, an FM seed
+// range), and the run waits for them before touching anything else.
+// Greedy-grow restarts touch no workspace at all. Reuse across sequential
+// runs is encouraged (PartitionRequest::workspace) and is where the
+// steady-state zero-allocation behaviour comes from.
 
 #include <atomic>
 #include <cstdint>
@@ -122,20 +126,22 @@ struct LpCandidate {
   PartId to;
 };
 
-/// Per-chunk scratch of the parallel kernels. A chunk task owns exactly one
-/// arena for the duration of a phase; arenas are interior to the single
-/// leased Workspace and pairwise disjoint, so the one-lease-per-run
-/// ownership rule holds unchanged — the lease covers the run, the arenas
-/// partition the scratch among that run's worker chunks.
+/// Per-chunk scratch of the LP scan (parallel.hpp). A chunk task owns
+/// exactly one arena for the duration of a phase; arenas are interior to
+/// the single leased Workspace and pairwise disjoint, so the
+/// one-lease-per-run ownership rule holds unchanged — the lease covers the
+/// run, the arenas partition the scratch among that run's chunk tasks.
 struct ThreadArena {
   support::AllocStats* stats = nullptr;
   /// LP candidate buffer; merged across arenas once per round.
   std::vector<LpCandidate> moves;
 };
 
-/// Shared buffers of the parallel multilevel kernels (parallel.hpp). The
-/// proposal/weight arrays back the mutual-proposal matching (phase-separated
-/// plain access: every slot has exactly one writer per phase).
+/// Buffers of the two kernels in parallel.hpp: the LP scan's arenas and
+/// merged candidates, and the mutual-proposal matching's proposal/weight
+/// arrays (phase-separated plain access: every slot has exactly one writer
+/// per phase). The other chunked kernels keep their per-chunk state in
+/// their own scratch: ContractScratch, RaceSlot, MoveContext and FmScratch.
 struct ParallelScratch {
   support::AllocStats* stats = nullptr;
   /// Per-node proposed partner (mutual-proposal rounds).
@@ -158,6 +164,16 @@ struct ParallelScratch {
 
  private:
   std::vector<std::unique_ptr<ThreadArena>> arenas_;
+};
+
+/// One entrant of coarsen()'s matching race: its own matching and scratch,
+/// so the strategies of a level can run concurrently, and its score.
+struct RaceSlot {
+  Matching match;
+  MatchingScratch scratch;
+  MatchingKind kind = MatchingKind::kRandom;
+  Weight weight = 0;         // matched edge weight after any filter
+  std::uint32_t pairs = 0;   // matched pair count
 };
 
 class Workspace {
@@ -197,9 +213,16 @@ class Workspace {
   /// Boundary/visit-order buffer for the greedy refiners.
   std::vector<NodeId> boundary;
 
-  /// Matching competition buffers (coarsen(): candidate vs best-so-far).
-  Matching match_candidate;
-  Matching match_best;
+  /// The race slot of the i-th strategy in coarsen()'s list, created on
+  /// first use (a growth event) and reused by every later level and run.
+  RaceSlot& race_slot(std::size_t i) {
+    while (race_.size() <= i) {
+      stats_.note(sizeof(RaceSlot));
+      race_.push_back(std::make_unique<RaceSlot>());
+      race_.back()->scratch.stats = &stats_;
+    }
+    return *race_[i];
+  }
 
   /// Reusable Partition for per-level refine-project loops.
   Partition level_partition;
@@ -216,6 +239,7 @@ class Workspace {
 
  private:
   support::AllocStats stats_;
+  std::vector<std::unique_ptr<RaceSlot>> race_;
 #if PPN_CONTRACTS_ENABLED
   friend class WorkspaceLease;
   /// Debug-only exclusivity flag; see WorkspaceLease.

@@ -9,24 +9,31 @@
 // at allocator traffic.
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace ppnpart::support {
 
+/// The counters are atomic because one run's concurrent chunk tasks (the
+/// matching race) grow buffers of the same workspace at once; they only
+/// count, so relaxed increments suffice.
 struct AllocStats {
   /// Number of capacity growths (each one is at least one real allocation).
-  std::uint64_t growths = 0;
+  std::atomic<std::uint64_t> growths{0};
   /// Total bytes requested by those growths.
-  std::uint64_t grown_bytes = 0;
+  std::atomic<std::uint64_t> grown_bytes{0};
 
   void note(std::size_t bytes) {
-    ++growths;
-    grown_bytes += bytes;
+    growths.fetch_add(1, std::memory_order_relaxed);
+    grown_bytes.fetch_add(bytes, std::memory_order_relaxed);
   }
 
-  void reset() { *this = AllocStats{}; }
+  void reset() {
+    growths.store(0, std::memory_order_relaxed);
+    grown_bytes.store(0, std::memory_order_relaxed);
+  }
 };
 
 /// reserve() that records a growth event when (and only when) the vector

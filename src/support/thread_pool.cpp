@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <exception>
 
+#include "support/trace.hpp"
+
 namespace ppnpart::support {
 
 namespace {
@@ -75,6 +77,10 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   for (std::size_t lo = begin; lo < end; lo += chunk) {
     const std::size_t hi = std::min(end, lo + chunk);
     futures.push_back(pool.submit([lo, hi, &fn] {
+      // One span per chunk task (one relaxed load when tracing is off), so
+      // a trace shows how long each chunk ran and on which worker.
+      ScopedSpan span("pool", "chunk", lo);
+      span.arg("indices", static_cast<std::int64_t>(hi - lo));
       for (std::size_t i = lo; i < hi; ++i) fn(i);
     }));
   }

@@ -2,10 +2,11 @@
 // Fixed-size thread pool with a blocking task queue, plus a chunked
 // parallel_for helper.
 //
-// The partitioner's parallelism is coarse-grained (competing matchings,
-// initial-partitioning restarts, V-cycle candidates, per-instance benchmark
-// fan-out), so a simple mutex-protected queue is more than adequate; the
-// fan-out is tens of tasks, each milliseconds long or more.
+// The partitioner's parallelism is coarse-grained: a GP run fans out a
+// handful of chunk tasks per kernel call (contraction rows, the matching
+// race, MoveContext arming, FM seeding, the LP scan, greedy-growth
+// restarts), each tens of microseconds or more, and the engine fans out
+// portfolio members. A simple mutex-protected queue is more than adequate.
 
 #include <condition_variable>
 #include <cstddef>
@@ -84,7 +85,8 @@ class ThreadPool {
 /// indices. Falls back to a serial loop for tiny ranges and when called from
 /// one of the pool's own workers (nested parallelism). If any invocation
 /// throws, every chunk still runs to completion (or its own first throw) and
-/// the first exception is rethrown to the caller.
+/// the first exception is rethrown to the caller. Each task submitted to the
+/// pool records one trace span ("pool", "chunk").
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t grain = 1);

@@ -164,11 +164,14 @@ graph::Graph builder_contraction(const graph::Graph& g,
 }
 
 TEST(ContractProperty, OneScratchAcrossGrowingAndShrinkingCoarseCounts) {
-  // contract_csr keeps one position array over the coarse nodes and resets
-  // each entry when its row is done. One scratch serves coarse counts that
-  // grow and shrink, with dense graphs whose rows pass 24 entries (the sort
-  // path) next to sparse ones (the insertion path): an entry left set by an
-  // earlier row or call would misplace a weight in a later one.
+  // contract_csr keeps one position array per chunk over the coarse nodes
+  // and resets each entry when its row is done. One scratch serves coarse
+  // counts that grow and shrink, at 1 to 7 chunks (row ranges built
+  // concurrently into their own regions), with dense graphs whose rows pass
+  // 24 entries (the sort path) next to sparse ones (the insertion path): an
+  // entry left set by an earlier row or call, or a region that overlaps its
+  // neighbour, would misplace a weight in a later row. A second round over
+  // the same inputs grows no buffer.
   struct Case {
     graph::NodeId n;
     std::uint64_t m;
@@ -176,26 +179,40 @@ TEST(ContractProperty, OneScratchAcrossGrowingAndShrinkingCoarseCounts) {
   };
   const Case cases[] = {{400, 4800, 150}, {120, 240, 100}, {600, 7200, 250},
                         {90, 180, 60},    {500, 3000, 40}, {300, 600, 280}};
+  support::AllocStats stats;
   graph::ContractScratch scratch;
+  scratch.stats = &stats;
   support::Rng rng(2024);
-  std::uint32_t longest_row = 0;
+  std::vector<graph::Graph> graphs;
+  std::vector<std::vector<graph::NodeId>> maps;
   for (const Case& cs : cases) {
-    const graph::Graph g =
-        graph::erdos_renyi_gnm(cs.n, cs.m, rng, {1, 9}, {1, 9});
-    std::vector<graph::NodeId> map(cs.n);
+    graphs.push_back(graph::erdos_renyi_gnm(cs.n, cs.m, rng, {1, 9}, {1, 9}));
+    std::vector<graph::NodeId>& map = maps.emplace_back(cs.n);
     for (graph::NodeId u = 0; u < cs.n; ++u) {
       map[u] = u < cs.coarse ? u
                              : static_cast<graph::NodeId>(
                                    rng.uniform_index(cs.coarse));
     }
-    const graph::Graph direct =
-        graph::contract_csr(g, map, cs.coarse, scratch);
-    expect_graphs_identical(direct, builder_contraction(g, map, cs.coarse));
-    EXPECT_EQ(direct.validate(), "");
-    for (graph::NodeId c = 0; c < cs.coarse; ++c)
-      longest_row = std::max(longest_row, direct.degree(c));
+  }
+  std::uint32_t longest_row = 0;
+  std::uint64_t first_round_growths = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < std::size(cases); ++i) {
+      const graph::Graph reference =
+          builder_contraction(graphs[i], maps[i], cases[i].coarse);
+      for (const std::uint32_t chunks : {1u, 2u, 3u, 4u, 7u}) {
+        const graph::Graph direct = graph::contract_csr(
+            graphs[i], maps[i], cases[i].coarse, scratch, chunks);
+        expect_graphs_identical(direct, reference);
+        EXPECT_EQ(direct.validate(), "") << "chunks " << chunks;
+        for (graph::NodeId c = 0; c < cases[i].coarse; ++c)
+          longest_row = std::max(longest_row, direct.degree(c));
+      }
+    }
+    if (round == 0) first_round_growths = stats.growths;
   }
   EXPECT_GT(longest_row, 24u);
+  EXPECT_EQ(stats.growths, first_round_growths);
 }
 
 TEST(ContractProperty, RejectsBadInput) {

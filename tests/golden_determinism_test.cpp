@@ -131,10 +131,10 @@ TEST(GoldenDeterminism, NLevelFixedSeed) {
 
 // ---- Thread-count invariance. ---------------------------------------------
 // GP and MetisLike each run one multilevel pipeline; `threads` only sets the
-// chunk count of GP's label-propagation scan (MetisLike ignores it). The
-// 4000-node graph crosses min_parallel_nodes, so LP really runs, and every
-// thread count — auto, one chunk and several — must reproduce one pinned
-// answer.
+// chunk counts of GP's kernels (MetisLike ignores it). The 4000-node graph
+// crosses min_parallel_nodes and kRaceMinNodes, so LP and the concurrent
+// matching race really run, and every thread count — auto, one chunk and
+// several — must reproduce one pinned answer.
 
 constexpr std::uint32_t kThreadCounts[] = {0, 1, 2, 4, 8};
 
@@ -195,11 +195,14 @@ TEST(QualityGate, GpTrackedWorkloadKeepsSerialCutAtEveryThreadCount) {
 
   request.threads = 1;
   const part::PartitionResult one = gp.run(g, request);
-  request.threads = 4;
-  const part::PartitionResult four = gp.run(g, request);
   std::printf("GP tracked 10k cut: %lld\n",
               static_cast<long long>(one.metrics.total_cut));
-  EXPECT_EQ(four.partition.assignments(), one.partition.assignments());
+  for (const std::uint32_t threads : {2u, 4u, 8u}) {
+    request.threads = threads;
+    const part::PartitionResult chunked = gp.run(g, request);
+    EXPECT_EQ(chunked.partition.assignments(), one.partition.assignments())
+        << "threads " << threads;
+  }
   EXPECT_TRUE(one.feasible);
   EXPECT_LE(one.metrics.total_cut, 10013);
 }

@@ -44,9 +44,9 @@
 // thread count (1, 2, 4, 8) — wall-clock speedup vs threads=1, peak RSS (the
 // streamed generator keeps it near the finished CSR size), and the contract
 // that the answer is bit-identical at every thread count (threads only sets
-// the LP scan's chunk count). --check gates the structural facts everywhere
-// (validity, thread-count invariance, repeat reproducibility) and arms the
-// >= 3x speedup-at-8 gate only on >= 8-core hardware.
+// the chunk counts of GP's kernels). --check gates the structural facts
+// everywhere (validity, thread-count invariance, repeat reproducibility) and
+// arms the >= 3x speedup-at-8 gate only on >= 8-core hardware.
 //
 // Modes:
 //   bench_json            full workload, writes BENCH_multilevel.json

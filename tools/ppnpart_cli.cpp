@@ -21,10 +21,10 @@
 //                       ("default" = gp,metislike,annealing,tabu; when
 //                       omitted, --algorithm runs as a 1-member portfolio)
 //   --time-budget-ms N  per-job wall-clock budget (cooperative)
-//   --threads-per-job N chunk count of GP's label-propagation scan in a
-//                       direct run (default 1, 0 = auto); changes speed
-//                       only, never the answer. Engine members run their
-//                       chunks inline on pool workers
+//   --threads-per-job N most chunks per GP kernel call in a direct run
+//                       (default 1, 0 = auto); changes speed only, never
+//                       the answer. Engine members run their chunks inline
+//                       on pool workers
 //   --jobs N            batch N jobs with seeds seed..seed+N-1 and report
 //                       the best answer plus engine throughput/cache stats
 //   --similarity on|off similarity-aware admission (default off): arrivals
@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
   args.add_int("jobs", 1,
                "engine mode: batch N jobs with seeds seed..seed+N-1");
   args.add_int("threads-per-job", 1,
-               "chunks of GP's label-propagation scan in a direct run "
+               "most chunks per GP kernel call in a direct run "
                "(0 = auto); changes speed only, never the answer");
   args.add_string("delta", "",
                   "replay an edit script against the input network "
