@@ -115,11 +115,14 @@ class MoveContext {
   }
 
   /// Boundary nodes ascending by id. The overload filling a caller buffer
-  /// is the allocation-free hot path; the by-value form remains for
-  /// convenience.
+  /// is the allocation-free hot path (its growth counts as the workspace's);
+  /// the by-value form remains for convenience. Its fresh vector is not
+  /// workspace scratch, so it is sized up front, to the lazy list that the
+  /// boundary never outgrows, and no growth is counted.
   void boundary_nodes(std::vector<NodeId>& out) const;
   std::vector<NodeId> boundary_nodes() const {
     std::vector<NodeId> out;
+    out.reserve(boundary_list_.size());
     boundary_nodes(out);
     return out;
   }
