@@ -1,8 +1,7 @@
 // Cross-algorithm comparison over the related-work families the paper
-// surveys in Section II: local search (KL, FM-based GP refinement, tabu),
-// non-greedy hill climbing (simulated annealing), evolutionary (genetic),
-// spectral, multilevel (GP, MetisLike, n-level) and the exact optimum where
-// tractable.
+// surveys in Section II: local search (FM-based GP refinement, tabu),
+// non-greedy hill climbing (simulated annealing), multilevel (GP,
+// MetisLike) and the exact optimum where tractable.
 //
 // Two panels:
 //   1. The paper's three 12-node instances — every algorithm, constraint
@@ -18,12 +17,8 @@
 #include "bench_common.hpp"
 #include "partition/annealing.hpp"
 #include "partition/exact.hpp"
-#include "partition/genetic.hpp"
 #include "partition/gp.hpp"
-#include "partition/kl.hpp"
 #include "partition/metislike.hpp"
-#include "partition/nlevel.hpp"
-#include "partition/spectral.hpp"
 #include "partition/tabu.hpp"
 #include "ppn/paper_instances.hpp"
 
@@ -35,14 +30,8 @@ std::vector<std::unique_ptr<part::Partitioner>> make_algorithms() {
   std::vector<std::unique_ptr<part::Partitioner>> algos;
   algos.push_back(std::make_unique<part::GpPartitioner>());
   algos.push_back(std::make_unique<part::MetisLikePartitioner>());
-  algos.push_back(std::make_unique<part::NLevelPartitioner>());
-  algos.push_back(std::make_unique<part::KlPartitioner>());
-  algos.push_back(std::make_unique<part::SpectralPartitioner>());
   algos.push_back(std::make_unique<part::TabuPartitioner>());
   algos.push_back(std::make_unique<part::AnnealingPartitioner>());
-  part::GeneticOptions ga;
-  ga.generations = 25;
-  algos.push_back(std::make_unique<part::GeneticPartitioner>(ga));
   algos.push_back(std::make_unique<part::RandomPartitioner>());
   return algos;
 }

@@ -1,10 +1,8 @@
-// Regenerates the paper's experiment tables. Compiled three times with
-// PPNPART_TABLE_INDEX = 1, 2, 3 into bench_table1/2/3.
+// Regenerates the paper's experiment tables (Tables I, II and III).
 
 #include "table_common.hpp"
 
-#ifndef PPNPART_TABLE_INDEX
-#define PPNPART_TABLE_INDEX 1
-#endif
-
-int main() { return ppnpart::bench::run_table(PPNPART_TABLE_INDEX); }
+int main() {
+  for (int index = 1; index <= 3; ++index) ppnpart::bench::run_table(index);
+  return 0;
+}

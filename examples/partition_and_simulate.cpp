@@ -1,7 +1,7 @@
 // Head-to-head on a user-supplied or generated process network: partition
-// with every algorithm in the library (GP, MetisLike, Spectral, Random),
-// check the paper's two constraints, and simulate each mapping's sustained
-// throughput on the target platform.
+// with GP, the METIS-like baseline and the random control, check the
+// paper's two constraints, and simulate each mapping's sustained throughput
+// on the target platform.
 //
 //   ./partition_and_simulate [--nodes 96] [--k 4] [--seed 3]
 //   ./partition_and_simulate --metis-file app.graph --k 4 --rmax 800 --bmax 30
@@ -13,7 +13,7 @@
 #include "mapping/mapper.hpp"
 #include "partition/gp.hpp"
 #include "partition/metislike.hpp"
-#include "partition/spectral.hpp"
+#include "partition/partitioner.hpp"
 #include "ppn/network.hpp"
 #include "sim/simulator.hpp"
 #include "support/cli.hpp"
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   using namespace ppnpart;
 
   support::ArgParser args(
-      "compare all partitioners on one process network, with simulation");
+      "compare partitioners on one process network, with simulation");
   args.add_int("nodes", 96, "generated PN size (ignored with --metis-file)");
   args.add_int("k", 4, "number of FPGAs");
   args.add_int("seed", 3, "generator / partitioner seed");
@@ -110,8 +110,6 @@ int main(int argc, char** argv) {
   contend(gp);
   part::MetisLikePartitioner metis;
   contend(metis);
-  part::SpectralPartitioner spectral;
-  contend(spectral);
   part::RandomPartitioner random;
   contend(random);
   return 0;

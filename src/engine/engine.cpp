@@ -63,8 +63,7 @@ support::Result<ShedPolicy> parse_shed_policy(const std::string& name) {
 }
 
 bool is_cheap_member(const std::string& name) {
-  return name == "gp" || name == "metislike" || name == "kl" ||
-         name == "spectral" || name == "random";
+  return name == "gp" || name == "metislike" || name == "random";
 }
 
 namespace {

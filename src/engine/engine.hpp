@@ -124,8 +124,8 @@ const char* to_string(ShedPolicy policy);
 support::Result<ShedPolicy> parse_shed_policy(const std::string& name);
 
 /// Members cheap enough for the degradation ladder's reduced rungs: the
-/// single-pass heuristics plus GP (nlevel/annealing/tabu/genetic/exact are
-/// the expensive tail — on the tracked workload NLevel alone costs ~30x GP).
+/// single-pass heuristics plus GP (annealing/tabu/exact are the expensive
+/// tail).
 bool is_cheap_member(const std::string& name);
 
 struct EngineOptions {
@@ -135,10 +135,10 @@ struct EngineOptions {
   /// is cooperative: member 0 of a job always runs (partitioners produce a
   /// complete partition even when stopped at their first checkpoint), so a
   /// blown budget degrades quality, never availability. Checkpoint polls
-  /// exist in the iterative members (gp, annealing, genetic, tabu) and in
-  /// exact's branch-and-bound; the single-pass heuristics (metislike,
-  /// nlevel, kl, spectral, random) run to completion — they are the fast,
-  /// bounded members, so the overshoot is one direct pass at worst.
+  /// exist in the iterative members (gp, annealing, tabu) and in exact's
+  /// branch-and-bound; the single-pass heuristics (metislike, random) run
+  /// to completion — they are the fast, bounded members, so the overshoot
+  /// is one direct pass at worst.
   double time_budget_ms = 0;
 
   /// Early-exit quality gate: once some member's result is feasible with
@@ -161,9 +161,7 @@ struct EngineOptions {
 
   /// Thresholds of the incremental repartitioning path (see
   /// part::IncrementalOptions); past them Engine::repartition falls back to
-  /// a FULL PORTFOLIO run — `incremental.fallback_algorithm` is therefore
-  /// ignored here (it only applies to standalone IncrementalPartitioner
-  /// use): the portfolio is the engine's stronger, cacheable fallback.
+  /// a FULL PORTFOLIO run, the engine's stronger, cacheable fallback.
   /// `incremental.max_diff_ops_fraction` also gates the similarity path's
   /// reconstructed diffs.
   part::IncrementalOptions incremental;

@@ -7,27 +7,6 @@
 
 namespace ppnpart::graph {
 
-std::vector<NodeId> bfs_order(const Graph& g, NodeId source) {
-  std::vector<NodeId> order;
-  if (source >= g.num_nodes()) return order;
-  std::vector<bool> seen(g.num_nodes(), false);
-  std::queue<NodeId> queue;
-  queue.push(source);
-  seen[source] = true;
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop();
-    order.push_back(u);
-    for (NodeId v : g.neighbors(u)) {
-      if (!seen[v]) {
-        seen[v] = true;
-        queue.push(v);
-      }
-    }
-  }
-  return order;
-}
-
 Components connected_components(const Graph& g) {
   Components out;
   out.component_of.assign(g.num_nodes(), std::numeric_limits<std::uint32_t>::max());
@@ -80,27 +59,6 @@ Subgraph induced_subgraph(const Graph& g, const std::vector<NodeId>& nodes) {
     }
   }
   return Subgraph{builder.build(), nodes};
-}
-
-Graph permute(const Graph& g, const std::vector<NodeId>& perm) {
-  if (perm.size() != g.num_nodes())
-    throw std::invalid_argument("permute: size mismatch");
-  std::vector<bool> seen(perm.size(), false);
-  for (NodeId p : perm) {
-    if (p >= perm.size() || seen[p])
-      throw std::invalid_argument("permute: not a permutation");
-    seen[p] = true;
-  }
-  GraphBuilder builder(g.num_nodes());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    builder.set_node_weight(perm[u], g.node_weight(u));
-    auto nbrs = g.neighbors(u);
-    auto wgts = g.edge_weights(u);
-    for (std::size_t j = 0; j < nbrs.size(); ++j) {
-      if (u < nbrs[j]) builder.add_edge(perm[u], perm[nbrs[j]], wgts[j]);
-    }
-  }
-  return builder.build();
 }
 
 DegreeStats degree_stats(const Graph& g) {

@@ -8,9 +8,6 @@
 
 namespace ppnpart::graph {
 
-/// BFS order from `source`; unreachable nodes are absent.
-std::vector<NodeId> bfs_order(const Graph& g, NodeId source);
-
 /// Component id per node, ids dense in [0, count).
 struct Components {
   std::vector<std::uint32_t> component_of;
@@ -27,9 +24,6 @@ struct Subgraph {
   std::vector<NodeId> original_of;
 };
 Subgraph induced_subgraph(const Graph& g, const std::vector<NodeId>& nodes);
-
-/// Relabels nodes: new id of u is perm[u]; perm must be a permutation.
-Graph permute(const Graph& g, const std::vector<NodeId>& perm);
 
 struct DegreeStats {
   std::uint32_t min_degree = 0;

@@ -10,9 +10,7 @@ namespace {
 using support::hash_combine;
 using support::hash_span;
 
-/// Key-space salts so hierarchies and contraction sequences never alias.
 constexpr std::uint64_t kHierarchySalt = 0x686965725f6b6579ull;  // "hier_key"
-constexpr std::uint64_t kContractionSalt = 0x636f6e74725f6b79ull;  // "contr_ky"
 
 std::uint64_t double_bits(double d) {
   std::uint64_t bits = 0;
@@ -68,26 +66,6 @@ CoarseningCache::HierarchyPtr CoarseningCache::hierarchy(
     const std::function<Hierarchy()>& build) {
   const std::uint64_t key = hash_combine(
       hash_combine(kHierarchySalt, graph_key), coarsen_options_digest(options));
-  auto value = get_or_build(key, [&]() -> std::shared_ptr<const void> {
-    return std::make_shared<const Hierarchy>(build());
-  });
-  return std::static_pointer_cast<const Hierarchy>(value);
-}
-
-CoarseningCache::ContractionSeqPtr CoarseningCache::contractions(
-    std::uint64_t graph_key, std::uint64_t options_key,
-    const std::function<ContractionSeq()>& build) {
-  const std::uint64_t key =
-      hash_combine(hash_combine(kContractionSalt, graph_key), options_key);
-  auto value = get_or_build(key, [&]() -> std::shared_ptr<const void> {
-    return std::make_shared<const ContractionSeq>(build());
-  });
-  return std::static_pointer_cast<const ContractionSeq>(value);
-}
-
-std::shared_ptr<const void> CoarseningCache::get_or_build(
-    std::uint64_t key,
-    const std::function<std::shared_ptr<const void>()>& build) {
   std::shared_ptr<Inflight> flight;
   bool builder = false;
   {
@@ -117,7 +95,7 @@ std::shared_ptr<const void> CoarseningCache::get_or_build(
     return flight->value;
   }
 
-  std::shared_ptr<const void> value;
+  HierarchyPtr value;
   std::exception_ptr error;
   try {
     // Chaos seam: a leader whose build blows up must propagate the error to
@@ -126,7 +104,7 @@ std::shared_ptr<const void> CoarseningCache::get_or_build(
     // exercises.
     if (support::fault_fire(support::FaultSite::kCoarsenLeader))
       throw support::FaultInjected("injected: coarsening-cache leader build");
-    value = build();
+    value = std::make_shared<const Hierarchy>(build());
   } catch (...) {
     error = std::current_exception();
   }

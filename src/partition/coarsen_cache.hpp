@@ -1,17 +1,13 @@
 #pragma once
-// Cross-run coarsening reuse (engine follow-up; see n-level recursive
-// bisection literature: the coarsening hierarchy is the reusable,
+// Cross-run coarsening reuse (the coarsening hierarchy is the reusable,
 // dominant-cost artifact of multilevel partitioning).
 //
 // A CoarseningCache memoizes the expensive coarsening phase keyed by
 // (graph identity, coarsening options): multilevel partitioners on the
 // same graph — different k, seeds and algorithms — re-run only initial
-// partitioning + refinement. Two artifact kinds are stored:
-//
-//   * `hierarchy()` — the multi-matching Hierarchy built by coarsen()
-//     (GP's fresh V-cycles, MetisLike's heavy-edge descent);
-//   * `contractions()` — NLevel's single-edge contraction sequence, which
-//     callers replay in O(edges) instead of re-running the lazy max-heap.
+// partitioning + refinement. The stored artifact is the multi-matching
+// Hierarchy built by coarsen() (GP's fresh V-cycles, MetisLike's heavy-edge
+// descent).
 //
 // Entries are built from a *canonical*, seed-independent random stream
 // (see canonical_coarsen_seed), so a cached hierarchy is a pure function
@@ -31,8 +27,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "partition/coarsen.hpp"
 #include "support/lru_cache.hpp"
@@ -58,14 +52,9 @@ std::uint64_t canonical_coarsen_seed(std::uint64_t options_digest);
 class CoarseningCache {
  public:
   using HierarchyPtr = std::shared_ptr<const Hierarchy>;
-  /// NLevel's replayable coarsening: (kept, removed) pairs in contraction
-  /// order.
-  using ContractionSeq = std::vector<std::pair<NodeId, NodeId>>;
-  using ContractionSeqPtr = std::shared_ptr<const ContractionSeq>;
 
-  /// `capacity` bounds the number of cached artifacts (hierarchies and
-  /// contraction sequences combined). 0 disables storage but keeps
-  /// single-flight coalescing of concurrent identical builds.
+  /// `capacity` bounds the number of cached hierarchies. 0 disables storage
+  /// but keeps single-flight coalescing of concurrent identical builds.
   ///
   /// Memory note: cached hierarchies are stored with an EMPTY level-0
   /// graph (consumers substitute the input they already hold), so an entry
@@ -91,12 +80,6 @@ class CoarseningCache {
   HierarchyPtr hierarchy(std::uint64_t graph_key, const CoarsenOptions& options,
                          const std::function<Hierarchy()>& build);
 
-  /// Same contract for NLevel contraction sequences; `options_key` digests
-  /// whatever coarsening parameters the caller's sequence depends on.
-  ContractionSeqPtr contractions(std::uint64_t graph_key,
-                                 std::uint64_t options_key,
-                                 const std::function<ContractionSeq()>& build);
-
   support::CacheStats stats() const;
   std::size_t size() const;
   void clear();
@@ -106,20 +89,16 @@ class CoarseningCache {
     std::mutex m;
     std::condition_variable cv;
     bool done = false;
-    std::shared_ptr<const void> value;
+    HierarchyPtr value;
     std::exception_ptr error;
   };
 
-  std::shared_ptr<const void> get_or_build(
-      std::uint64_t key,
-      const std::function<std::shared_ptr<const void>()>& build);
-
   mutable std::mutex mutex_;  // guards inflight_ and orders store_ access
-  /// Type-erased storage; the list/evict/accounting machinery is the
-  /// shared support::LruCache. hits/misses are tracked here instead of by
-  /// the store, because a coalesced wait on an in-flight build counts as a
-  /// hit without ever touching the store.
-  support::LruCache<std::shared_ptr<const void>> store_;
+  /// The list/evict/accounting machinery is the shared support::LruCache.
+  /// hits/misses are tracked here instead of by the store, because a
+  /// coalesced wait on an in-flight build counts as a hit without ever
+  /// touching the store.
+  support::LruCache<HierarchyPtr> store_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Inflight>> inflight_;
   support::CacheStats stats_;  // hits/misses only; see stats()
 };

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "graph/diff.hpp"
+#include "partition/gp.hpp"
 #include "partition/refine.hpp"
 #include "partition/workspace.hpp"
 #include "support/prng.hpp"
@@ -232,12 +233,7 @@ PartitionResult IncrementalPartitioner::repartition(
     IncrementalStats* stats) {
   if (auto r = try_repartition(g, prev, node_map, touched, request, stats))
     return *std::move(r);
-  auto algo = make_partitioner(options_.fallback_algorithm);
-  if (algo == nullptr)
-    throw std::invalid_argument(
-        "IncrementalPartitioner: unknown fallback algorithm '" +
-        options_.fallback_algorithm + "'");
-  return algo->run(g, request);
+  return GpPartitioner{}.run(g, request);
 }
 
 PartitionResult IncrementalPartitioner::repartition(

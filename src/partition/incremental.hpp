@@ -62,10 +62,6 @@ struct IncrementalOptions {
   double max_projected_imbalance = 2.5;
   /// FM pass budget of the boundary-driven refinement.
   std::uint32_t refine_passes = 8;
-  /// Registry name of the from-scratch algorithm repartition() falls back
-  /// to when try_repartition declines. Standalone use only: the engine
-  /// routes declines to its full portfolio instead and ignores this.
-  std::string fallback_algorithm = "gp";
 };
 
 /// Per-call accounting; `projected_goodness` is the warm start's quality
@@ -121,8 +117,9 @@ class IncrementalPartitioner {
       const Graph& base, const Graph& arriving, const Partition& prev,
       const PartitionRequest& request, IncrementalStats* stats = nullptr);
 
-  /// try_repartition, falling back to a full `fallback_algorithm` run when
-  /// the incremental path declines. Always returns a complete result.
+  /// try_repartition, falling back to a full GP run (default options) when
+  /// the incremental path declines. Always returns a complete result. The
+  /// engine routes declines to its full portfolio instead.
   PartitionResult repartition(const Graph& g, const Partition& prev,
                               std::span<const graph::NodeId> node_map,
                               std::span<const graph::NodeId> touched,

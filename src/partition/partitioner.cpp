@@ -2,13 +2,12 @@
 
 #include "partition/annealing.hpp"
 #include "partition/exact.hpp"
-#include "partition/genetic.hpp"
 #include "partition/gp.hpp"
-#include "partition/kl.hpp"
+#include "partition/initial.hpp"
 #include "partition/metislike.hpp"
-#include "partition/nlevel.hpp"
-#include "partition/spectral.hpp"
 #include "partition/tabu.hpp"
+#include "support/prng.hpp"
+#include "support/timer.hpp"
 
 namespace ppnpart::part {
 
@@ -23,20 +22,27 @@ Goodness goodness_of(const PartitionResult& r) {
                   r.metrics.total_cut};
 }
 
+PartitionResult RandomPartitioner::run(const Graph& g,
+                                       const PartitionRequest& request) {
+  support::Timer timer;
+  PartitionResult result;
+  result.algorithm = name();
+  support::Rng rng(request.seed);
+  result.partition = random_balanced_partition(g, request.k, rng);
+  result.finalize(g, request.constraints);
+  result.seconds = timer.seconds();
+  return result;
+}
+
 std::vector<std::string> partitioner_names() {
-  return {"gp",   "metislike", "nlevel",  "kl",    "spectral",
-          "tabu", "annealing", "genetic", "exact", "random"};
+  return {"gp", "metislike", "tabu", "annealing", "exact", "random"};
 }
 
 std::unique_ptr<Partitioner> make_partitioner(const std::string& name) {
   if (name == "gp") return std::make_unique<GpPartitioner>();
   if (name == "metislike") return std::make_unique<MetisLikePartitioner>();
-  if (name == "nlevel") return std::make_unique<NLevelPartitioner>();
-  if (name == "kl") return std::make_unique<KlPartitioner>();
-  if (name == "spectral") return std::make_unique<SpectralPartitioner>();
   if (name == "tabu") return std::make_unique<TabuPartitioner>();
   if (name == "annealing") return std::make_unique<AnnealingPartitioner>();
-  if (name == "genetic") return std::make_unique<GeneticPartitioner>();
   if (name == "exact") return std::make_unique<ExactPartitioner>();
   if (name == "random") return std::make_unique<RandomPartitioner>();
   return nullptr;

@@ -2,11 +2,11 @@
 // Common partitioner interface used by the benchmark harness, the portfolio
 // engine and examples.
 //
-// Every algorithm in the library (GP, MetisLike, NLevel, KL, Spectral, Tabu,
-// Annealing, Genetic, Exact, Random) answers the same request so the paper's
-// comparison tables — and the engine's concurrent portfolios — can iterate
-// over a heterogeneous set of partitioners. `make_partitioner` is the
-// central registry mapping stable lowercase names to instances.
+// Every algorithm in the library (GP, MetisLike, Tabu, Annealing, Exact,
+// Random) answers the same request so the paper's comparison tables — and
+// the engine's concurrent portfolios — can iterate over a heterogeneous set
+// of partitioners. `make_partitioner` is the central registry mapping stable
+// lowercase names to instances.
 
 #include <memory>
 #include <string>
@@ -23,8 +23,8 @@ struct PhaseProfile;
 
 struct PartitionRequest {
   PartId k = 2;
-  /// GP honours these; cut-only baselines (MetisLike, Spectral, Random)
-  /// ignore them, exactly like METIS in the paper's experiments.
+  /// GP honours these; cut-only baselines (MetisLike, Random) ignore them,
+  /// exactly like METIS in the paper's experiments.
   Constraints constraints;
   std::uint64_t seed = 1;
   /// Intra-run parallelism: the most chunks GP cuts each of its chunked
@@ -37,13 +37,13 @@ struct PartitionRequest {
 
   /// Optional cooperative-stop signal (non-owning; may be null). Iterative
   /// partitioners poll it at checkpoint granularity — V-cycle, temperature
-  /// step, generation, tabu iteration — and return their best-so-far
-  /// solution when it fires, so a stopped run still yields a complete
-  /// partition. Leave null for fully deterministic, budget-free runs.
+  /// step, tabu iteration — and return their best-so-far solution when it
+  /// fires, so a stopped run still yields a complete partition. Leave null
+  /// for fully deterministic, budget-free runs.
   const support::StopToken* stop = nullptr;
 
   /// Optional cross-run coarsening cache (non-owning; may be null). When
-  /// set, the multilevel partitioners (GP, MetisLike, NLevel) build their
+  /// set, the multilevel partitioners (GP, MetisLike) build their
   /// coarsening from a canonical seed-independent stream and share the
   /// artifact through the cache, so requests on the same graph — different
   /// k, seeds and algorithms — re-run only initial partitioning and
@@ -104,12 +104,19 @@ class Partitioner {
                               const PartitionRequest& request) = 0;
 };
 
+/// Uniformly random balanced assignment; the control baseline.
+class RandomPartitioner : public Partitioner {
+ public:
+  std::string name() const override { return "Random"; }
+  PartitionResult run(const Graph& g, const PartitionRequest& request) override;
+};
+
 /// Registry names accepted by `make_partitioner`, in presentation order.
 std::vector<std::string> partitioner_names();
 
 /// Instantiates an algorithm (with default options) by registry name:
-/// gp | metislike | nlevel | kl | spectral | tabu | annealing | genetic |
-/// exact | random. Returns nullptr for unknown names.
+/// gp | metislike | tabu | annealing | exact | random. Returns nullptr for
+/// unknown names.
 std::unique_ptr<Partitioner> make_partitioner(const std::string& name);
 
 }  // namespace ppnpart::part

@@ -60,14 +60,6 @@ struct PhaseProfile {
     if (level > 0 && static_cast<std::uint32_t>(level) > max_level)
       max_level = static_cast<std::uint32_t>(level);
   }
-  /// Record a hierarchy depth directly. The n-level partitioner charges its
-  /// whole coarsening/uncoarsening under level -1/0 scopes (one scope spans
-  /// the entire contraction sequence), which note_level ignores — so it
-  /// reports its depth explicitly: the contraction-sequence length, each
-  /// contraction being one level of the n-level hierarchy.
-  void note_depth(std::uint32_t depth) {
-    if (depth > max_level) max_level = depth;
-  }
 
   std::uint64_t total_us() const {
     std::uint64_t total = 0;

@@ -1,7 +1,7 @@
 #pragma once
 // Reusable scratch memory for the multilevel hot path.
 //
-// Every multilevel partitioner run (GP, MetisLike, NLevel, KL) spends its
+// Every multilevel partitioner run (GP, MetisLike) spends its
 // budget in the same inner loop — match, contract, refine, project — and
 // used to pay for fresh allocations at every level and pass: a new n x k
 // connectivity matrix per refinement call, a heap-allocated row buffer per
@@ -96,20 +96,6 @@ struct BisectionScratch {
   std::vector<NodeId> log;
 };
 
-struct KlStep {
-  NodeId a, b;
-  Weight gain;
-};
-
-/// Scratch of kl_bisection_refine.
-struct KlScratch {
-  support::AllocStats* stats = nullptr;
-  std::vector<Weight> d;  // KL D-values
-  std::vector<std::uint8_t> locked;
-  std::vector<NodeId> side0, side1;
-  std::vector<KlStep> steps;
-};
-
 /// Scratch of IncrementalPartitioner (projection + greedy seeding of new
 /// nodes). The refinement itself runs through move_ctx/fm like every other
 /// FM consumer.
@@ -183,7 +169,6 @@ class Workspace {
     matching.stats = &stats_;
     fm.stats = &stats_;
     bisect.stats = &stats_;
-    kl.stats = &stats_;
     incremental.stats = &stats_;
     parallel.stats = &stats_;
     move_ctx.set_alloc_stats(&stats_);
@@ -200,7 +185,6 @@ class Workspace {
   MatchingScratch matching;
   FmScratch fm;
   BisectionScratch bisect;
-  KlScratch kl;
   IncrementalScratch incremental;
   ParallelScratch parallel;
 

@@ -1,20 +1,14 @@
 // Tests for the related-work baseline partitioners the paper surveys in
-// Section II: Kernighan-Lin, simulated annealing (non-greedy hill
-// climbing), tabu search and the genetic algorithm. Each baseline must (a)
-// produce complete partitions, (b) be deterministic given a seed, and (c)
-// show its characteristic behaviour (KL improves cuts over random splits,
-// tabu escapes FM-style lock-in, the GA's label alignment neutralizes part
-// symmetry, ...).
+// Section II: simulated annealing (non-greedy hill climbing) and tabu
+// search. Each baseline must (a) produce complete partitions, (b) be
+// deterministic given a seed, and (c) show its characteristic behaviour
+// (annealing improves on its greedy seed, tabu escapes FM-style lock-in).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 
 #include "graph/generators.hpp"
 #include "partition/annealing.hpp"
-#include "partition/genetic.hpp"
-#include "partition/kl.hpp"
-#include "partition/spectral.hpp"
 #include "partition/tabu.hpp"
 #include "ppn/paper_instances.hpp"
 
@@ -34,81 +28,6 @@ PartitionRequest basic_request(PartId k, std::uint64_t seed) {
   r.k = k;
   r.seed = seed;
   return r;
-}
-
-// ---------------------------------------------------------------------------
-// Kernighan-Lin
-// ---------------------------------------------------------------------------
-
-TEST(KL, ProducesCompletePartition) {
-  const Graph g = test_graph(11);
-  const PartitionResult r = KlPartitioner().run(g, basic_request(4, 3));
-  EXPECT_TRUE(r.partition.complete());
-  EXPECT_EQ(r.algorithm, "KL");
-}
-
-TEST(KL, BisectionRefineImprovesRandomSplit) {
-  const Graph g = graph::ring_of_cliques(4, 8, 20, 1);
-  support::Rng rng(7);
-  Partition p(g.num_nodes(), 2);
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u)
-    p.set(u, static_cast<PartId>(u % 2));  // deliberately terrible split
-  const Weight before = compute_metrics(g, p).total_cut;
-  KlOptions options;
-  const Weight cap = g.total_node_weight();  // balance not binding here
-  kl_bisection_refine(g, p, cap, cap, options, rng);
-  const Weight after = compute_metrics(g, p).total_cut;
-  EXPECT_LT(after, before);
-}
-
-TEST(KL, SwapsPreservePartSizes) {
-  // Pure KL exchanges pairs, so part cardinalities are invariant under
-  // kl_bisection_refine (the drawback the paper lists: "exact bi-sections
-  // only").
-  const Graph g = test_graph(13, 40, 120);
-  support::Rng rng(5);
-  Partition p(g.num_nodes(), 2);
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u)
-    p.set(u, u < 25 ? 0 : 1);  // 25 / 15 intentionally uneven
-  KlOptions options;
-  const Weight cap = g.total_node_weight();
-  kl_bisection_refine(g, p, cap, cap, options, rng);
-  EXPECT_EQ(p.members(0).size(), 25u);
-  EXPECT_EQ(p.members(1).size(), 15u);
-}
-
-TEST(KL, FindsNaturalCliqueCut) {
-  const Graph g = graph::ring_of_cliques(2, 10, 50, 1);
-  const PartitionResult r = KlPartitioner().run(g, basic_request(2, 17));
-  // Two cliques joined by 2 ring bridges: optimal cut separates them.
-  EXPECT_LE(r.metrics.total_cut, 4);
-}
-
-TEST(KL, DeterministicGivenSeed) {
-  const Graph g = test_graph(19);
-  const PartitionResult a = KlPartitioner().run(g, basic_request(3, 23));
-  const PartitionResult b = KlPartitioner().run(g, basic_request(3, 23));
-  EXPECT_EQ(a.partition.assignments(), b.partition.assignments());
-}
-
-TEST(KL, RefusesOversizedInstances) {
-  KlOptions options;
-  options.max_nodes = 16;
-  const Graph g = test_graph(29, 32, 64);
-  KlPartitioner kl(options);
-  EXPECT_THROW(kl.run(g, basic_request(2, 1)), std::invalid_argument);
-}
-
-TEST(KL, RejectsInvalidOptions) {
-  KlOptions options;
-  options.imbalance = 0.5;
-  EXPECT_THROW(KlPartitioner{options}, std::invalid_argument);
-}
-
-TEST(KL, HandlesKLargerThanNaturalClusters) {
-  const Graph g = graph::ring_of_cliques(3, 4, 10, 1);
-  const PartitionResult r = KlPartitioner().run(g, basic_request(5, 31));
-  EXPECT_TRUE(r.partition.complete());
 }
 
 // ---------------------------------------------------------------------------
@@ -262,99 +181,6 @@ TEST(Tabu, DeterministicGivenSeed) {
 }
 
 // ---------------------------------------------------------------------------
-// Genetic algorithm
-// ---------------------------------------------------------------------------
-
-TEST(Genetic, ProducesCompletePartition) {
-  const Graph g = test_graph(97, 40, 120);
-  GeneticOptions options;
-  options.generations = 8;
-  options.population = 10;
-  const PartitionResult r =
-      GeneticPartitioner(options).run(g, basic_request(4, 3));
-  EXPECT_TRUE(r.partition.complete());
-  EXPECT_EQ(r.algorithm, "Genetic");
-}
-
-TEST(Genetic, AlignLabelsIdentityWhenEqual) {
-  const std::vector<PartId> p = {0, 1, 2, 0, 1, 2};
-  const std::vector<PartId> perm = align_labels(p, p, 3);
-  EXPECT_EQ(perm, (std::vector<PartId>{0, 1, 2}));
-}
-
-TEST(Genetic, AlignLabelsUndoesRelabeling) {
-  // parent2 = parent1 with labels rotated; alignment must recover it.
-  const std::vector<PartId> p1 = {0, 0, 1, 1, 2, 2, 0, 1, 2};
-  std::vector<PartId> p2(p1.size());
-  for (std::size_t i = 0; i < p1.size(); ++i) p2[i] = (p1[i] + 1) % 3;
-  const std::vector<PartId> perm = align_labels(p1, p2, 3);
-  for (std::size_t i = 0; i < p1.size(); ++i) {
-    EXPECT_EQ(perm[static_cast<std::size_t>(p2[i])], p1[i]);
-  }
-}
-
-TEST(Genetic, AlignLabelsHandlesPartialAgreement) {
-  const std::vector<PartId> p1 = {0, 0, 0, 1, 1, 1};
-  const std::vector<PartId> p2 = {1, 1, 0, 0, 0, 0};
-  const std::vector<PartId> perm = align_labels(p1, p2, 2);
-  // label 0 of p2 mostly covers p1's 1s (3 of 4), label 1 covers p1's 0s.
-  EXPECT_EQ(perm[0], 1);
-  EXPECT_EQ(perm[1], 0);
-}
-
-TEST(Genetic, MeetsConstraintsOnPaperInstance1) {
-  const ppn::PaperInstance inst = ppn::paper_instance(1);
-  PartitionRequest r;
-  r.k = inst.k;
-  r.seed = 101;
-  r.constraints = inst.constraints;
-  GeneticOptions options;
-  options.generations = 30;
-  const PartitionResult result =
-      GeneticPartitioner(options).run(inst.graph, r);
-  EXPECT_TRUE(result.feasible);
-}
-
-TEST(Genetic, DeterministicGivenSeed) {
-  const Graph g = test_graph(103, 30, 80);
-  GeneticOptions options;
-  options.generations = 5;
-  options.population = 8;
-  GeneticPartitioner ga(options);
-  const PartitionResult a = ga.run(g, basic_request(3, 107));
-  const PartitionResult b = ga.run(g, basic_request(3, 107));
-  EXPECT_EQ(a.partition.assignments(), b.partition.assignments());
-}
-
-TEST(Genetic, RejectsInvalidOptions) {
-  {
-    GeneticOptions o;
-    o.population = 1;
-    EXPECT_THROW(GeneticPartitioner{o}, std::invalid_argument);
-  }
-  {
-    GeneticOptions o;
-    o.elites = o.population;
-    EXPECT_THROW(GeneticPartitioner{o}, std::invalid_argument);
-  }
-  {
-    GeneticOptions o;
-    o.tournament_size = 0;
-    EXPECT_THROW(GeneticPartitioner{o}, std::invalid_argument);
-  }
-}
-
-TEST(Genetic, BeatsRandomControlOnStructuredGraph) {
-  const Graph g = graph::ring_of_cliques(6, 6, 12, 1);
-  PartitionRequest r = basic_request(3, 109);
-  GeneticOptions options;
-  options.generations = 12;
-  const PartitionResult ga = GeneticPartitioner(options).run(g, r);
-  const PartitionResult rnd = RandomPartitioner().run(g, r);
-  EXPECT_LT(ga.metrics.total_cut, rnd.metrics.total_cut);
-}
-
-// ---------------------------------------------------------------------------
 // Cross-baseline seed sweeps (property-style)
 // ---------------------------------------------------------------------------
 
@@ -365,20 +191,14 @@ TEST_P(BaselineSeedSweep, AllBaselinesProduceValidPartitions) {
   const Graph g = test_graph(seed, 36, 100);
   PartitionRequest r = basic_request(4, seed * 3 + 1);
 
-  KlPartitioner kl;
   AnnealingOptions sa_opts;
   sa_opts.moves_per_node = 60;
   AnnealingPartitioner sa(sa_opts);
   TabuOptions tabu_opts;
   tabu_opts.iterations_per_node = 8;
   TabuPartitioner tabu(tabu_opts);
-  GeneticOptions ga_opts;
-  ga_opts.generations = 4;
-  ga_opts.population = 6;
-  GeneticPartitioner ga(ga_opts);
 
-  for (Partitioner* algo :
-       std::initializer_list<Partitioner*>{&kl, &sa, &tabu, &ga}) {
+  for (Partitioner* algo : std::initializer_list<Partitioner*>{&sa, &tabu}) {
     const PartitionResult result = algo->run(g, r);
     EXPECT_TRUE(result.partition.complete()) << algo->name();
     EXPECT_EQ(result.partition.size(), g.num_nodes()) << algo->name();

@@ -15,7 +15,6 @@
 #include "partition/coarsen_cache.hpp"
 #include "partition/gp.hpp"
 #include "partition/metislike.hpp"
-#include "partition/nlevel.hpp"
 #include "support/prng.hpp"
 
 namespace ppnpart::part {
@@ -194,28 +193,6 @@ TEST(CoarseningCache, MetisLikeAnswersIdenticallyOnHitAndMiss) {
   const auto hit_run = metis.run(g, req);
   EXPECT_EQ(miss_run.partition.assignments(), hit_run.partition.assignments());
   EXPECT_EQ(cache.stats().insertions, 1u);
-}
-
-TEST(CoarseningCache, NLevelCachedMatchesUncachedBitForBit) {
-  // NLevel's heap coarsening is seed-independent, so the cached replay must
-  // reproduce the uncached run exactly — cache on/off is unobservable.
-  const graph::Graph g = make_graph(8, 120);
-  PartitionRequest req;
-  req.k = 3;
-  req.seed = 12;
-
-  NLevelPartitioner nlevel;
-  const auto uncached = nlevel.run(g, req);
-
-  CoarseningCache cache;
-  req.coarsen_cache = &cache;
-  const auto miss_run = nlevel.run(g, req);   // builds + records the sequence
-  const auto replay_run = nlevel.run(g, req); // replays it, no heap
-  EXPECT_EQ(uncached.partition.assignments(), miss_run.partition.assignments());
-  EXPECT_EQ(uncached.partition.assignments(),
-            replay_run.partition.assignments());
-  EXPECT_EQ(cache.stats().insertions, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 }  // namespace

@@ -64,6 +64,10 @@ TEST(Portfolio, DefaultsAreRegistered) {
   for (const std::string& name : p.members) {
     EXPECT_NE(part::make_partitioner(name), nullptr) << name;
   }
+  // The registry's name list and its factory cannot drift apart.
+  for (const std::string& name : part::partitioner_names()) {
+    EXPECT_NE(part::make_partitioner(name), nullptr) << name;
+  }
 }
 
 TEST(Portfolio, ParseAcceptsListsAndDefaultKeyword) {
@@ -80,6 +84,13 @@ TEST(Portfolio, ParseAcceptsListsAndDefaultKeyword) {
 TEST(Portfolio, ParseRejectsUnknownNames) {
   EXPECT_FALSE(engine::Portfolio::parse("gp,notanalgo").is_ok());
   EXPECT_FALSE(engine::Portfolio::parse(",, ,").is_ok());
+  // Plausible algorithm names outside the registry fail like any other.
+  for (const char* gone : {"nlevel", "kl", "spectral", "genetic"}) {
+    const auto parsed = engine::Portfolio::parse(std::string("gp,") + gone);
+    ASSERT_FALSE(parsed.is_ok()) << gone;
+    EXPECT_EQ(parsed.code(), support::StatusCode::kInvalidArgument) << gone;
+    EXPECT_EQ(part::make_partitioner(gone), nullptr) << gone;
+  }
 }
 
 TEST(Portfolio, FingerprintIsOrderSensitive) {
@@ -383,11 +394,11 @@ TEST(Engine, FailedMembersAreIsolated) {
 TEST(Engine, SharedGraphBatchFingerprintsAndCoarsensOnce) {
   // 16 jobs over ONE shared graph, all multilevel members: the engine must
   // compute exactly one graph fingerprint and build exactly one coarsening
-  // per (algorithm options) key — gp hierarchy, metislike hierarchy and
-  // nlevel contraction sequence — everything else is reuse.
+  // per (algorithm options) key — gp hierarchy and metislike hierarchy —
+  // everything else is reuse.
   const auto g = make_shared_graph(23, 144);  // large enough to really coarsen
   engine::EngineOptions opts;
-  opts.portfolio = engine::Portfolio{{"gp", "metislike", "nlevel"}};
+  opts.portfolio = engine::Portfolio{{"gp", "metislike"}};
   engine::Engine eng(opts);
 
   std::vector<engine::Job> jobs;
@@ -404,8 +415,8 @@ TEST(Engine, SharedGraphBatchFingerprintsAndCoarsensOnce) {
 
   const engine::EngineStats stats = eng.stats();
   EXPECT_EQ(stats.graph_fingerprints_computed, 1u);
-  EXPECT_EQ(stats.coarsening.insertions, 3u);  // one build per options key
-  EXPECT_EQ(stats.coarsening.misses, 3u);
+  EXPECT_EQ(stats.coarsening.insertions, 2u);  // one build per options key
+  EXPECT_EQ(stats.coarsening.misses, 2u);
   EXPECT_GT(stats.coarsening.hits, 0u);
 }
 
@@ -414,7 +425,7 @@ TEST(Engine, SharedGraphMatchesByValuePathBitForBit) {
   // path at a fixed seed (both engines fresh, so every job computes).
   const auto g = make_shared_graph(31, 48);
   engine::EngineOptions opts;
-  opts.portfolio = engine::Portfolio{{"gp", "metislike", "nlevel"}};
+  opts.portfolio = engine::Portfolio{{"gp", "metislike"}};
 
   std::vector<engine::Job> shared_jobs, byvalue_jobs;
   for (std::uint64_t s = 0; s < 6; ++s) {

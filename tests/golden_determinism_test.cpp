@@ -16,9 +16,7 @@
 #include "partition/exact.hpp"
 #include "partition/gp.hpp"
 #include "partition/incremental.hpp"
-#include "partition/kl.hpp"
 #include "partition/metislike.hpp"
-#include "partition/nlevel.hpp"
 #include "partition/phase_profile.hpp"
 #include "partition/workspace.hpp"
 #include "support/hash.hpp"
@@ -117,16 +115,6 @@ TEST(GoldenDeterminism, MetisLikeFixedSeed) {
   std::printf("MetisLike fingerprint: 0x%llxull\n",
               static_cast<unsigned long long>(fp));
   EXPECT_EQ(fp, 0x2e62f1eb0d0e681cull);
-}
-
-TEST(GoldenDeterminism, NLevelFixedSeed) {
-  const graph::Graph g = pn_graph(300, 7);
-  part::NLevelPartitioner nlevel;
-  const part::PartitionResult r = nlevel.run(g, request_for(g));
-  const std::uint64_t fp = fingerprint(r.partition);
-  std::printf("NLevel fingerprint: 0x%llxull\n",
-              static_cast<unsigned long long>(fp));
-  EXPECT_EQ(fp, 0xe478be81f7d9e695ull);
 }
 
 // ---- Thread-count invariance. ---------------------------------------------
@@ -271,19 +259,6 @@ TEST(QualityGate, GpExactGapOn12NodeFamily) {
   // 1.002379819 when introduced; one instance losing one cut unit moves
   // the mean by more than the 2e-7 of headroom.
   EXPECT_LE(mean_gap, 1.00238);
-}
-
-TEST(GoldenDeterminism, KlFixedSeed) {
-  const graph::Graph g = pn_graph(200, 11);
-  part::KlPartitioner kl;
-  part::PartitionRequest request;
-  request.k = 4;
-  request.seed = 42;
-  const part::PartitionResult r = kl.run(g, request);
-  const std::uint64_t fp = fingerprint(r.partition);
-  std::printf("KL fingerprint: 0x%llxull\n",
-              static_cast<unsigned long long>(fp));
-  EXPECT_EQ(fp, 0x30dbb270ea4905cdull);
 }
 
 // ---- Incremental repartitioning goldens (PR 4). ---------------------------

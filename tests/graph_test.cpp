@@ -121,27 +121,6 @@ TEST(Graph, EmptyGraph) {
 
 // ----------------------------------------------------------- algorithms ---
 
-TEST(Algorithms, BfsOrderFromSource) {
-  // Path 0-1-2-3.
-  GraphBuilder b(4);
-  b.add_edge(0, 1, 1);
-  b.add_edge(1, 2, 1);
-  b.add_edge(2, 3, 1);
-  const Graph g = b.build();
-  const auto order = bfs_order(g, 0);
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0], 0u);
-  EXPECT_EQ(order[1], 1u);
-  EXPECT_EQ(order[3], 3u);
-}
-
-TEST(Algorithms, BfsSkipsUnreachable) {
-  GraphBuilder b(4);
-  b.add_edge(0, 1, 1);
-  const Graph g = b.build();
-  EXPECT_EQ(bfs_order(g, 0).size(), 2u);
-}
-
 TEST(Algorithms, ConnectedComponents) {
   GraphBuilder b(5);
   b.add_edge(0, 1, 1);
@@ -176,22 +155,6 @@ TEST(Algorithms, InducedSubgraphRejectsDuplicates) {
   const Graph g = triangle();
   EXPECT_THROW(induced_subgraph(g, {0, 0}), std::invalid_argument);
   EXPECT_THROW(induced_subgraph(g, {9}), std::out_of_range);
-}
-
-TEST(Algorithms, PermutePreservesStructure) {
-  const Graph g = triangle();
-  const Graph p = permute(g, {2, 0, 1});
-  EXPECT_TRUE(p.validate().empty());
-  EXPECT_EQ(p.node_weight(2), g.node_weight(0));
-  EXPECT_EQ(p.node_weight(0), g.node_weight(1));
-  EXPECT_EQ(p.edge_weight_between(2, 0), g.edge_weight_between(0, 1));
-  EXPECT_EQ(p.total_edge_weight(), g.total_edge_weight());
-}
-
-TEST(Algorithms, PermuteRejectsNonPermutation) {
-  const Graph g = triangle();
-  EXPECT_THROW(permute(g, {0, 0, 1}), std::invalid_argument);
-  EXPECT_THROW(permute(g, {0, 1}), std::invalid_argument);
 }
 
 TEST(Algorithms, DegreeStats) {

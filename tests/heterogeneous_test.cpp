@@ -13,7 +13,6 @@
 #include "partition/exact.hpp"
 #include "partition/gp.hpp"
 #include "partition/move_context.hpp"
-#include "partition/nlevel.hpp"
 #include "partition/tabu.hpp"
 #include "ppn/paper_instances.hpp"
 
@@ -143,19 +142,16 @@ TEST(Heterogeneous, ExactHonoursPerPartBudgets) {
   EXPECT_EQ(exact.cut, 2);
 }
 
-TEST(Heterogeneous, TabuAndNLevelStayValid) {
+TEST(Heterogeneous, TabuStaysValid) {
   const Graph g = skewed_graph();
   PartitionRequest r;
   r.k = 3;
   r.seed = 11;
   r.constraints.rmax_per_part = {44, 18, 6};
-  for (const bool use_tabu : {true, false}) {
-    const PartitionResult result =
-        use_tabu ? TabuPartitioner().run(g, r) : NLevelPartitioner().run(g, r);
-    EXPECT_TRUE(result.partition.complete());
-    const PartitionMetrics reference = compute_metrics(g, result.partition);
-    EXPECT_EQ(result.metrics.total_cut, reference.total_cut);
-  }
+  const PartitionResult result = TabuPartitioner().run(g, r);
+  EXPECT_TRUE(result.partition.complete());
+  const PartitionMetrics reference = compute_metrics(g, result.partition);
+  EXPECT_EQ(result.metrics.total_cut, reference.total_cut);
 }
 
 TEST(Heterogeneous, PlatformToConstraintsUniform) {

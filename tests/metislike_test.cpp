@@ -2,7 +2,7 @@
 
 #include "graph/generators.hpp"
 #include "partition/metislike.hpp"
-#include "partition/spectral.hpp"
+#include "partition/partitioner.hpp"
 
 namespace ppnpart::part {
 namespace {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "partition/partition.hpp"
+#include "partition/partitioner.hpp"
 
 namespace ppnpart::part {
 namespace {
@@ -144,6 +146,18 @@ TEST(Describe, MentionsViolations) {
   c.rmax = 100;
   const std::string s2 = describe(m, c);
   EXPECT_NE(s2.find("FEASIBLE"), std::string::npos);
+}
+
+TEST(RandomPartitioner, CompleteAndRoughlyBalanced) {
+  support::Rng rng(8);
+  const Graph g = graph::erdos_renyi_gnm(100, 200, rng, {1, 3}, {1, 3});
+  RandomPartitioner random;
+  PartitionRequest r;
+  r.k = 5;
+  r.seed = 9;
+  const PartitionResult result = random.run(g, r);
+  EXPECT_TRUE(result.partition.complete());
+  EXPECT_LT(result.metrics.imbalance, 1.25);
 }
 
 }  // namespace

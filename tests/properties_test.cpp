@@ -11,7 +11,6 @@
 #include "partition/gp.hpp"
 #include "partition/initial.hpp"
 #include "partition/metislike.hpp"
-#include "partition/spectral.hpp"
 
 namespace ppnpart::part {
 namespace {
@@ -74,14 +73,6 @@ TEST_P(PartitionerInvariants, MetisLikeResultConsistent) {
   Weight sum = 0;
   for (Weight load : m.loads) sum += load;
   EXPECT_EQ(sum, g.total_node_weight());
-}
-
-TEST_P(PartitionerInvariants, SpectralResultConsistent) {
-  const Graph g = make_graph();
-  const PartitionRequest r = make_request(g);
-  const PartitionResult result = SpectralPartitioner().run(g, r);
-  ASSERT_TRUE(result.partition.complete());
-  EXPECT_TRUE(result.partition.all_parts_nonempty());
 }
 
 TEST_P(PartitionerInvariants, GpNeverWorseThanItsOwnInitial) {

@@ -73,7 +73,7 @@ void run_threads(unsigned n, Fn fn) {
 
 TEST(RaceStressTest, EngineSubmitPollStats) {
   engine::EngineOptions opt;
-  opt.portfolio = engine::Portfolio::parse("gp,kl").value();
+  opt.portfolio = engine::Portfolio::parse("gp,metislike").value();
   engine::Engine eng(opt);
 
   // Two shared graphs: submissions collide on keys (exact hits, coalescing)
@@ -111,7 +111,7 @@ TEST(RaceStressTest, EngineSubmitPollStats) {
 
 TEST(RaceStressTest, SimilarityAdmissionConcurrentProbes) {
   engine::EngineOptions opt;
-  opt.portfolio = engine::Portfolio::parse("gp,kl").value();
+  opt.portfolio = engine::Portfolio::parse("gp,metislike").value();
   opt.similarity.enabled = true;
   engine::Engine eng(opt);
 

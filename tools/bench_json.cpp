@@ -1,6 +1,6 @@
 // bench_json — machine-readable tracker for the multilevel hot path.
 //
-// Runs the end-to-end multilevel workload (GP / MetisLike / NLevel on a
+// Runs the end-to-end multilevel workload (GP / MetisLike on a
 // 10k-node PN-shaped graph, K=8, the workload of ROADMAP's scaling studies)
 // through one reused part::Workspace and emits BENCH_multilevel.json with
 //   * runs/s and seconds/run per partitioner,
@@ -75,7 +75,6 @@
 
 #include "bench_common.hpp"
 #include "engine/engine.hpp"
-#include "partition/nlevel.hpp"
 #include "support/stop_token.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
@@ -629,8 +628,7 @@ void emit_json(std::FILE* out, const std::vector<CaseResult>& results,
     const char* name;
     double seconds_per_run;
   };
-  const Baseline baseline[] = {
-      {"gp", 0.648}, {"metislike", 0.0148}, {"nlevel", 35.31}};
+  const Baseline baseline[] = {{"gp", 0.648}, {"metislike", 0.0148}};
 
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"multilevel_end_to_end\",\n");
@@ -1175,10 +1173,8 @@ int main(int argc, char** argv) {
   gp_options.max_cycles = 4;
   part::GpPartitioner gp(gp_options);
   part::MetisLikePartitioner metis;
-  part::NLevelPartitioner nlevel;
   results.push_back(run_case("gp", gp, g, ws, 3));
   results.push_back(run_case("metislike", metis, g, ws, 20));
-  results.push_back(run_case("nlevel", nlevel, g, ws, 1));
 
   const IncrementalResult inc =
       run_incremental_case(g, /*deltas=*/6, /*edit_fraction=*/0.01);

@@ -9,8 +9,8 @@
 //   --paper N           paper experiment instance 1 | 2 | 3
 //
 // Core options:
-//   --algorithm NAME    gp | metislike | nlevel | kl | spectral | tabu |
-//                       annealing | genetic | exact | random   (default gp)
+//   --algorithm NAME    gp | metislike | tabu | annealing | exact |
+//                       random                                 (default gp)
 //   --k N               number of FPGAs / parts                (default 4)
 //   --rmax W            per-FPGA resource budget               (default inf)
 //   --bmax W            per-link bandwidth budget              (default inf)
