@@ -11,16 +11,16 @@
 #include "graph/generators.hpp"
 #include "partition/gp.hpp"
 #include "partition/metislike.hpp"
-#include "partition/phase_profile.hpp"
 #include "partition/workspace.hpp"
 #include "support/timer.hpp"
 
 namespace ppnpart::bench {
 
 /// The PR-3 multilevel hot-path workload: one PN-shaped graph at `nodes`
-/// with the scaling-study constraint scheme (K=8). Both bench_scaling's
-/// throughput table and tools/bench_json measure exactly this, so the two
-/// reports can never drift onto different workloads.
+/// with the scaling-study constraint scheme (K=8). bench_scaling's
+/// throughput table and the ctest gates on this workload (10k nodes in
+/// golden_determinism_test; 800 in gp_test, engine_test, similarity_test
+/// and timing_gates_test) all build it here, so they cannot drift apart.
 inline graph::Graph multilevel_workload_graph(graph::NodeId nodes) {
   graph::ProcessNetworkParams params;
   params.num_nodes = nodes;
@@ -30,11 +30,10 @@ inline graph::Graph multilevel_workload_graph(graph::NodeId nodes) {
 }
 
 inline part::PartitionRequest multilevel_workload_request(
-    const graph::Graph& g, part::Workspace& ws) {
+    const graph::Graph& g) {
   part::PartitionRequest request;
   request.k = 8;
   request.seed = 99;
-  request.workspace = &ws;
   request.constraints.rmax =
       static_cast<graph::Weight>(1.15 * g.total_node_weight() / 8);
   request.constraints.bmax =
@@ -44,26 +43,20 @@ inline part::PartitionRequest multilevel_workload_request(
 
 /// Warm-then-time harness: one untimed warming run, `reps` timed runs, and
 /// the workspace growth delta across the timed phase (0 == allocation-free
-/// steady state). The timed runs carry a PhaseProfile, so every harness
-/// built on this also reports where the time went (coarsen / initial /
-/// refine shares, accumulated across the `reps` runs).
+/// steady state).
 struct MultilevelCase {
   double seconds = 0;
   std::uint64_t ws_growths = 0;
-  part::PartitionResult warm;
-  part::PhaseProfile phases;  // accumulated over the timed runs only
 };
 
 inline MultilevelCase run_multilevel_case(part::Partitioner& p,
                                           const graph::Graph& g,
                                           part::Workspace& ws, int reps) {
-  part::PartitionRequest request = multilevel_workload_request(g, ws);
+  part::PartitionRequest request = multilevel_workload_request(g);
+  request.workspace = &ws;
   MultilevelCase result;
-  result.warm = p.run(g, request);
+  p.run(g, request);
   const std::uint64_t growths_before = ws.stats().growths;
-  // Profiling hooks cost two clock reads per level — noise against the
-  // millisecond-scale runs they account — so the timed phase carries them.
-  request.phases = &result.phases;
   support::Timer timer;
   for (int i = 0; i < reps; ++i) p.run(g, request);
   result.seconds = timer.seconds();
@@ -75,8 +68,8 @@ inline MultilevelCase run_multilevel_case(part::Partitioner& p,
 /// of the incremental-repartitioning scenario (PR 4). Roughly
 /// `edit_fraction * num_nodes` ops: mostly channel reweights, some channel
 /// adds/removes, and (when `node_ops`) occasional process adds/removals.
-/// Deterministic in `rng`; both bench_engine and tools/bench_json drive
-/// exactly this generator so their workloads cannot drift apart.
+/// Deterministic in `rng`; bench_engine and the repartition-chain gate of
+/// engine_test drive exactly this generator.
 inline graph::GraphDelta random_evolution_delta(const graph::Graph& g,
                                                 double edit_fraction,
                                                 support::Rng& rng,
@@ -132,9 +125,9 @@ inline graph::GraphDelta random_evolution_delta(const graph::Graph& g,
 /// when callers edit their networks out-of-band and hand over the result
 /// with no delta attached. ~`divergence * num_nodes` edits; node ids stay
 /// stable (edge-only edits by default), which is what the similarity
-/// admission path's stable-id diff exploits. Both bench_engine section 6
-/// and tools/bench_json drive exactly this generator so the tracked
-/// "similarity" numbers and the bench report cannot drift apart.
+/// admission path's stable-id diff exploits. bench_engine section 6, the
+/// similarity-chain gate of similarity_test and the near-twin burst of
+/// timing_gates_test drive exactly this generator.
 inline graph::Graph near_identical_arrival(const graph::Graph& g,
                                            double divergence,
                                            support::Rng& rng,

@@ -26,18 +26,16 @@
 //      Engine::repartition (warm-started incremental refinement) races a
 //      from-scratch portfolio run on every edited graph. The report shows
 //      the per-delta speedup, the cut-quality ratio against scratch and the
-//      fallback count — the PR-4 acceptance numbers, tracked in
-//      BENCH_multilevel.json by tools/bench_json over the same generator.
+//      fallback count. engine_test's repartition-chain gate drives the same
+//      generator.
 //
 //   6. Similarity admission — the same drift, but arriving as plain CSR
 //      graphs with NO delta attached (the service-front shape). With
 //      --similarity on the engine must sketch-match each arrival against
 //      the previous one, diff it and warm-start; the report shows the
 //      speedup over a scratch engine, the cut ratio and the admission
-//      counters (near-hits / declines) — the PR-5 acceptance numbers,
-//      tracked in BENCH_multilevel.json's "similarity" block by
-//      tools/bench_json over the same bench::near_identical_arrival
-//      generator.
+//      counters (near-hits / declines). similarity_test's chain gate drives
+//      the same bench::near_identical_arrival generator.
 
 #include <cstdio>
 #include <memory>
@@ -368,8 +366,7 @@ int main() {
       1.15 * static_cast<double>(version->total_node_weight()) / 8);
   (void)sim_engine.run_one(version, arrive_request);  // seeds the index
   // Counter baseline after seeding, so the report covers the ARRIVAL
-  // stream only — the same accounting the BENCH_multilevel.json
-  // "similarity" block uses.
+  // stream only.
   const engine::SimilarityStats seeded = sim_engine.stats().similarity;
 
   support::Rng arrive_rng(31415);

@@ -109,11 +109,6 @@ CoarseLevel contract(const Graph& fine, const Matching& matching,
   return out;
 }
 
-CoarseLevel contract(const Graph& fine, const Matching& matching) {
-  Workspace ws;
-  return contract(fine, matching, ws);
-}
-
 CoarseLevel contract_via_builder(const Graph& fine, const Matching& matching) {
   const NodeId n = fine.num_nodes();
   CoarseLevel out;
@@ -153,19 +148,12 @@ Weight run_matching_into(const Graph& g, MatchingKind kind, support::Rng& rng,
     case MatchingKind::kKMeans:
       return kmeans_matching_into(g, rng, match, scratch);
   }
-  throw std::logic_error("run_matching: bad kind");
+  throw std::logic_error("run_matching_into: bad kind");
 }
 
 Weight run_matching_into(const Graph& g, MatchingKind kind, support::Rng& rng,
                          Matching& match, Workspace& ws) {
   return run_matching_into(g, kind, rng, match, ws.matching);
-}
-
-Matching run_matching(const Graph& g, MatchingKind kind, support::Rng& rng) {
-  Workspace ws;
-  Matching m;
-  (void)run_matching_into(g, kind, rng, m, ws);
-  return m;
 }
 
 std::vector<PartId> Hierarchy::project_to_level(
@@ -236,14 +224,6 @@ RestrictedHierarchy coarsen_restricted(const Graph& g,
   }
   out.coarse_parts = std::move(level_parts);
   return out;
-}
-
-RestrictedHierarchy coarsen_restricted(const Graph& g,
-                                       const std::vector<PartId>& parts,
-                                       const CoarsenOptions& options,
-                                       support::Rng& rng) {
-  Workspace ws;
-  return coarsen_restricted(g, parts, options, rng, ws);
 }
 
 Hierarchy coarsen(const Graph& g, const CoarsenOptions& options,

@@ -31,11 +31,10 @@ struct CoarseLevel {
 };
 
 /// Contracts `fine` along `matching` (must be valid, see validate_matching)
-/// through the direct CSR path (graph::contract_csr). The Workspace overload
-/// reuses contraction scratch across levels and builds the coarse rows in
-/// `chunks` tasks; both produce a coarse graph bit-identical to
-/// contract_via_builder.
-CoarseLevel contract(const Graph& fine, const Matching& matching);
+/// through the direct CSR path (graph::contract_csr), reusing the
+/// workspace's contraction scratch across levels and building the coarse
+/// rows in `chunks` tasks. The coarse graph is bit-identical to
+/// contract_via_builder's.
 CoarseLevel contract(const Graph& fine, const Matching& matching,
                      Workspace& ws, std::uint32_t chunks = 1);
 
@@ -83,11 +82,9 @@ Hierarchy coarsen(const Graph& g, const CoarsenOptions& options,
 Hierarchy coarsen(const Graph& g, const CoarsenOptions& options,
                   support::Rng& rng);
 
-/// Runs one matching heuristic.
-Matching run_matching(const Graph& g, MatchingKind kind, support::Rng& rng);
-/// Allocation-free variants (result into `match`, temporaries from
-/// `scratch`, or from ws.matching). Return the total matched edge weight
-/// (== matched_edge_weight(g, match)).
+/// Runs one matching heuristic, allocation-free: the result goes into
+/// `match`, temporaries come from `scratch` (or from ws.matching). Returns
+/// the total matched edge weight (== matched_edge_weight(g, match)).
 Weight run_matching_into(const Graph& g, MatchingKind kind, support::Rng& rng,
                          Matching& match, MatchingScratch& scratch);
 Weight run_matching_into(const Graph& g, MatchingKind kind, support::Rng& rng,
@@ -107,9 +104,5 @@ RestrictedHierarchy coarsen_restricted(const Graph& g,
                                        const CoarsenOptions& options,
                                        support::Rng& rng, Workspace& ws,
                                        std::uint32_t threads = 1);
-RestrictedHierarchy coarsen_restricted(const Graph& g,
-                                       const std::vector<PartId>& parts,
-                                       const CoarsenOptions& options,
-                                       support::Rng& rng);
 
 }  // namespace ppnpart::part

@@ -40,8 +40,6 @@ struct PhaseProfile {
   };
 
   Entry entries[kNumPhases];
-  /// Deepest hierarchy level charged so far (0 = finest).
-  std::uint32_t max_level = 0;
 
   static const char* phase_name(Phase p) {
     switch (p) {
@@ -56,10 +54,6 @@ struct PhaseProfile {
     entries[p].time_us += us;
     ++entries[p].calls;
   }
-  void note_level(std::int64_t level) {
-    if (level > 0 && static_cast<std::uint32_t>(level) > max_level)
-      max_level = static_cast<std::uint32_t>(level);
-  }
 
   std::uint64_t total_us() const {
     std::uint64_t total = 0;
@@ -73,15 +67,6 @@ struct PhaseProfile {
                       : static_cast<double>(entries[p].time_us) /
                             static_cast<double>(total);
   }
-
-  void merge(const PhaseProfile& other) {
-    for (std::size_t i = 0; i < kNumPhases; ++i) {
-      entries[i].time_us += other.entries[i].time_us;
-      entries[i].calls += other.entries[i].calls;
-    }
-    if (other.max_level > max_level) max_level = other.max_level;
-  }
-  void reset() { *this = PhaseProfile(); }
 };
 
 /// RAII phase hook: charges `profile` (when non-null) for the scope's wall
@@ -97,10 +82,7 @@ class PhaseScope {
               PhaseProfile::phase_name(phase)) {
     if (level >= 0) span_.arg("level", level);
     if (nodes >= 0) span_.arg("nodes", nodes);
-    if (profile_ != nullptr) {
-      profile_->note_level(level);
-      start_ = std::chrono::steady_clock::now();
-    }
+    if (profile_ != nullptr) start_ = std::chrono::steady_clock::now();
   }
   ~PhaseScope() {
     if (profile_ == nullptr) return;

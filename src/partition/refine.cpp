@@ -284,12 +284,6 @@ bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
   return swap_refine(ws.move_ctx, options, ws.swap_evaluations);
 }
 
-bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
-                 const SwapRefineOptions& options, support::Rng& rng) {
-  Workspace ws;
-  return swap_refine(g, p, c, options, rng, ws);
-}
-
 bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
                        const GreedyRefineOptions& options, support::Rng& rng,
                        Workspace& ws) {
@@ -338,12 +332,6 @@ bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
     if (!moved) break;
   }
   return ctx.cut() < initial_cut;
-}
-
-bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
-                       const GreedyRefineOptions& options, support::Rng& rng) {
-  Workspace ws;
-  return greedy_cut_refine(g, p, max_load, options, rng, ws);
 }
 
 bool bisection_fm_refine(const Graph& g, Partition& p, Weight cap0,
@@ -485,13 +473,6 @@ bool bisection_fm_refine(const Graph& g, Partition& p, Weight cap0,
     (void)rng;
   }
   return better(current, initial);
-}
-
-bool bisection_fm_refine(const Graph& g, Partition& p, Weight cap0,
-                         Weight cap1, std::uint32_t max_passes,
-                         support::Rng& rng) {
-  Workspace ws;
-  return bisection_fm_refine(g, p, cap0, cap1, max_passes, rng, ws);
 }
 
 }  // namespace ppnpart::part

@@ -70,8 +70,6 @@ struct GreedyRefineOptions {
 bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
                        const GreedyRefineOptions& options, support::Rng& rng,
                        Workspace& ws);
-bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
-                       const GreedyRefineOptions& options, support::Rng& rng);
 
 /// 2-way FM with independent side caps (cap0 for part 0, cap1 for part 1).
 /// Minimizes (total overweight, cut) lexicographically. Returns true iff
@@ -79,9 +77,6 @@ bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
 bool bisection_fm_refine(const Graph& g, Partition& p, Weight cap0,
                          Weight cap1, std::uint32_t max_passes,
                          support::Rng& rng, Workspace& ws);
-bool bisection_fm_refine(const Graph& g, Partition& p, Weight cap0,
-                         Weight cap1, std::uint32_t max_passes,
-                         support::Rng& rng);
 
 struct SwapRefineOptions {
   std::uint32_t max_passes = 4;
@@ -106,7 +101,5 @@ bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
 /// calls to `evaluations`.
 bool swap_refine(MoveContext& ctx, const SwapRefineOptions& options,
                  std::uint64_t& evaluations);
-bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
-                 const SwapRefineOptions& options, support::Rng& rng);
 
 }  // namespace ppnpart::part

@@ -32,8 +32,7 @@ namespace {
 // TSan builds only, copy the payload as relaxed atomic words instead: the
 // same bytes move, no ordering claims are added (the seqlock's
 // acquire/release on `seq` still provides them), and every access TSan sees
-// is atomic. Normal builds keep the plain copy — the disabled-hook overhead
-// bound in bench_json depends on it staying a memcpy.
+// is atomic. Normal builds keep the plain copy, a memcpy per recorded event.
 static_assert(std::is_trivially_copyable_v<TraceEvent>,
               "TraceEvent is copied word-by-word under TSan");
 static_assert(sizeof(TraceEvent) % sizeof(std::uint64_t) == 0,

@@ -18,7 +18,8 @@ TEST(Contract, PairMergesWeights) {
   b.add_edge(0, 2, 4);
   b.add_edge(1, 2, 5);
   const Graph g = b.build();
-  const CoarseLevel level = contract(g, {1, 0, 2});
+  Workspace ws;
+  const CoarseLevel level = contract(g, {1, 0, 2}, ws);
   EXPECT_EQ(level.graph.num_nodes(), 2u);
   EXPECT_EQ(level.graph.num_edges(), 1u);
   EXPECT_EQ(level.graph.node_weight(0), 30);  // 10 + 20
@@ -33,7 +34,8 @@ TEST(Contract, IdentityMatchingKeepsGraph) {
   const Graph g = graph::erdos_renyi_gnm(20, 50, rng, {1, 5}, {1, 5});
   Matching identity(g.num_nodes());
   std::iota(identity.begin(), identity.end(), NodeId{0});
-  const CoarseLevel level = contract(g, identity);
+  Workspace ws;
+  const CoarseLevel level = contract(g, identity, ws);
   EXPECT_EQ(level.graph.num_nodes(), g.num_nodes());
   EXPECT_EQ(level.graph.num_edges(), g.num_edges());
   EXPECT_EQ(level.graph.total_edge_weight(), g.total_edge_weight());
@@ -46,7 +48,8 @@ TEST_P(ContractConservation, WeightsConserved) {
   const Graph g = graph::erdos_renyi_gnm(80, 240, rng, {1, 9}, {1, 9});
   support::Rng mrng(GetParam() * 7);
   const Matching m = heavy_edge_matching(g, mrng);
-  const CoarseLevel level = contract(g, m);
+  Workspace ws;
+  const CoarseLevel level = contract(g, m, ws);
   // Node weight is always conserved.
   EXPECT_EQ(level.graph.total_node_weight(), g.total_node_weight());
   // Edge weight shrinks by exactly the matched (hidden) weight.
@@ -138,7 +141,9 @@ TEST(CoarsenRestricted, PreservesPartition) {
   CoarsenOptions options;
   options.coarsen_to = 50;
   support::Rng crng(11);
-  const RestrictedHierarchy rh = coarsen_restricted(g, parts, options, crng);
+  Workspace ws;
+  const RestrictedHierarchy rh =
+      coarsen_restricted(g, parts, options, crng, ws);
   // Every coarse node has a consistent part, and projecting back yields the
   // original labels exactly.
   ASSERT_EQ(rh.coarse_parts.size(), rh.hierarchy.coarsest().num_nodes());
@@ -151,7 +156,8 @@ TEST(CoarsenRestricted, SizeMismatchThrows) {
   support::Rng rng(12);
   const Graph g = graph::erdos_renyi_gnm(10, 20, rng);
   CoarsenOptions options;
-  EXPECT_THROW(coarsen_restricted(g, {0, 1}, options, rng),
+  Workspace ws;
+  EXPECT_THROW(coarsen_restricted(g, {0, 1}, options, rng, ws),
                std::invalid_argument);
 }
 

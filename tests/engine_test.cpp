@@ -13,12 +13,14 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "engine/cache.hpp"
 #include "engine/engine.hpp"
 #include "engine/fingerprint.hpp"
 #include "engine/portfolio.hpp"
 #include "graph/generators.hpp"
 #include "partition/coarsen_cache.hpp"
+#include "pool_blocker.hpp"
 #include "support/fault_injection.hpp"
 #include "support/prng.hpp"
 #include "support/status.hpp"
@@ -663,6 +665,42 @@ TEST(Engine, RepartitionWorkspaceIsAllocationFreeInSteadyState) {
       << "engine repartition workspace allocated in steady state";
 }
 
+TEST(Engine, TrackedWorkloadRepartitionChainReplaysWithoutFallback) {
+  // The bench harnesses' tracked workload at 800 nodes under a MetisLike
+  // engine, edited by seven ~1% edge-only deltas (random_evolution_delta).
+  // Every delta stays incremental (a cache hit is not a fallback), the
+  // repartition workspace stops growing after three warm-up deltas, and a
+  // second engine replays the chain bit for bit.
+  const graph::Graph base = bench::multilevel_workload_graph(800);
+  const part::PartitionRequest request = bench::multilevel_workload_request(base);
+  const auto run_chain = [&] {
+    engine::EngineOptions opts;
+    opts.portfolio = engine::Portfolio{{"metislike"}};
+    engine::Engine eng(opts);
+    auto g = std::make_shared<const graph::Graph>(base);
+    auto current = eng.run_one(g, request);
+    support::Rng rng(7);
+    std::uint64_t warm_growths = 0;
+    std::vector<std::vector<part::PartId>> chain;
+    for (int d = 0; d < 7; ++d) {
+      const graph::GraphDelta delta =
+          bench::random_evolution_delta(*g, 0.01, rng, /*node_ops=*/false);
+      const engine::RepartitionOutcome rep =
+          eng.repartition(engine::Job{g, request}, delta, current.best);
+      EXPECT_TRUE(rep.incremental || rep.outcome.from_cache)
+          << "delta " << d << " fell back: " << rep.fallback_reason;
+      EXPECT_TRUE(rep.outcome.best.partition.complete()) << "delta " << d;
+      if (d <= 2) warm_growths = eng.stats().repartition_ws_growths;
+      chain.push_back(rep.outcome.best.partition.assignments());
+      g = rep.graph;
+      current.best = rep.outcome.best;
+    }
+    EXPECT_EQ(eng.stats().repartition_ws_growths, warm_growths);
+    return chain;
+  };
+  EXPECT_EQ(run_chain(), run_chain());
+}
+
 // ------------------------------------------------------- observability ---
 
 /// ~1% channel reweights — the near-identical-arrival shape of the
@@ -849,37 +887,6 @@ TEST(Engine, StatsSnapshotIsNeverTornUnderConcurrentSubmit) {
 }
 
 // ---------------------------------------------------- bounded admission ---
-
-/// Parks every global-pool worker on a spin flag so queued engine work
-/// cannot drain: admission depth then depends only on the submission order,
-/// making the degradation ladder exactly predictable.
-class PoolBlocker {
- public:
-  PoolBlocker() {
-    auto& pool = support::ThreadPool::global();
-    for (unsigned i = 0; i < pool.size(); ++i) {
-      futures_.push_back(pool.submit([this] {
-        started_.fetch_add(1, std::memory_order_relaxed);
-        while (!release_.load(std::memory_order_relaxed))
-          std::this_thread::yield();
-      }));
-    }
-    while (started_.load(std::memory_order_relaxed) < pool.size())
-      std::this_thread::yield();
-  }
-
-  void release() {
-    if (release_.exchange(true)) return;
-    for (std::future<void>& f : futures_) f.get();
-  }
-
-  ~PoolBlocker() { release(); }
-
- private:
-  std::atomic<bool> release_{false};
-  std::atomic<unsigned> started_{0};
-  std::vector<std::future<void>> futures_;
-};
 
 TEST(Engine, BoundedAdmissionWalksTheLadderAndRejectsAtCapacity) {
   using Rung = engine::AdmissionDecision::DegradeRung;
@@ -1220,8 +1227,10 @@ TEST(Engine, ExpiredBudgetGetsProjectedAnswerInline) {
 
   // The budget is already gone: the bottom rung serves a projected answer
   // inline — coarsest-level greedy growth projected back to the full graph,
-  // no pool slot, no queue entry.
+  // no pool slot, no queue entry. Every pool worker is parked to prove it.
+  PoolBlocker blocker;
   const engine::PortfolioOutcome out = eng.run_one(shared, request);
+  blocker.release();
   EXPECT_TRUE(out.status.is_ok()) << out.status.to_string();
   EXPECT_EQ(out.winner, "projected");
   EXPECT_EQ(out.decision.rung,

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "bench_common.hpp"
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
 #include "partition/coarsen_cache.hpp"
@@ -160,23 +161,11 @@ TEST(ParallelDeterminism, MetisLikeBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(QualityGate, GpTrackedWorkloadKeepsSerialCutAtEveryThreadCount) {
-  // The tracked 10k workload of bench/bench_common.hpp
-  // (multilevel_workload_graph / multilevel_workload_request), rebuilt
-  // here. The bound is 1.03x the cut of the full-FM refiner that LP + bounded
-  // FM replaced on large levels (9,722).
-  const graph::NodeId n = 10000;
-  graph::ProcessNetworkParams params;
-  params.num_nodes = n;
-  params.layers = std::max<std::uint32_t>(8, n / 64);
-  support::Rng rng(123 + n);
-  const graph::Graph g = graph::random_process_network(params, rng);
-  part::PartitionRequest request;
-  request.k = 8;
-  request.seed = 99;
-  request.constraints.rmax =
-      static_cast<graph::Weight>(1.15 * g.total_node_weight() / 8);
-  request.constraints.bmax =
-      static_cast<graph::Weight>(1.3 * g.total_edge_weight() / 28.0 / 2.0);
+  // The tracked 10k workload of bench/bench_common.hpp. The bound is 1.03x
+  // the cut of the full-FM refiner that LP + bounded FM replaced on large
+  // levels (9,722).
+  const graph::Graph g = bench::multilevel_workload_graph(10000);
+  part::PartitionRequest request = bench::multilevel_workload_request(g);
   part::GpOptions options;
   options.max_cycles = 4;
   part::GpPartitioner gp(options);

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "bench_common.hpp"
 #include "graph/generators.hpp"
 #include "partition/gp.hpp"
+#include "partition/phase_profile.hpp"
 #include "partition/workspace.hpp"
 #include "ppn/paper_instances.hpp"
+#include "support/timer.hpp"
 
 namespace ppnpart::part {
 namespace {
@@ -34,6 +37,44 @@ TEST(Gp, DeterministicGivenSeed) {
   const PartitionResult a = gp.run(inst.graph, request_for(inst, 11));
   const PartitionResult b = gp.run(inst.graph, request_for(inst, 11));
   EXPECT_EQ(a.partition.assignments(), b.partition.assignments());
+}
+
+TEST(Gp, TrackedWorkloadRepeatsGrowsNothingWarmAndAccountsPhasesOnce) {
+  // The bench harnesses' tracked workload at 800 nodes, two cycles, one
+  // thread, one reused workspace. Repeat runs agree; a third run grows no
+  // workspace buffer. A profiled fourth run keeps the answer, charges every
+  // phase, and its shares sum to 1. Phases are charged at one layer only,
+  // so their sum stays within the run's wall clock (slack for clock reads).
+  const Graph g = bench::multilevel_workload_graph(800);
+  GpOptions options;
+  options.max_cycles = 2;
+  GpPartitioner gp(options);
+  Workspace ws;
+  PartitionRequest request = bench::multilevel_workload_request(g);
+  request.workspace = &ws;
+  ASSERT_EQ(request.threads, 1u);
+  const PartitionResult a = gp.run(g, request);
+  const PartitionResult b = gp.run(g, request);
+  EXPECT_EQ(a.partition.assignments(), b.partition.assignments());
+  const std::uint64_t growths = ws.stats().growths;
+  gp.run(g, request);
+  EXPECT_EQ(ws.stats().growths, growths);
+
+  PhaseProfile profile;
+  request.phases = &profile;
+  support::Timer timer;
+  const PartitionResult profiled = gp.run(g, request);
+  const double wall_us = timer.seconds() * 1e6;
+  EXPECT_EQ(profiled.partition.assignments(), a.partition.assignments());
+  double share_sum = 0;
+  for (std::size_t i = 0; i < PhaseProfile::kNumPhases; ++i) {
+    const auto phase = static_cast<PhaseProfile::Phase>(i);
+    EXPECT_GT(profile.entries[i].calls, 0u) << PhaseProfile::phase_name(phase);
+    share_sum += profile.share(phase);
+  }
+  EXPECT_GT(profile.total_us(), 0u);
+  EXPECT_NEAR(share_sum, 1.0, 0.001);
+  EXPECT_LE(static_cast<double>(profile.total_us()), wall_us * 1.02 + 1000.0);
 }
 
 TEST(Gp, UnconstrainedRunMinimizesCut) {

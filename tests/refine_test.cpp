@@ -155,7 +155,8 @@ TEST(GreedyCutRefine, RespectsLoadCap) {
   const Weight cap = g.total_node_weight() / 4 + g.max_node_weight();
   const Weight before = compute_metrics(g, p).total_cut;
   support::Rng grng(9);
-  greedy_cut_refine(g, p, cap, GreedyRefineOptions{}, grng);
+  Workspace ws;
+  greedy_cut_refine(g, p, cap, GreedyRefineOptions{}, grng, ws);
   const PartitionMetrics after = compute_metrics(g, p);
   EXPECT_LE(after.total_cut, before);
   EXPECT_LE(after.max_load, cap);
@@ -172,7 +173,8 @@ TEST(GreedyCutRefine, NoMovesWhenCapForbids) {
   p.set(0, 0);
   p.set(1, 1);
   support::Rng rng(10);
-  greedy_cut_refine(g, p, 10, GreedyRefineOptions{}, rng);
+  Workspace ws;
+  greedy_cut_refine(g, p, 10, GreedyRefineOptions{}, rng, ws);
   // Merging would reduce the cut but blow the cap; must stay split.
   EXPECT_EQ(compute_metrics(g, p).max_load, 10);
 }
@@ -186,7 +188,8 @@ TEST(BisectionFm, BalancesTwoCliques) {
   for (NodeId u = 0; u < g.num_nodes(); ++u) p.set(u, u % 2);
   const Weight half = g.total_node_weight() / 2;
   support::Rng rng(11);
-  bisection_fm_refine(g, p, half, half, 10, rng);
+  Workspace ws;
+  bisection_fm_refine(g, p, half, half, 10, rng, ws);
   const PartitionMetrics m = compute_metrics(g, p);
   EXPECT_LE(m.max_load, half);
   // The clean cut separates the cliques (ring has 2 bridges).
@@ -198,7 +201,8 @@ TEST(BisectionFm, RequiresK2) {
   Partition p(g.num_nodes(), 3);
   for (NodeId u = 0; u < g.num_nodes(); ++u) p.set(u, 0);
   support::Rng rng(12);
-  EXPECT_THROW(bisection_fm_refine(g, p, 10, 10, 4, rng),
+  Workspace ws;
+  EXPECT_THROW(bisection_fm_refine(g, p, 10, 10, 4, rng, ws),
                std::invalid_argument);
 }
 
@@ -218,7 +222,8 @@ TEST(BisectionFm, ReducesOverweightFirst) {
   p.set(2, 1);
   p.set(3, 1);
   support::Rng rng(13);
-  bisection_fm_refine(g, p, 60, 60, 10, rng);
+  Workspace ws;
+  bisection_fm_refine(g, p, 60, 60, 10, rng, ws);
   const PartitionMetrics m = compute_metrics(g, p);
   EXPECT_LE(m.max_load, 60) << "overweight must dominate the heavy edge";
 }
@@ -245,7 +250,8 @@ TEST(SwapRefine, FixesTightResourceDeadlock) {
   c.rmax = 30;
   // Cut is 20; the swap 1<->2 gives cut 2 while keeping loads at 30.
   support::Rng rng(14);
-  EXPECT_TRUE(swap_refine(g, p, c, SwapRefineOptions{}, rng));
+  Workspace ws;
+  EXPECT_TRUE(swap_refine(g, p, c, SwapRefineOptions{}, rng, ws));
   const Goodness after = compute_goodness(g, p, c);
   EXPECT_EQ(after.resource_excess, 0);
   EXPECT_EQ(after.cut, 2);
@@ -257,7 +263,8 @@ TEST(SwapRefine, SkipsLargeGraphs) {
   Partition p = random_balanced_partition(g, 2, rng);
   SwapRefineOptions options;
   options.max_nodes = 100;
-  EXPECT_FALSE(swap_refine(g, p, Constraints{}, options, rng));
+  Workspace ws;
+  EXPECT_FALSE(swap_refine(g, p, Constraints{}, options, rng, ws));
 }
 
 TEST(SwapRefine, NeverWorsens) {
@@ -269,7 +276,8 @@ TEST(SwapRefine, NeverWorsens) {
     c.rmax = g.total_node_weight() / 3 + 10;
     c.bmax = 30;
     const Goodness before = compute_goodness(g, p, c);
-    swap_refine(g, p, c, SwapRefineOptions{}, rng);
+    Workspace ws;
+    swap_refine(g, p, c, SwapRefineOptions{}, rng, ws);
     const Goodness after = compute_goodness(g, p, c);
     EXPECT_FALSE(before < after) << "seed " << seed;
   }

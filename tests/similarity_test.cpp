@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "engine/engine.hpp"
 #include "engine/fingerprint.hpp"
 #include "engine/similarity.hpp"
@@ -346,6 +348,64 @@ TEST(Engine, SimilarityChainTracksDriftingNetwork) {
               part::compute_metrics(*g, out.best.partition).total_cut);
   }
   EXPECT_EQ(eng.stats().similarity.near_hits, 5u);
+}
+
+TEST(Engine, TrackedWorkloadSimilarityChainMatchesScratchAndReplays) {
+  // The bench harnesses' tracked 800-node workload drifts through six ~1%
+  // plain-CSR arrivals (near_identical_arrival). After one seeding full
+  // run, a similarity engine near-hits every arrival and never serves one
+  // from the exact cache. Each answer is a metrics-consistent partition of
+  // its own arrival, the mean cut is within 1.05x of a scratch engine's,
+  // and a second similarity engine gives the same answers.
+  const Graph base = bench::multilevel_workload_graph(800);
+  const part::PartitionRequest request =
+      bench::multilevel_workload_request(base);
+  std::vector<std::shared_ptr<const Graph>> arrivals;
+  support::Rng rng(5150);
+  for (int a = 0; a < 6; ++a) {
+    const Graph& prev = arrivals.empty() ? base : *arrivals.back();
+    arrivals.push_back(std::make_shared<const Graph>(
+        bench::near_identical_arrival(prev, 0.01, rng)));
+  }
+  const auto serve_chain = [&] {
+    engine::Engine eng(sim_options());
+    (void)eng.run_one(std::make_shared<const Graph>(base), request);
+    const std::uint64_t seeded_hits = eng.stats().similarity.near_hits;
+    std::vector<engine::PortfolioOutcome> served;
+    for (const auto& arrival : arrivals)
+      served.push_back(eng.run_one(arrival, request));
+    EXPECT_EQ(eng.stats().similarity.near_hits - seeded_hits, arrivals.size());
+    return served;
+  };
+  const std::vector<engine::PortfolioOutcome> served = serve_chain();
+  const std::vector<engine::PortfolioOutcome> replayed = serve_chain();
+
+  engine::EngineOptions scratch_opts;
+  scratch_opts.portfolio = engine::Portfolio{{"gp"}};
+  scratch_opts.cache_capacity = 0;
+  engine::Engine scratch(scratch_opts);
+  double cut_ratio_sum = 0;
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const Graph& arrival = *arrivals[i];
+    const engine::PortfolioOutcome& out = served[i];
+    EXPECT_FALSE(out.from_cache) << "arrival " << i;
+    ASSERT_EQ(out.best.partition.size(), arrival.num_nodes()) << i;
+    EXPECT_TRUE(out.best.partition.complete()) << "arrival " << i;
+    EXPECT_EQ(out.best.metrics.total_cut,
+              part::compute_metrics(arrival, out.best.partition).total_cut)
+        << "arrival " << i;
+    EXPECT_EQ(replayed[i].best.partition.assignments(),
+              out.best.partition.assignments())
+        << "arrival " << i;
+    const Weight scratch_cut =
+        scratch.run_one(arrivals[i], request).best.metrics.total_cut;
+    ASSERT_GT(scratch_cut, 0);
+    cut_ratio_sum += static_cast<double>(out.best.metrics.total_cut) /
+                     static_cast<double>(scratch_cut);
+  }
+  const double mean_cut_ratio = cut_ratio_sum / arrivals.size();
+  std::printf("similarity cut ratio vs scratch: %.4f\n", mean_cut_ratio);
+  EXPECT_LE(mean_cut_ratio, 1.05);
 }
 
 TEST(Engine, SimilarityCountersAreExactUnderConcurrentSubmit) {
