@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <map>
 #include <stdexcept>
 
 #include "engine/fingerprint.hpp"
@@ -111,6 +112,37 @@ PortfolioOutcome error_outcome(support::Status status) {
   return out;
 }
 
+/// Writes the ledger's counts into its own metrics view as counters, so the
+/// two can never disagree. Members listed twice share one set of names.
+void publish_counters(EngineStats& s) {
+  std::map<std::string, std::uint64_t> counters = {
+      {"engine.jobs", s.jobs_completed},
+      {"engine.admit.exact_hit", s.exact_hits},
+      {"engine.admit.warm_start", s.repartitions_incremental},
+      {"engine.admit.similarity", s.similarity.near_hits},
+      {"engine.admit.sim_decline", s.similarity.declines},
+      {"engine.admit.sim_deferred", s.similarity.deferred},
+      {"engine.admit.sim_parked", s.similarity.parked},
+      {"engine.admit.full_portfolio", s.full_portfolio},
+      {"engine.admit.rejected", s.jobs_rejected},
+      {"engine.admit.shed", s.jobs_shed},
+      {"engine.degrade.cheap_members", s.degraded_cheap_members},
+      {"engine.degrade.gp_only", s.degraded_gp_only},
+      {"engine.degrade.projected", s.degraded_projected},
+  };
+  for (const MemberStats& row : s.members) {
+    const std::string prefix = "engine.member." + row.name + ".";
+    counters[prefix + "runs"] += row.runs;
+    counters[prefix + "wins"] += row.wins;
+    counters[prefix + "losses"] += row.losses;
+    counters[prefix + "failures"] += row.failures;
+  }
+  auto& out = s.metrics.counters;
+  for (auto& [name, value] : counters) out.push_back({name, value});
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.name < b.name; });
+}
+
 }  // namespace
 
 /// All mutable state of one in-flight job. Tasks hold it by shared_ptr so a
@@ -182,6 +214,8 @@ Engine::Engine(EngineOptions options)
       metrics_(options_.metrics != nullptr
                    ? *options_.metrics
                    : support::MetricsRegistry::global()),
+      job_us_(metrics_.histogram("engine.job.time_us")),
+      warm_us_(metrics_.histogram("engine.warm.time_us")),
       warm_pool_(options_.warm_workspaces) {
   if (options_.portfolio.empty())
     throw std::invalid_argument("Engine: portfolio has no members");
@@ -191,42 +225,12 @@ Engine::Engine(EngineOptions options)
                                   "'");
   }
 
-  // Resolve every metric handle once; the hot path then updates plain
-  // relaxed atomics without name lookups or registry locks.
-  path_metrics_.jobs = &metrics_.counter("engine.jobs");
-  path_metrics_.exact_hits = &metrics_.counter("engine.admit.exact_hit");
-  path_metrics_.warm_starts = &metrics_.counter("engine.admit.warm_start");
-  path_metrics_.sim_served = &metrics_.counter("engine.admit.similarity");
-  path_metrics_.sim_declined = &metrics_.counter("engine.admit.sim_decline");
-  // Async-stage series: verdicts handed to the pool, and near-twin
-  // followers parked behind a pending leader.
-  path_metrics_.sim_deferred = &metrics_.counter("engine.admit.sim_deferred");
-  path_metrics_.sim_parked = &metrics_.counter("engine.admit.sim_parked");
-  path_metrics_.full_runs = &metrics_.counter("engine.admit.full_portfolio");
-  // Overload-protection series. `full_portfolio` keeps meaning "routed to
-  // stage 3": rejected/shed jobs routed there and were then refused, so
-  // they are a subset of it, and degrade counters are a subset of admitted
-  // stage-3 jobs.
-  path_metrics_.rejected = &metrics_.counter("engine.admit.rejected");
-  path_metrics_.shed = &metrics_.counter("engine.admit.shed");
-  path_metrics_.degrade_cheap =
-      &metrics_.counter("engine.degrade.cheap_members");
-  path_metrics_.degrade_gp = &metrics_.counter("engine.degrade.gp_only");
-  path_metrics_.degrade_projected =
-      &metrics_.counter("engine.degrade.projected");
-  path_metrics_.job_us = &metrics_.histogram("engine.job.time_us");
-  path_metrics_.warm_us = &metrics_.histogram("engine.warm.time_us");
   member_metrics_.reserve(options_.portfolio.size());
   for (const std::string& name : options_.portfolio.members) {
-    MemberMetrics mm;
-    mm.span_name = support::intern_name(name);
-    const std::string prefix = "engine.member." + name + ".";
-    mm.runs = &metrics_.counter(prefix + "runs");
-    mm.wins = &metrics_.counter(prefix + "wins");
-    mm.losses = &metrics_.counter(prefix + "losses");
-    mm.failures = &metrics_.counter(prefix + "failures");
-    mm.time_us = &metrics_.histogram(prefix + "time_us");
-    member_metrics_.push_back(mm);
+    member_metrics_.push_back(
+        {support::intern_name(name),
+         &metrics_.histogram("engine.member." + name + ".time_us")});
+    stats_.members.push_back({name});
   }
 
   if (options_.queue_capacity > 0) {
@@ -520,7 +524,7 @@ void Engine::run_warm_task(const std::shared_ptr<JobState>& state,
     warm.reset();
     istats.fallback_reason = "injected: similarity verify";
   }
-  path_metrics_.warm_us->observe(timer.seconds() * 1e6);
+  warm_us_.observe(timer.seconds() * 1e6);
   if (!warm.has_value()) {
     count_probe_declined(state, istats.fallback_reason.empty()
                                     ? "warm start declined"
@@ -670,14 +674,15 @@ bool Engine::admission_gate(const std::shared_ptr<JobState>& state) {
     } else if (options_.shed_policy == ShedPolicy::kDeadlineAware &&
                stop != nullptr &&
                (stop->seconds_until_deadline() <= 0 ||
-                (avg_job_seconds_ > 0 &&
+                (stats_.avg_job_seconds > 0 &&
                  stop->seconds_until_deadline() <=
-                     static_cast<double>(depth + 1) * avg_job_seconds_))) {
+                     static_cast<double>(depth + 1) *
+                         stats_.avg_job_seconds))) {
       // The deadline cannot survive the drain of the queue ahead (estimated
       // from recent job latency): refuse now instead of computing an answer
       // nobody is still waiting for. An already-expired deadline needs no
       // estimate at all — before the EWMA's first full-path completion seeds
-      // it, avg_job_seconds_ is 0 and the drain test alone would wave a
+      // it, avg_job_seconds is 0 and the drain test alone would wave a
       // whole cold-start burst of unmeetable deadlines into the queue.
       // Live deadlines stay admitted until the predictor has real data:
       // refusing them on a guess would shed meetable work.
@@ -771,7 +776,7 @@ void Engine::fan_out(const std::shared_ptr<JobState>& state) {
     state->token.set_deadline_after(options_.time_budget_ms / 1e3);
   // A caller-armed request.stop keeps working inside the engine: the job
   // token observes it as a parent, and run_member hands members the job
-  // token (which covers budget + quality-gate + caller cancel at once).
+  // token (which covers budget and caller cancel at once).
   if (state->job.request.stop != nullptr)
     state->token.set_parent(state->job.request.stop);
 
@@ -835,24 +840,15 @@ void Engine::serve_projected(const std::shared_ptr<JobState>& state) {
       h = std::make_shared<const part::Hierarchy>(
           part::coarsen(g, copts, coarsen_rng));
     }
+    // A one-level hierarchy is g itself (cached ones drop graphs[0]).
     const graph::Graph& coarsest = h->num_levels() == 1 ? g : h->coarsest();
     part::GreedyGrowOptions gopts;
     gopts.parallel = false;  // the saturated pool is the reason we're here
     support::Rng grow_rng(hash_combine(req.seed, 0x70726f6a32ull));
     part::Partition coarse = part::greedy_grow_initial(
         coarsest, req.k, req.constraints, gopts, grow_rng);
-    std::vector<part::PartId> assign;
-    if (h->num_levels() <= 1) {
-      assign = coarse.assignments();
-    } else {
-      // Cached hierarchies drop graphs[0] (every consumer holds the finest
-      // graph), so project to level 1 and walk the last map against g.
-      std::vector<part::PartId> lvl1 =
-          h->project_to_level(coarse.assignments(), 1);
-      assign.resize(g.num_nodes());
-      for (graph::NodeId u = 0; u < g.num_nodes(); ++u)
-        assign[u] = lvl1[h->maps[0][u]];
-    }
+    const std::vector<part::PartId> assign =
+        h->project_to_level(coarse.assignments(), 0);
     result.partition = part::Partition(g.num_nodes(), req.k);
     for (graph::NodeId u = 0; u < g.num_nodes(); ++u)
       result.partition.set(u, assign[u]);
@@ -880,9 +876,9 @@ void Engine::serve_projected(const std::shared_ptr<JobState>& state) {
 
 void Engine::run_member(const std::shared_ptr<JobState>& state,
                         std::size_t index) {
-  // Skip members that lost the race: cancellation fired and a best answer
-  // already exists. (On budget expiry with no answer yet, everyone still
-  // runs — each returns its first-checkpoint solution quickly.)
+  // Skip members that lost the race: the budget or a caller stop fired and
+  // a best answer already exists. (With no answer yet, everyone still runs
+  // — each returns its first-checkpoint solution quickly.)
   bool skip = false;
   {
     std::lock_guard<std::mutex> lock(state->m);
@@ -949,8 +945,6 @@ void Engine::run_member(const std::shared_ptr<JobState>& state,
       }
     }
     mo.seconds = member_timer.seconds();
-    mm.runs->add();
-    if (mo.failed) mm.failures->add();
     mm.time_us->observe(mo.seconds * 1e6);
   }
 
@@ -968,13 +962,6 @@ void Engine::run_member(const std::shared_ptr<JobState>& state,
         state->best_index = index;
         state->best_goodness = good;
         state->best = std::move(result);
-      }
-      // Quality gate: a good-enough feasible answer stops the rest.
-      if (state->best.feasible &&
-          (options_.cancel_on_feasible ||
-           (options_.cancel_cut_threshold >= 0 &&
-            state->best.metrics.total_cut <= options_.cancel_cut_threshold))) {
-        state->token.request_stop();
       }
     }
     finished = --state->remaining == 0;
@@ -999,13 +986,6 @@ void Engine::collect_members(const std::shared_ptr<JobState>& state) {
                                  "engine: every portfolio member failed");
     }
     out.members = state->members;
-    out.budget_expired = state->token.deadline_expired();
-  }
-  // Per-member win/loss history — the adaptive-portfolio feedback signal.
-  for (std::size_t i = 0; i < out.members.size(); ++i) {
-    const MemberOutcome& mo = out.members[i];
-    if (!mo.ran || mo.failed) continue;
-    (mo.won ? member_metrics_[i].wins : member_metrics_[i].losses)->add();
   }
   if (!out.winner.empty())
     support::trace_instant(kTraceCat, "winner", state->id, {}, out.winner);
@@ -1037,8 +1017,7 @@ void Engine::complete(const std::shared_ptr<JobState>& state,
                            !outcome.status.is_ok() ? outcome.status.to_string()
                            : outcome.coalesced     ? "coalesced"
                                                    : to_string(path));
-  if (bucket == Tally::kCompleted)
-    path_metrics_.job_us->observe(outcome.seconds * 1e6);
+  if (bucket == Tally::kCompleted) job_us_.observe(outcome.seconds * 1e6);
 
   // 2. Publish a fresh, full-effort answer to future arrivals. Replays
   // (exact hits, coalesced copies) and degraded rungs are never published:
@@ -1078,7 +1057,7 @@ void Engine::complete(const std::shared_ptr<JobState>& state,
   }
 
   // 3. One ledger transaction: the bucket, the answering path and this
-  // job's member runs; release its running slot, feed the drain predictor,
+  // job's member rows; release its running slot, feed the drain predictor,
   // leave the single-flight registry (a racing twin then takes the key, or
   // attaches before `done` and is drained below), and claim free slots for
   // queued jobs.
@@ -1094,20 +1073,26 @@ void Engine::complete(const std::shared_ptr<JobState>& state,
       case Path::kFullPortfolio: tally(Tally::kFullPortfolio); break;
       case Path::kShed: break;
     }
+    // Only this job's own fan-out has member rows to settle: a replayed
+    // outcome (exact hit, coalesced copy) carries rows of an earlier run.
     if (fanned_out) {
-      for (const MemberOutcome& mo : outcome.members)
-        tally(mo.failed ? Tally::kMemberFailed
-              : mo.ran  ? Tally::kMemberRun
-                        : Tally::kMemberSkipped);
+      for (std::size_t i = 0; i < outcome.members.size(); ++i) {
+        const MemberOutcome& mo = outcome.members[i];
+        MemberStats& row = stats_.members[i];
+        if (mo.ran) ++row.runs;
+        ++(mo.failed ? row.failures
+           : !mo.ran ? row.skipped
+           : mo.won  ? row.wins
+                     : row.losses);
+      }
     }
     if (state->holds_slot) --running_full_;
     // Only full-rung fan-outs feed the deadline-aware drain estimate:
     // degraded rungs finish fast by design, and letting them in would bias
     // it low — exactly when overload makes it matter most.
     if (fanned_out && outcome.decision.rung == Rung::kFull) {
-      avg_job_seconds_ = avg_job_seconds_ == 0
-                             ? outcome.seconds
-                             : 0.8 * avg_job_seconds_ + 0.2 * outcome.seconds;
+      double& avg = stats_.avg_job_seconds;
+      avg = avg == 0 ? outcome.seconds : 0.8 * avg + 0.2 * outcome.seconds;
     }
     auto it = inflight_.find(state->key);
     if (it != inflight_.end() && it->second == state) inflight_.erase(it);
@@ -1150,6 +1135,24 @@ void Engine::complete(const std::shared_ptr<JobState>& state,
     complete(f, shared, bucket == Tally::kRejected ? Tally::kShed : bucket);
 }
 
+std::uint64_t EngineStats::members_run() const {
+  std::uint64_t n = 0;
+  for (const MemberStats& m : members) n += m.wins + m.losses;
+  return n;
+}
+
+std::uint64_t EngineStats::members_skipped() const {
+  std::uint64_t n = 0;
+  for (const MemberStats& m : members) n += m.skipped;
+  return n;
+}
+
+std::uint64_t EngineStats::members_failed() const {
+  std::uint64_t n = 0;
+  for (const MemberStats& m : members) n += m.failures;
+  return n;
+}
+
 void Engine::count(Tally what) {
   std::lock_guard<std::mutex> lock(mutex_);
   tally(what);
@@ -1157,36 +1160,27 @@ void Engine::count(Tally what) {
 
 void Engine::tally(Tally what) {
   EngineStats& s = stats_;
-  PathMetrics& m = path_metrics_;
-  const auto bump = [](std::uint64_t& field, support::Counter* mirror) {
-    ++field;
-    mirror->add();
-  };
   switch (what) {
-    case Tally::kCompleted: return bump(s.jobs_completed, m.jobs);
-    case Tally::kRejected: return bump(s.jobs_rejected, m.rejected);
-    case Tally::kShed: return bump(s.jobs_shed, m.shed);
-    case Tally::kExactHit: return m.exact_hits->add();
-    case Tally::kWarmStart: return m.warm_starts->add();
+    case Tally::kCompleted: ++s.jobs_completed; return;
+    case Tally::kRejected: ++s.jobs_rejected; return;
+    case Tally::kShed: ++s.jobs_shed; return;
+    case Tally::kExactHit: ++s.exact_hits; return;
+    case Tally::kWarmStart: ++s.repartitions_incremental; return;
     case Tally::kSimNearHit:
       ++s.similarity.probes;
-      return bump(s.similarity.near_hits, m.sim_served);
-    case Tally::kFullPortfolio: return m.full_runs->add();
+      ++s.similarity.near_hits;
+      return;
+    case Tally::kFullPortfolio: ++s.full_portfolio; return;
     case Tally::kSimDecline:
       ++s.similarity.probes;
-      return bump(s.similarity.declines, m.sim_declined);
-    case Tally::kSimDeferred:
-      return bump(s.similarity.deferred, m.sim_deferred);
-    case Tally::kSimParked: return bump(s.similarity.parked, m.sim_parked);
+      ++s.similarity.declines;
+      return;
+    case Tally::kSimDeferred: ++s.similarity.deferred; return;
+    case Tally::kSimParked: ++s.similarity.parked; return;
     case Tally::kCoalesced: ++s.jobs_coalesced; return;
-    case Tally::kDegradeCheap: return bump(s.jobs_degraded, m.degrade_cheap);
-    case Tally::kDegradeGp: return bump(s.jobs_degraded, m.degrade_gp);
-    case Tally::kDegradeProjected:
-      return bump(s.jobs_degraded, m.degrade_projected);
-    case Tally::kMemberRun: ++s.members_run; return;
-    case Tally::kMemberSkipped: ++s.members_skipped; return;
-    case Tally::kMemberFailed: ++s.members_failed; return;
-    case Tally::kRepartitionIncremental: ++s.repartitions_incremental; return;
+    case Tally::kDegradeCheap: ++s.degraded_cheap_members; return;
+    case Tally::kDegradeGp: ++s.degraded_gp_only; return;
+    case Tally::kDegradeProjected: ++s.degraded_projected; return;
     case Tally::kRepartitionFallback: ++s.repartitions_fallback; return;
     case Tally::kRepartitionCacheHit: ++s.repartition_cache_hits; return;
   }
@@ -1234,8 +1228,7 @@ RepartitionOutcome Engine::repartition(const Job& job,
       count(Tally::kRepartitionCacheHit);
       break;
     case Path::kWarmStart:
-      out.incremental = true;
-      count(Tally::kRepartitionIncremental);
+      out.incremental = true;  // counted in complete(), like every path
       break;
     default:
       out.fallback_reason = istats.fallback_reason;
@@ -1296,7 +1289,6 @@ EngineStats Engine::stats() const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     s = stats_;
-    s.avg_job_seconds = avg_job_seconds_;
   }
   s.cache = cache_.stats();
   s.coarsening = coarsen_cache_.stats();
@@ -1311,6 +1303,7 @@ EngineStats Engine::stats() const {
   // workspace's live counter is never read here (it belongs to its holder).
   s.repartition_ws_growths = warm_pool_.total_growths();
   s.metrics = metrics_.snapshot();
+  publish_counters(s);
   return s;
 }
 

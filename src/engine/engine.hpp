@@ -7,13 +7,12 @@
 // across the global thread pool, with
 //
 //   * per-job wall-clock budgets (StopToken deadlines; members return their
-//     best-so-far when the budget fires, so an answer always exists),
-//   * cooperative cancellation once a member's result is feasible and beats
-//     a quality threshold (remaining members are stopped / skipped),
+//     best-so-far when the budget fires, so an answer always exists; once
+//     one does, members not yet started are skipped),
 //   * deterministic per-member seed streams (SeedStream of the request
 //     seed), so a fixed seed reproduces bit-identical results regardless of
-//     scheduling — provided no budget/cancel threshold is set, since those
-//     trade determinism for latency by construction,
+//     scheduling — provided no budget is set, since a budget trades
+//     determinism for latency by construction,
 //   * an in-memory LRU result cache keyed by graph fingerprint + request
 //     hash + portfolio identity, so repeated queries (the heavy-traffic
 //     scenario) are served in O(1) without touching the pool,
@@ -141,16 +140,6 @@ struct EngineOptions {
   /// is one direct pass at worst.
   double time_budget_ms = 0;
 
-  /// Early-exit quality gate: once some member's result is feasible with
-  /// total cut <= cancel_cut_threshold, the job's remaining members are
-  /// stopped (running ones at their next checkpoint, unstarted ones are
-  /// skipped). Negative disables the gate.
-  part::Weight cancel_cut_threshold = -1;
-
-  /// Shorthand gate: any feasible member result cancels the rest. Useful
-  /// when the caller wants *a* feasible mapping as fast as possible.
-  bool cancel_on_feasible = false;
-
   /// Result-cache capacity in jobs; 0 disables caching.
   std::size_t cache_capacity = 4096;
 
@@ -212,9 +201,9 @@ struct EngineOptions {
 
   /// Metrics sink (non-owning; must outlive the engine). Null = the
   /// process-wide support::MetricsRegistry::global(). The engine records
-  /// admission-path counters, job latency histograms and per-member
-  /// run/win/loss/time series under the "engine." prefix; tests hand in a
-  /// private registry to assert exact values in isolation.
+  /// only latency histograms there (engine.job.time_us, engine.warm.time_us,
+  /// engine.member.<name>.time_us); its counts live in EngineStats, which
+  /// stats() publishes as counters (see EngineStats::metrics).
   support::MetricsRegistry* metrics = nullptr;
 };
 
@@ -223,8 +212,9 @@ struct MemberOutcome {
   std::string algorithm;
   part::Goodness goodness;
   double seconds = 0;
-  bool ran = false;     // false = skipped by cancellation before starting
-  bool failed = false;  // threw (e.g. Exact on an oversized graph)
+  bool ran = false;     // false = skipped (budget, caller stop, rung)
+  bool failed = false;  // threw (e.g. Exact on an oversized graph), or its
+                        // task could not be submitted
   bool won = false;     // this member's result was selected as the answer
   std::string error;
 };
@@ -293,7 +283,6 @@ struct PortfolioOutcome {
   /// warm-started (winner == "similarity"). Mutually exclusive with
   /// from_cache; the answer was computed fresh on THIS job's graph.
   bool similarity = false;
-  bool budget_expired = false;  // the job's deadline fired
   double seconds = 0;           // engine-observed job latency
   std::uint64_t key = 0;        // cache key (diagnostics)
   /// How admission routed this job (decline provenance included).
@@ -314,10 +303,27 @@ struct RepartitionOutcome {
   std::string fallback_reason;  // why the full portfolio (or cache) answered
 };
 
+/// One portfolio member's ledger row (EngineStats::members), settled from
+/// the MemberOutcome rows of every job that fanned out.
+struct MemberStats {
+  std::string name;            // registry name, as in the portfolio
+  std::uint64_t runs = 0;      // started (MemberOutcome::ran)
+  std::uint64_t wins = 0;      // ran, completed, selected as the answer
+  std::uint64_t losses = 0;    // ran, completed, not selected
+  std::uint64_t failures = 0;  // threw, or its task could not be submitted
+  std::uint64_t skipped = 0;   // not started (budget, caller stop, rung)
+};
+
 // A caller-armed request.stop is honoured: the per-job token links it as a
-// parent, so firing it cancels the job exactly like the quality gate does
+// parent, so firing it cancels the job exactly like the budget does
 // (running members stop at their next checkpoint; an answer still exists
 // once any member completes).
+//
+// EngineStats is the engine's one ledger: every count the engine keeps is
+// settled here under the engine mutex, a job's completion bucket,
+// answering path and member rows in one transaction, so each stats()
+// snapshot agrees with itself. (Cache, coarsening, fingerprint, workspace
+// and index insert/evict traffic come from their own components.)
 struct EngineStats {
   std::uint64_t jobs_completed = 0;
   std::uint64_t jobs_coalesced = 0;  // duplicates served by single-flight
@@ -327,16 +333,34 @@ struct EngineStats {
   /// deadline_aware, or an unmeetable deadline); `shed` = admitted, queued,
   /// then evicted by drop_oldest before running, or coalesced onto a job
   /// that was refused or shed. Both complete immediately with a typed error
-  /// outcome. `degraded` counts jobs ADMITTED below the
-  /// full rung (decision-time count; a degraded job later evicted by
-  /// drop_oldest still counted here).
+  /// outcome.
   std::uint64_t jobs_rejected = 0;
   std::uint64_t jobs_shed = 0;
-  std::uint64_t jobs_degraded = 0;
-  std::uint64_t members_run = 0;
-  std::uint64_t members_skipped = 0;
-  std::uint64_t members_failed = 0;
-  std::uint64_t repartitions_incremental = 0;  // warm-started answers
+  /// Jobs ADMITTED below the full rung, by rung (decision-time counts; a
+  /// degraded job later evicted by drop_oldest still counts here).
+  std::uint64_t degraded_cheap_members = 0;
+  std::uint64_t degraded_gp_only = 0;
+  std::uint64_t degraded_projected = 0;
+  std::uint64_t jobs_degraded() const {
+    return degraded_cheap_members + degraded_gp_only + degraded_projected;
+  }
+  /// The answering path of every finished job; with repartitions_incremental
+  /// (the caller-delta warm start) and similarity.near_hits, each job counts
+  /// under exactly one path, so exact_hits + repartitions_incremental +
+  /// similarity.near_hits + full_portfolio == jobs_completed + jobs_rejected
+  /// + jobs_shed. `full_portfolio` means "routed to stage 3": refused, shed
+  /// and coalesced jobs routed there too.
+  std::uint64_t exact_hits = 0;
+  std::uint64_t full_portfolio = 0;
+  /// Per portfolio member, by portfolio index (a member listed twice has
+  /// two rows).
+  std::vector<MemberStats> members;
+  /// Sums over `members`: runs to completion (wins + losses), skips and
+  /// failures.
+  std::uint64_t members_run() const;
+  std::uint64_t members_skipped() const;
+  std::uint64_t members_failed() const;
+  std::uint64_t repartitions_incremental = 0;  // caller-delta warm starts
   std::uint64_t repartitions_fallback = 0;     // declined -> full portfolio
   std::uint64_t repartition_cache_hits = 0;    // post-edit twin in the cache
   /// Buffer growths across the engine-owned warm-start workspace pool
@@ -352,25 +376,27 @@ struct EngineStats {
   /// The deadline-aware policy's drain-time estimate: an EWMA of FULL-rung
   /// completion latencies. 0 until the first full-path completion seeds it
   /// (degraded/projected completions never feed it — they finish fast by
-  /// design and would bias the estimate low). Diagnostics: this is the
-  /// per-job seconds the admission gate multiplies by queue depth.
+  /// design and would bias the estimate low). This is the per-job seconds
+  /// the admission gate multiplies by queue depth.
   double avg_job_seconds = 0;
   CacheStats cache;
   CacheStats coarsening;  // CoarseningCache traffic (hits = reused builds)
   /// Similarity-admission traffic: probes (admissions that consulted the
   /// index), near_hits (warm starts served), declines (probes routed to the
   /// full path), deferred/parked (async-stage traffic), plus the index's
-  /// insert/evict counters. Updated under the engine mutex — exact even
-  /// under concurrent submit. A probe and its verdict are bumped as one
+  /// insert/evict counters. A probe and its verdict are bumped as one
   /// transaction AT RESOLUTION TIME (on the warm-start task's pool thread
   /// when deferred), so `probes == near_hits + declines` holds in EVERY
   /// snapshot — never a torn mid-probe view, even while verdicts are in
   /// flight on the pool.
   SimilarityStats similarity;
-  /// Snapshot of the engine's metrics registry ("engine." counters, job
-  /// latency histograms, per-member win/loss/time series). Note: a shared
-  /// (global) registry snapshots everything recorded into it, including
-  /// other engines'.
+  /// The metrics view of this snapshot: the registry's histograms plus this
+  /// ledger's counts as counters, under the names `--metrics` prints —
+  /// engine.jobs, engine.admit.*, engine.degrade.* and
+  /// engine.member.<name>.{runs,wins,losses,failures} (same-named members
+  /// summed). The counters are written from this very snapshot, so they
+  /// always equal the fields above. A shared (global) registry's histograms
+  /// include other engines' observations.
   support::MetricsSnapshot metrics;
 };
 
@@ -492,8 +518,7 @@ class Engine {
     kSimDecline, kSimDeferred, kSimParked,
     kCoalesced,
     kDegradeCheap, kDegradeGp, kDegradeProjected,
-    kMemberRun, kMemberSkipped, kMemberFailed,
-    kRepartitionIncremental, kRepartitionFallback, kRepartitionCacheHit,
+    kRepartitionFallback, kRepartitionCacheHit,
   };
 
   /// A caller-supplied warm start (repartition): the previous partition of
@@ -586,13 +611,13 @@ class Engine {
   void collect_members(const std::shared_ptr<JobState>& state);
   /// The one completion path. Stamps the outcome, publishes an eligible
   /// answer to the result cache and the similarity index, settles the
-  /// ledger (`bucket` is kCompleted, kRejected or kShed) in one mutex_
-  /// transaction, resolves pending near-twins, pumps the queue, then flips
-  /// `done` and completes the single-flight followers the same way.
+  /// ledger (`bucket` is kCompleted, kRejected or kShed; the answering
+  /// path; a fan-out's member rows) in one mutex_ transaction, resolves
+  /// pending near-twins, pumps the queue, then flips `done` and completes
+  /// the single-flight followers the same way.
   void complete(const std::shared_ptr<JobState>& state,
                 PortfolioOutcome outcome, Tally bucket);
-  /// The one ledger: an EngineStats counter and its registry mirror move
-  /// together here and nowhere else. Caller holds mutex_.
+  /// Bumps the stats_ field `what` names. Caller holds mutex_.
   void tally(Tally what);
   /// tally() as its own mutex_ transaction.
   void count(Tally what);
@@ -608,37 +633,17 @@ class Engine {
   SimilarityIndex sim_index_;
 
   /// Resolved metrics sink (options_.metrics or the global registry) and
-  /// handles cached at construction: hot-path updates are plain relaxed
-  /// atomics, no name lookups. Pointers are registry-stable for its
-  /// lifetime.
+  /// the latency histograms resolved from it at construction, so hot-path
+  /// observations do no name lookups. References are registry-stable for
+  /// its lifetime.
   support::MetricsRegistry& metrics_;
-  struct PathMetrics {
-    support::Counter* jobs = nullptr;        // engine.jobs
-    support::Counter* exact_hits = nullptr;  // engine.admit.exact_hit
-    support::Counter* warm_starts = nullptr;
-    support::Counter* sim_served = nullptr;
-    support::Counter* sim_declined = nullptr;
-    support::Counter* sim_deferred = nullptr;  // engine.admit.sim_deferred
-    support::Counter* sim_parked = nullptr;    // engine.admit.sim_parked
-    support::Counter* full_runs = nullptr;
-    support::Counter* rejected = nullptr;   // engine.admit.rejected
-    support::Counter* shed = nullptr;       // engine.admit.shed
-    support::Counter* degrade_cheap = nullptr;  // engine.degrade.cheap_members
-    support::Counter* degrade_gp = nullptr;     // engine.degrade.gp_only
-    support::Counter* degrade_projected = nullptr;  // engine.degrade.projected
-    support::Histogram* job_us = nullptr;   // engine.job.time_us
-    support::Histogram* warm_us = nullptr;  // engine.warm.time_us
-  };
-  PathMetrics path_metrics_;
+  support::Histogram& job_us_;   // engine.job.time_us
+  support::Histogram& warm_us_;  // engine.warm.time_us
   /// Per portfolio member, by index. `span_name` is the member's interned
   /// registry name, usable as a trace event name.
   struct MemberMetrics {
     const char* span_name = nullptr;
-    support::Counter* runs = nullptr;      // engine.member.<name>.runs
-    support::Counter* wins = nullptr;      // selected as the job's answer
-    support::Counter* losses = nullptr;    // ran, completed, not selected
-    support::Counter* failures = nullptr;  // threw
-    support::Histogram* time_us = nullptr;
+    support::Histogram* time_us = nullptr;  // engine.member.<name>.time_us
   };
   std::vector<MemberMetrics> member_metrics_;
 
@@ -656,13 +661,12 @@ class Engine {
   std::unordered_map<std::uint64_t, std::shared_ptr<JobState>> inflight_;
   EngineStats stats_;
   /// Bounded admission (all under mutex_): stage-3 jobs admitted but
-  /// awaiting a running slot, the count of jobs currently fanned out, the
-  /// resolved concurrent-job cap, and an EWMA of recent job latency (the
-  /// deadline-aware policy's drain-time estimate).
+  /// awaiting a running slot, the count of jobs currently fanned out, and
+  /// the resolved concurrent-job cap. The drain-time estimate is
+  /// stats_.avg_job_seconds.
   std::deque<std::shared_ptr<JobState>> queue_;
   std::size_t running_full_ = 0;
   std::size_t max_running_resolved_ = 0;
-  double avg_job_seconds_ = 0;
 
   std::atomic<std::uint64_t> fp_computed_{0};
   mutable std::mutex fp_mutex_;  // guards fp_memo_

@@ -56,13 +56,14 @@ struct ProcessNetworkParams {
 Graph random_process_network(const ProcessNetworkParams& params,
                              support::Rng& rng);
 
-/// Streamed variant of random_process_network for very large instances
-/// (the parallel-scaling bench builds a 1M-node PN with it). Instead of
-/// accumulating a GraphBuilder edge list that is later sorted and merged —
-/// whose peak footprint is several times the finished CSR — it emits a
-/// deterministic per-node edge stream twice (a degree-count pass, then a
-/// fill pass replaying the same Rng state) and writes the CSR arrays
-/// directly, so peak memory is the finished graph plus one cursor array.
+/// Streamed variant of random_process_network for large instances (the
+/// 8-thread GP speedup gate in tests/timing_gates_test.cpp builds its
+/// 20k-node PN with it). Instead of accumulating a GraphBuilder edge list
+/// that is later sorted and merged — whose peak footprint is several times
+/// the finished CSR — it emits a deterministic per-node edge stream twice
+/// (a degree-count pass, then a fill pass replaying the same Rng state) and
+/// writes the CSR arrays directly, so peak memory is the finished graph
+/// plus one cursor array.
 ///
 /// Topology matches the layered PN shape: contiguous layer blocks, every
 /// node keeps a "parent" channel into the previous layer (connectivity by

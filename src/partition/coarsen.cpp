@@ -1,7 +1,6 @@
 #include "partition/coarsen.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <functional>
 #include <stdexcept>
 
@@ -158,16 +157,18 @@ Weight run_matching_into(const Graph& g, MatchingKind kind, support::Rng& rng,
 
 std::vector<PartId> Hierarchy::project_to_level(
     const std::vector<PartId>& coarse_assign, std::size_t level) const {
-  assert(!graphs.empty());
+  // Levels are sized by their maps, never by graphs[i]: CoarseningCache
+  // empties graphs[0]. The coarsest level has no map; with no maps at all
+  // it is level 0 and there is nothing to project.
+  if (maps.empty()) return coarse_assign;
   if (coarse_assign.size() != coarsest().num_nodes())
     throw std::invalid_argument("project_to_level: size mismatch");
   std::vector<PartId> assign = coarse_assign;
   // maps[i] : level i -> level i+1; walk backwards from the coarsest.
   for (std::size_t i = maps.size(); i-- > level;) {
-    std::vector<PartId> finer(graphs[i].num_nodes());
-    for (NodeId u = 0; u < graphs[i].num_nodes(); ++u) {
+    std::vector<PartId> finer(maps[i].size());
+    for (std::size_t u = 0; u < finer.size(); ++u)
       finer[u] = assign[maps[i][u]];
-    }
     assign = std::move(finer);
   }
   return assign;
@@ -178,6 +179,9 @@ RestrictedHierarchy coarsen_restricted(const Graph& g,
                                        const CoarsenOptions& options,
                                        support::Rng& rng, Workspace& ws,
                                        std::uint32_t threads) {
+  if (options.strategies.empty())
+    throw std::invalid_argument(
+        "coarsen_restricted: no matching strategies enabled");
   if (parts.size() != g.num_nodes())
     throw std::invalid_argument("coarsen_restricted: parts size mismatch");
   RestrictedHierarchy out;

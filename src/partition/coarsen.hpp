@@ -65,6 +65,8 @@ struct Hierarchy {
 
   /// Projects a coarsest-level part assignment down to level `level`
   /// (0 = original graph). `coarse_assign` indexes coarsest-graph nodes.
+  /// Needs only the maps, so it also serves cached hierarchies, whose
+  /// graphs[0] is empty.
   std::vector<PartId> project_to_level(
       const std::vector<PartId>& coarse_assign, std::size_t level) const;
 };

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "graph/diff.hpp"
-#include "partition/gp.hpp"
 #include "partition/refine.hpp"
 #include "partition/workspace.hpp"
 #include "support/prng.hpp"
@@ -224,23 +223,6 @@ std::optional<PartitionResult> IncrementalPartitioner::try_repartition_diffed(
                                 applied.touched, request, stats);
   if (stats != nullptr) stats->diff_ops = diff_ops;
   return result;
-}
-
-PartitionResult IncrementalPartitioner::repartition(
-    const Graph& g, const Partition& prev,
-    std::span<const graph::NodeId> node_map,
-    std::span<const graph::NodeId> touched, const PartitionRequest& request,
-    IncrementalStats* stats) {
-  if (auto r = try_repartition(g, prev, node_map, touched, request, stats))
-    return *std::move(r);
-  return GpPartitioner{}.run(g, request);
-}
-
-PartitionResult IncrementalPartitioner::repartition(
-    const graph::GraphDelta::Applied& applied, const Partition& prev,
-    const PartitionRequest& request, IncrementalStats* stats) {
-  return repartition(applied.graph, prev, applied.node_map, applied.touched,
-                     request, stats);
 }
 
 }  // namespace ppnpart::part

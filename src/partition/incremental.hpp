@@ -21,14 +21,13 @@
 //                  allocates nothing. Callers inject the Workspace via
 //                  request.workspace — the engine always passes one leased
 //                  from its WorkspacePool so concurrent warm-start tasks
-//                  never share scratch; the local fallback below exists
-//                  only for standalone callers that pass none.
+//                  never share scratch; standalone callers that pass none
+//                  get a local one.
 //
 // When the edit is too large for local repair to be trustworthy — too many
 // touched nodes, a changed k, or a projected load imbalance past the
-// threshold — try_repartition declines (returns nullopt) and repartition()
-// falls back to a full from-scratch run, exactly the "near-scratch quality
-// at a fraction of the cost, scratch cost when the delta is big" contract.
+// threshold — try_repartition declines (returns nullopt) and the caller
+// answers from scratch: the engine routes declines to its full portfolio.
 //
 // Determinism: projection and greedy seeding are id-ordered with fixed tie
 // breaks, refinement draws from an Rng derived from request.seed — a fixed
@@ -116,19 +115,6 @@ class IncrementalPartitioner {
   std::optional<PartitionResult> try_repartition_diffed(
       const Graph& base, const Graph& arriving, const Partition& prev,
       const PartitionRequest& request, IncrementalStats* stats = nullptr);
-
-  /// try_repartition, falling back to a full GP run (default options) when
-  /// the incremental path declines. Always returns a complete result. The
-  /// engine routes declines to its full portfolio instead.
-  PartitionResult repartition(const Graph& g, const Partition& prev,
-                              std::span<const graph::NodeId> node_map,
-                              std::span<const graph::NodeId> touched,
-                              const PartitionRequest& request,
-                              IncrementalStats* stats = nullptr);
-  PartitionResult repartition(const graph::GraphDelta::Applied& applied,
-                              const Partition& prev,
-                              const PartitionRequest& request,
-                              IncrementalStats* stats = nullptr);
 
  private:
   IncrementalOptions options_;

@@ -130,6 +130,18 @@ TEST(Coarsen, ThrowsWithoutStrategies) {
   options.strategies.clear();
   support::Rng rng(9);
   EXPECT_THROW(coarsen(Graph(), options, rng), std::invalid_argument);
+
+  // The restricted form refuses too, on a fresh workspace and on one that
+  // coarsened before (whose race slots hold a stale matching).
+  const Graph g = graph::erdos_renyi_gnm(300, 900, rng, {1, 5}, {1, 5});
+  const std::vector<PartId> parts(g.num_nodes(), 0);
+  Workspace fresh;
+  EXPECT_THROW(coarsen_restricted(g, parts, options, rng, fresh),
+               std::invalid_argument);
+  Workspace used;
+  (void)coarsen(g, CoarsenOptions{}, rng, used);
+  EXPECT_THROW(coarsen_restricted(g, parts, options, rng, used),
+               std::invalid_argument);
 }
 
 TEST(CoarsenRestricted, PreservesPartition) {

@@ -9,7 +9,10 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <map>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -320,20 +323,6 @@ TEST(Engine, SubmitPollStreaming) {
   EXPECT_THROW(eng.poll(999999), std::invalid_argument);
 }
 
-TEST(Engine, CancelOnFeasibleStillReturnsFeasible) {
-  const engine::Job job = make_job(13, 96, /*slack=*/1.8);  // easy instance
-  engine::EngineOptions opts;
-  opts.cancel_on_feasible = true;
-  opts.cache_capacity = 0;
-  engine::Engine eng(opts);
-  const auto out = eng.run_one(job.graph, job.request);
-  ASSERT_FALSE(out.winner.empty());
-  EXPECT_TRUE(out.best.feasible);
-  for (const auto& m : out.members) {
-    if (!m.ran) EXPECT_FALSE(m.failed);  // skipped members carry no error
-  }
-}
-
 TEST(Engine, CallerStopTokenIsHonored) {
   // A request.stop fired before submission cancels the job's iterative
   // work: every member returns its first-checkpoint answer, so the job
@@ -388,7 +377,7 @@ TEST(Engine, FailedMembersAreIsolated) {
   ASSERT_EQ(out.members.size(), 2u);
   EXPECT_TRUE(out.members[0].failed);
   EXPECT_FALSE(out.members[0].error.empty());
-  EXPECT_EQ(eng.stats().members_failed, 1u);
+  EXPECT_EQ(eng.stats().members_failed(), 1u);
 }
 
 // ---------------------------------------------------- shared-graph batch ---
@@ -493,7 +482,7 @@ TEST(Engine, DuplicateInFlightKeysCoalesce) {
       const engine::EngineStats stats = eng.stats();
       EXPECT_EQ(stats.jobs_completed, 2u);
       EXPECT_EQ(stats.jobs_coalesced, 1u);
-      EXPECT_EQ(stats.members_run, 1u);  // the leader's single gp member
+      EXPECT_EQ(stats.members_run(), 1u);  // the leader's single gp member
     }
   }
   EXPECT_TRUE(coalesced) << "second submit never found the first in flight";
@@ -753,9 +742,10 @@ TEST(Engine, AdmissionDecisionRecordsRouteAndProvenance) {
   EXPECT_TRUE(sim.decision.sim_probed);
   EXPECT_TRUE(sim.decision.decline_reason.empty());
 
-  // The admission-path counters in the private registry tell the same
-  // story, job for job.
-  const support::MetricsSnapshot snap = registry.snapshot();
+  // The admission-path counters of the engine's metrics view tell the same
+  // story, job for job; the latency histogram comes from the private
+  // registry.
+  const support::MetricsSnapshot snap = eng.stats().metrics;
   EXPECT_EQ(snap.counter_or("engine.jobs"), 3u);
   EXPECT_EQ(snap.counter_or("engine.admit.full_portfolio"), 1u);
   EXPECT_EQ(snap.counter_or("engine.admit.exact_hit"), 1u);
@@ -813,9 +803,10 @@ TEST(Engine, MemberWinLossMetricsAreExact) {
     EXPECT_EQ(winners, 1);
   }
 
-  // Registry view: every member ran every job; wins partition the jobs and
+  // Metrics view: every member ran every job; wins partition the jobs and
   // wins + losses == runs (nothing failed, nothing was skipped).
-  const support::MetricsSnapshot snap = registry.snapshot();
+  const engine::EngineStats stats = eng.stats();
+  const support::MetricsSnapshot& snap = stats.metrics;
   std::uint64_t wins_total = 0;
   for (const char* member : {"gp", "metislike"}) {
     const std::string prefix = std::string("engine.member.") + member;
@@ -833,57 +824,13 @@ TEST(Engine, MemberWinLossMetricsAreExact) {
   EXPECT_EQ(wins_total, kJobs);
   EXPECT_EQ(snap.counter_or("engine.jobs"), kJobs);
 
-  // The same snapshot rides on EngineStats for callers that only see the
-  // engine.
-  EXPECT_EQ(eng.stats().metrics.counter_or("engine.jobs"), kJobs);
-}
-
-TEST(Engine, StatsSnapshotIsNeverTornUnderConcurrentSubmit) {
-  // Satellite rail of the observability PR: similarity counters are bumped
-  // transactionally with their verdict, so EVERY stats() snapshot satisfies
-  // probes == near_hits + declines and evictions <= insertions — even while
-  // submits are in full flight on other threads.
-  engine::EngineOptions opts;
-  opts.portfolio = engine::Portfolio{{"metislike"}};
-  opts.similarity.enabled = true;
-  engine::Engine eng(opts);
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> torn{0};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      const engine::EngineStats s = eng.stats();
-      if (s.similarity.probes != s.similarity.near_hits + s.similarity.declines)
-        torn.fetch_add(1, std::memory_order_relaxed);
-      if (s.similarity.evictions > s.similarity.insertions)
-        torn.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-
-  constexpr int kWriters = 2;
-  constexpr std::uint64_t kJobsPerWriter = 24;
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&eng, w] {
-      for (std::uint64_t j = 0; j < kJobsPerWriter; ++j) {
-        // Distinct graphs keep the full path (and its probes) busy; the
-        // occasional perturbed repeat exercises the near-hit transaction.
-        engine::Job job =
-            make_job(100 + w * kJobsPerWriter + j, /*nodes=*/64);
-        if (j % 3 == 2) job.graph = perturb_graph(*job.graph, j);
-        (void)eng.run_one(job.graph, job.request);
-      }
-    });
-  }
-  for (std::thread& t : writers) t.join();
-  stop.store(true, std::memory_order_relaxed);
-  reader.join();
-
-  EXPECT_EQ(torn.load(), 0u) << "a stats() snapshot saw a torn mid-probe view";
-  const engine::EngineStats final_stats = eng.stats();
-  EXPECT_EQ(final_stats.similarity.probes,
-            final_stats.similarity.near_hits + final_stats.similarity.declines);
-  EXPECT_GE(final_stats.similarity.probes, kWriters * kJobsPerWriter);
+  // The counters are the ledger's own rows, one per portfolio member; the
+  // registry holds only the latency histograms.
+  ASSERT_EQ(stats.members.size(), 2u);
+  EXPECT_EQ(stats.members[0].name, "gp");
+  EXPECT_EQ(stats.members[0].runs, kJobs);
+  EXPECT_EQ(stats.members[0].wins + stats.members[1].wins, kJobs);
+  EXPECT_TRUE(registry.snapshot().counters.empty());
 }
 
 // ---------------------------------------------------- bounded admission ---
@@ -928,7 +875,7 @@ TEST(Engine, BoundedAdmissionWalksTheLadderAndRejectsAtCapacity) {
   EXPECT_EQ(stats.jobs_completed, 5u);
   EXPECT_EQ(stats.jobs_rejected, 1u);
   EXPECT_EQ(stats.jobs_shed, 0u);
-  EXPECT_EQ(stats.jobs_degraded, 3u);
+  EXPECT_EQ(stats.jobs_degraded(), 3u);
 
   // Degraded answers must not poison the cache: the cheap-rung key misses
   // (recomputed at full strength now that the load is gone) while the
@@ -1113,7 +1060,7 @@ TEST(Engine, NearTwinFollowersCoalesceOntoLeader) {
   EXPECT_EQ(stats.similarity.near_hits,
             static_cast<std::uint64_t>(kTwins - 1));
   EXPECT_EQ(stats.similarity.declines, 1u);
-  EXPECT_EQ(stats.members_run, 1u);
+  EXPECT_EQ(stats.members_run(), 1u);
   EXPECT_EQ(stats.jobs_completed, static_cast<std::uint64_t>(kTwins));
 }
 
@@ -1236,7 +1183,7 @@ TEST(Engine, ExpiredBudgetGetsProjectedAnswerInline) {
   EXPECT_EQ(out.decision.rung,
             engine::AdmissionDecision::DegradeRung::kProjected);
   EXPECT_TRUE(out.best.partition.complete());
-  EXPECT_EQ(eng.stats().jobs_degraded, 1u);
+  EXPECT_EQ(eng.stats().jobs_degraded(), 1u);
 
   // Projected answers are never cached: the same key recomputes at full
   // strength once the budget pressure is gone.
@@ -1250,33 +1197,125 @@ TEST(Engine, ExpiredBudgetGetsProjectedAnswerInline) {
 
 // ---------------------------------------------------------------- ledger ---
 
-/// The ledger cross-check: every registry mirror equals its EngineStats
-/// field, the similarity probes balance, and every submitted job sits in
-/// exactly one completion bucket.
+/// Every way one stats() snapshot can disagree with itself, as text (empty
+/// when it does not): a published engine.* counter that differs from its
+/// EngineStats field or member row (or is missing or unknown), answering
+/// paths that do not add up to the finished jobs, unbalanced similarity
+/// probes, or more index evictions than insertions.
+std::string ledger_disagreement(const engine::EngineStats& s) {
+  std::map<std::string, std::uint64_t> expected = {
+      {"engine.jobs", s.jobs_completed},
+      {"engine.admit.exact_hit", s.exact_hits},
+      {"engine.admit.warm_start", s.repartitions_incremental},
+      {"engine.admit.similarity", s.similarity.near_hits},
+      {"engine.admit.sim_decline", s.similarity.declines},
+      {"engine.admit.sim_deferred", s.similarity.deferred},
+      {"engine.admit.sim_parked", s.similarity.parked},
+      {"engine.admit.full_portfolio", s.full_portfolio},
+      {"engine.admit.rejected", s.jobs_rejected},
+      {"engine.admit.shed", s.jobs_shed},
+      {"engine.degrade.cheap_members", s.degraded_cheap_members},
+      {"engine.degrade.gp_only", s.degraded_gp_only},
+      {"engine.degrade.projected", s.degraded_projected},
+  };
+  for (const engine::MemberStats& m : s.members) {
+    const std::string prefix = "engine.member." + m.name + ".";
+    expected[prefix + "runs"] += m.runs;
+    expected[prefix + "wins"] += m.wins;
+    expected[prefix + "losses"] += m.losses;
+    expected[prefix + "failures"] += m.failures;
+  }
+  std::ostringstream why;
+  std::size_t published = 0;
+  for (const support::MetricsSnapshot::CounterEntry& c : s.metrics.counters) {
+    if (c.name.rfind("engine.", 0) != 0) continue;
+    ++published;
+    const auto it = expected.find(c.name);
+    if (it == expected.end())
+      why << "unknown counter " << c.name << "; ";
+    else if (it->second != c.value)
+      why << c.name << " = " << c.value << ", ledger " << it->second << "; ";
+  }
+  if (published != expected.size())
+    why << published << " engine counters published, " << expected.size()
+        << " expected; ";
+  const std::uint64_t paths = s.exact_hits + s.repartitions_incremental +
+                              s.similarity.near_hits + s.full_portfolio;
+  const std::uint64_t finished =
+      s.jobs_completed + s.jobs_rejected + s.jobs_shed;
+  if (paths != finished)
+    why << "answering paths " << paths << " != finished jobs " << finished
+        << "; ";
+  if (s.similarity.probes != s.similarity.near_hits + s.similarity.declines)
+    why << "similarity probes unbalanced; ";
+  if (s.similarity.evictions > s.similarity.insertions)
+    why << "more index evictions than insertions; ";
+  return why.str();
+}
+
+/// The ledger cross-check: the snapshot agrees with itself and every
+/// submitted job sits in exactly one completion bucket.
 void expect_ledger_consistent(const engine::Engine& eng,
                               std::uint64_t submitted, const char* step) {
   const engine::EngineStats s = eng.stats();
-  const support::MetricsSnapshot& m = s.metrics;
-  EXPECT_EQ(m.counter_or("engine.jobs"), s.jobs_completed) << step;
-  EXPECT_EQ(m.counter_or("engine.admit.rejected"), s.jobs_rejected) << step;
-  EXPECT_EQ(m.counter_or("engine.admit.shed"), s.jobs_shed) << step;
-  EXPECT_EQ(m.counter_or("engine.admit.similarity"), s.similarity.near_hits)
-      << step;
-  EXPECT_EQ(m.counter_or("engine.admit.sim_decline"), s.similarity.declines)
-      << step;
-  EXPECT_EQ(m.counter_or("engine.admit.sim_deferred"), s.similarity.deferred)
-      << step;
-  EXPECT_EQ(m.counter_or("engine.admit.sim_parked"), s.similarity.parked)
-      << step;
-  EXPECT_EQ(m.counter_or("engine.degrade.cheap_members") +
-                m.counter_or("engine.degrade.gp_only") +
-                m.counter_or("engine.degrade.projected"),
-            s.jobs_degraded)
-      << step;
-  EXPECT_EQ(s.similarity.probes, s.similarity.near_hits + s.similarity.declines)
-      << step;
+  EXPECT_EQ(ledger_disagreement(s), "") << step;
   EXPECT_EQ(s.jobs_completed + s.jobs_rejected + s.jobs_shed, submitted)
       << step;
+}
+
+TEST(Engine, StatsSnapshotIsNeverTornUnderConcurrentSubmit) {
+  // A probe and its verdict are counted in one transaction, and the metrics
+  // view is written from the same locked copy as the ledger fields, so no
+  // snapshot can catch a count half-made or in one view and not the other
+  // — even while writers race fresh graphs, exact repeats and near twins
+  // through every admission stage.
+  engine::EngineOptions opts;
+  opts.portfolio = engine::Portfolio{{"metislike"}};
+  opts.similarity.enabled = true;
+  support::MetricsRegistry registry;
+  opts.metrics = &registry;
+  engine::Engine eng(opts);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> torn{0};
+  std::string first_torn;
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::string why = ledger_disagreement(eng.stats());
+      reads.fetch_add(1, std::memory_order_relaxed);
+      if (!why.empty() && torn.fetch_add(1, std::memory_order_relaxed) == 0)
+        first_torn = why;
+    }
+  });
+
+  constexpr int kWriters = 2;
+  constexpr std::uint64_t kGraphsPerWriter = 24;
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&eng, w] {
+      for (std::uint64_t j = 0; j < kGraphsPerWriter; ++j) {
+        const engine::Job job =
+            make_job(2000 + w * kGraphsPerWriter + j, /*nodes=*/64);
+        (void)eng.run_one(job.graph, job.request);  // fresh
+        (void)eng.run_one(job.graph, job.request);  // exact repeat
+        (void)eng.run_one(perturb_graph(*job.graph, j), job.request);  // twin
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(torn.load(), 0u) << "of " << reads.load()
+                             << " snapshots; first: " << first_torn;
+  const engine::EngineStats s = eng.stats();
+  EXPECT_EQ(ledger_disagreement(s), "");
+  EXPECT_EQ(s.jobs_completed, 3 * kWriters * kGraphsPerWriter);
+  EXPECT_GT(s.exact_hits, 0u);
+  EXPECT_GT(s.similarity.near_hits, 0u);
+  EXPECT_TRUE(registry.snapshot().counters.empty());
 }
 
 TEST(Engine, LedgerMirrorsAgreeOnEveryCompletionPath) {

@@ -453,13 +453,6 @@ TEST(IncrementalProperty, DeclinesOversizedDeltasAndChangedK) {
   EXPECT_FALSE(
       inc.try_repartition(applied_small, prev, request_k8, &stats).has_value());
   EXPECT_EQ(stats.fallback_reason, "k changed");
-
-  // repartition() answers anyway, via the fallback algorithm.
-  const part::PartitionResult full =
-      inc.repartition(applied, prev, request, &stats);
-  EXPECT_TRUE(stats.fell_back);
-  EXPECT_TRUE(full.partition.complete());
-  EXPECT_EQ(full.partition.size(), applied.graph.num_nodes());
 }
 
 TEST(IncrementalProperty, RepartitionDeterministicAcrossWorkspaces) {

@@ -77,7 +77,7 @@ TEST(TimingGate, NearTwinBurstSubmitsStayUnderHalfASecond) {
   }
   const engine::EngineStats stats = eng.stats();
   const std::uint64_t followers = twins.size() - 1;
-  EXPECT_EQ(stats.members_run, 1u);
+  EXPECT_EQ(stats.members_run(), 1u);
   EXPECT_EQ(stats.similarity.near_hits, followers);
   EXPECT_EQ(stats.similarity.declines, 1u);
   EXPECT_EQ(stats.similarity.parked, followers);

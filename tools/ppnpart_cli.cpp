@@ -91,7 +91,7 @@
 //                       per-job admission spans and decision records, member
 //                       races, per-level coarsen/initial/refine phases; load
 //                       in chrome://tracing or https://ui.perfetto.dev
-//   --metrics           print the process metrics registry (admission-path
+//   --metrics           print the engine's metrics view (admission-path
 //                       counters, per-member win/loss, latency histograms)
 //
 // Exit codes: 0 feasible (or unconstrained), 2 infeasible, 1 usage error.
@@ -261,8 +261,8 @@ int main(int argc, char** argv) {
                   "(admission decisions, member races, per-level multilevel "
                   "phases) to FILE; open in chrome://tracing or Perfetto");
   args.add_flag("metrics",
-                "print the process metrics registry (engine counters and "
-                "latency histograms) after the run");
+                "engine mode: print the engine's counters and latency "
+                "histograms after the run");
 
   if (auto status = args.parse(argc, argv); !status.is_ok()) {
     std::fprintf(stderr, "ppnpart: %s\n", status.message().c_str());
@@ -406,6 +406,7 @@ int main(int argc, char** argv) {
   const bool engine_mode = !args.get_string("portfolio").empty() ||
                            args.get_int("time-budget-ms") > 0 || num_jobs > 1;
   part::PartitionResult result;
+  support::MetricsSnapshot engine_metrics;  // what --metrics prints
   try {
     if (!args.get_string("delta").empty()) {
       // ---- Delta replay: evolving network, incremental repartitioning. ---
@@ -521,6 +522,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(stats.repartitions_fallback),
           static_cast<unsigned long long>(stats.repartition_cache_hits),
           static_cast<unsigned long long>(stats.repartition_ws_growths));
+      engine_metrics = stats.metrics;
       result = std::move(current);
       g = *shared;             // final network for the report/outputs below
       have_network = false;    // node set may have changed; re-derive
@@ -636,9 +638,9 @@ int main(int argc, char** argv) {
           outcomes.size(), batch_seconds,
           batch_seconds > 0 ? outcomes.size() / batch_seconds : 0.0,
           static_cast<unsigned long long>(stats.cache.hits),
-          static_cast<unsigned long long>(stats.members_run),
-          static_cast<unsigned long long>(stats.members_skipped),
-          static_cast<unsigned long long>(stats.members_failed),
+          static_cast<unsigned long long>(stats.members_run()),
+          static_cast<unsigned long long>(stats.members_skipped()),
+          static_cast<unsigned long long>(stats.members_failed()),
           static_cast<unsigned long long>(stats.jobs_coalesced),
           static_cast<unsigned long long>(stats.graph_fingerprints_computed),
           static_cast<unsigned long long>(stats.coarsening.hits),
@@ -650,7 +652,8 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(stats.similarity.parked),
           static_cast<unsigned long long>(stats.jobs_rejected),
           static_cast<unsigned long long>(stats.jobs_shed),
-          static_cast<unsigned long long>(stats.jobs_degraded));
+          static_cast<unsigned long long>(stats.jobs_degraded()));
+      engine_metrics = stats.metrics;
     } else if (algo_name == "exact") {
       part::ExactOptions exact_opts;
       const part::ExactResult exact =
@@ -733,12 +736,8 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(tracer.recorded()),
                  static_cast<unsigned long long>(tracer.overwritten()));
   }
-  if (args.flag("metrics")) {
-    std::printf("%s", support::MetricsRegistry::global()
-                          .snapshot()
-                          .to_string()
-                          .c_str());
-  }
+  if (args.flag("metrics"))
+    std::printf("%s", engine_metrics.to_string().c_str());
   if (faults_armed) {
     // Per-site check/fire tallies, so a chaos run shows which seams the
     // seeded schedule actually hit (stderr: diagnostics, not results).
