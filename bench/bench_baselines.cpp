@@ -1,7 +1,6 @@
 // Cross-algorithm comparison over the related-work families the paper
 // surveys in Section II: local search (FM-based GP refinement, tabu),
-// non-greedy hill climbing (simulated annealing), multilevel (GP,
-// MetisLike) and the exact optimum where tractable.
+// multilevel (GP, MetisLike) and the exact optimum where tractable.
 //
 // Two panels:
 //   1. The paper's three 12-node instances — every algorithm, constraint
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "partition/annealing.hpp"
 #include "partition/exact.hpp"
 #include "partition/gp.hpp"
 #include "partition/metislike.hpp"
@@ -31,7 +29,6 @@ std::vector<std::unique_ptr<part::Partitioner>> make_algorithms() {
   algos.push_back(std::make_unique<part::GpPartitioner>());
   algos.push_back(std::make_unique<part::MetisLikePartitioner>());
   algos.push_back(std::make_unique<part::TabuPartitioner>());
-  algos.push_back(std::make_unique<part::AnnealingPartitioner>());
   algos.push_back(std::make_unique<part::RandomPartitioner>());
   return algos;
 }

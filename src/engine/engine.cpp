@@ -71,6 +71,11 @@ namespace {
 
 constexpr const char* kTraceCat = "engine";
 
+/// Workspaces in the warm-start pool. Each grows to the working graph size
+/// and is then reused; two let two warm starts refine at once while capping
+/// the scratch memory.
+constexpr std::size_t kWarmWorkspaces = 2;
+
 /// The admission decision record on the job's trace track: an instant event
 /// carrying the path (and decline reason, when a probe fell through).
 void trace_decision(std::uint64_t job_id, const AdmissionDecision& d) {
@@ -216,7 +221,7 @@ Engine::Engine(EngineOptions options)
                    : support::MetricsRegistry::global()),
       job_us_(metrics_.histogram("engine.job.time_us")),
       warm_us_(metrics_.histogram("engine.warm.time_us")),
-      warm_pool_(options_.warm_workspaces) {
+      warm_pool_(kWarmWorkspaces) {
   if (options_.portfolio.empty())
     throw std::invalid_argument("Engine: portfolio has no members");
   for (const std::string& name : options_.portfolio.members) {
@@ -945,7 +950,6 @@ void Engine::run_member(const std::shared_ptr<JobState>& state,
       }
     }
     mo.seconds = member_timer.seconds();
-    mm.time_us->observe(mo.seconds * 1e6);
   }
 
   bool finished = false;
@@ -1017,7 +1021,6 @@ void Engine::complete(const std::shared_ptr<JobState>& state,
                            !outcome.status.is_ok() ? outcome.status.to_string()
                            : outcome.coalesced     ? "coalesced"
                                                    : to_string(path));
-  if (bucket == Tally::kCompleted) job_us_.observe(outcome.seconds * 1e6);
 
   // 2. Publish a fresh, full-effort answer to future arrivals. Replays
   // (exact hits, coalesced copies) and degraded rungs are never published:
@@ -1057,15 +1060,18 @@ void Engine::complete(const std::shared_ptr<JobState>& state,
   }
 
   // 3. One ledger transaction: the bucket, the answering path and this
-  // job's member rows; release its running slot, feed the drain predictor,
-  // leave the single-flight registry (a racing twin then takes the key, or
-  // attaches before `done` and is drained below), and claim free slots for
-  // queued jobs.
+  // job's member rows, with the latency histograms that sample them, so a
+  // stats() snapshot never sees a count without its observation. Release
+  // the job's running slot, feed the drain predictor, leave the
+  // single-flight registry (a racing twin then takes the key, or attaches
+  // before `done` and is drained below), and claim free slots for queued
+  // jobs.
   const bool fanned_out = !state->members.empty();
   std::vector<std::shared_ptr<JobState>> start;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     tally(bucket);
+    if (bucket == Tally::kCompleted) job_us_.observe(outcome.seconds * 1e6);
     switch (state->decision.path) {
       case Path::kExactHit: tally(Tally::kExactHit); break;
       case Path::kWarmStart: tally(Tally::kWarmStart); break;
@@ -1079,7 +1085,10 @@ void Engine::complete(const std::shared_ptr<JobState>& state,
       for (std::size_t i = 0; i < outcome.members.size(); ++i) {
         const MemberOutcome& mo = outcome.members[i];
         MemberStats& row = stats_.members[i];
-        if (mo.ran) ++row.runs;
+        if (mo.ran) {
+          ++row.runs;
+          member_metrics_[i].time_us->observe(mo.seconds * 1e6);
+        }
         ++(mo.failed ? row.failures
            : !mo.ran ? row.skipped
            : mo.won  ? row.wins
@@ -1287,8 +1296,11 @@ PortfolioOutcome Engine::wait(JobId id) {
 EngineStats Engine::stats() const {
   EngineStats s;
   {
+    // The histograms are read under the lock that complete() observes them
+    // under, so their counts match the ledger rows copied with them.
     std::lock_guard<std::mutex> lock(mutex_);
     s = stats_;
+    s.metrics = metrics_.snapshot();
   }
   s.cache = cache_.stats();
   s.coarsening = coarsen_cache_.stats();
@@ -1302,7 +1314,6 @@ EngineStats Engine::stats() const {
   // Per-slot growth counters snapshotted at lease release — a leased
   // workspace's live counter is never read here (it belongs to its holder).
   s.repartition_ws_growths = warm_pool_.total_growths();
-  s.metrics = metrics_.snapshot();
   publish_counters(s);
   return s;
 }

@@ -123,8 +123,7 @@ const char* to_string(ShedPolicy policy);
 support::Result<ShedPolicy> parse_shed_policy(const std::string& name);
 
 /// Members cheap enough for the degradation ladder's reduced rungs: the
-/// single-pass heuristics plus GP (annealing/tabu/exact are the expensive
-/// tail).
+/// single-pass heuristics plus GP (tabu and exact are the expensive tail).
 bool is_cheap_member(const std::string& name);
 
 struct EngineOptions {
@@ -134,7 +133,7 @@ struct EngineOptions {
   /// is cooperative: member 0 of a job always runs (partitioners produce a
   /// complete partition even when stopped at their first checkpoint), so a
   /// blown budget degrades quality, never availability. Checkpoint polls
-  /// exist in the iterative members (gp, annealing, tabu) and in exact's
+  /// exist in the iterative members (gp, tabu) and in exact's
   /// branch-and-bound; the single-pass heuristics (metislike, random) run
   /// to completion — they are the fast, bounded members, so the overshoot
   /// is one direct pass at worst.
@@ -158,13 +157,6 @@ struct EngineOptions {
   /// Similarity-aware admission (stage 2 for plain CSR arrivals). Off by
   /// default — see SimilarityOptions for the knobs and the trade-offs.
   SimilarityOptions similarity;
-
-  /// Size of the engine-owned workspace pool that warm starts lease scratch
-  /// from (similarity warm-start tasks and repartition calls). Each
-  /// workspace grows to the working graph size and is then reused; more
-  /// workspaces let more warm starts refine concurrently, fewer cap the
-  /// scratch memory. At least one is always built.
-  std::size_t warm_workspaces = 2;
 
   /// Overload protection: bounds the number of stage-3 (full-portfolio)
   /// jobs admitted but not yet fanned out. 0 (default) disables protection
@@ -395,8 +387,13 @@ struct EngineStats {
   /// engine.jobs, engine.admit.*, engine.degrade.* and
   /// engine.member.<name>.{runs,wins,losses,failures} (same-named members
   /// summed). The counters are written from this very snapshot, so they
-  /// always equal the fields above. A shared (global) registry's histograms
-  /// include other engines' observations.
+  /// always equal the fields above. engine.job.time_us and
+  /// engine.member.<name>.time_us are observed in the ledger transaction
+  /// that counts jobs_completed and MemberStats::runs, and the histograms
+  /// are read under the same lock, so their counts equal those fields too.
+  /// engine.warm.time_us is observed when a warm verdict finishes, outside
+  /// the ledger: no ledger field counts warm verdicts. A shared (global)
+  /// registry's histograms include other engines' observations.
   support::MetricsSnapshot metrics;
 };
 
@@ -612,9 +609,10 @@ class Engine {
   /// The one completion path. Stamps the outcome, publishes an eligible
   /// answer to the result cache and the similarity index, settles the
   /// ledger (`bucket` is kCompleted, kRejected or kShed; the answering
-  /// path; a fan-out's member rows) in one mutex_ transaction, resolves
-  /// pending near-twins, pumps the queue, then flips `done` and completes
-  /// the single-flight followers the same way.
+  /// path; a fan-out's member rows) and observes the job and member latency
+  /// histograms in one mutex_ transaction, resolves pending near-twins,
+  /// pumps the queue, then flips `done` and completes the single-flight
+  /// followers the same way.
   void complete(const std::shared_ptr<JobState>& state,
                 PortfolioOutcome outcome, Tally bucket);
   /// Bumps the stats_ field `what` names. Caller holds mutex_.
@@ -648,10 +646,10 @@ class Engine {
   std::vector<MemberMetrics> member_metrics_;
 
   /// Reusable scratch of every warm start (similarity warm-start tasks and
-  /// repartition calls): a small pool of workspaces handed out as exclusive
-  /// leases, so concurrent warm starts neither share scratch nor serialize
-  /// on one mutex. Engine code never constructs an ad-hoc Workspace — the
-  /// `workspace-pool-lease` lint rule enforces it.
+  /// repartition calls): kWarmWorkspaces (engine.cpp) workspaces handed out
+  /// as exclusive leases, so concurrent warm starts neither share scratch
+  /// nor serialize on one mutex. Engine code never constructs an ad-hoc
+  /// Workspace — the `workspace-pool-lease` lint rule enforces it.
   part::WorkspacePool warm_pool_;
 
   mutable std::mutex mutex_;  // guards jobs_, inflight_, next_id_, stats_

@@ -9,7 +9,7 @@
 namespace ppnpart::engine {
 
 Portfolio Portfolio::defaults() {
-  return Portfolio{{"gp", "metislike", "annealing", "tabu"}};
+  return Portfolio{{"gp", "metislike", "tabu"}};
 }
 
 support::Result<Portfolio> Portfolio::parse(const std::string& spec) {

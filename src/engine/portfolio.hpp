@@ -21,12 +21,14 @@ namespace ppnpart::engine {
 struct Portfolio {
   std::vector<std::string> members;
 
-  /// The default racing set: the paper's constraint-aware GP plus three
-  /// diverse constraint-honouring heuristics. MetisLike is included as the
-  /// cut-only baseline — on unconstrained requests it often wins outright.
+  /// The default racing set: the paper's constraint-aware GP, MetisLike
+  /// (the paper's METIS stand-in, a cut-only baseline that often wins
+  /// unconstrained requests outright) and tabu search, without which one
+  /// request of the 12-node exact family gets no feasible answer
+  /// (QualityGate.GpExactGapOn12NodeFamily).
   static Portfolio defaults();
 
-  /// Parses a comma-separated spec ("gp,annealing,tabu"); "default" (or
+  /// Parses a comma-separated spec ("gp,metislike,tabu"); "default" (or
   /// empty) yields defaults(). Every name must exist in the registry.
   static support::Result<Portfolio> parse(const std::string& spec);
 

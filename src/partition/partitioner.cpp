@@ -1,6 +1,5 @@
 #include "partition/partitioner.hpp"
 
-#include "partition/annealing.hpp"
 #include "partition/exact.hpp"
 #include "partition/gp.hpp"
 #include "partition/initial.hpp"
@@ -35,14 +34,13 @@ PartitionResult RandomPartitioner::run(const Graph& g,
 }
 
 std::vector<std::string> partitioner_names() {
-  return {"gp", "metislike", "tabu", "annealing", "exact", "random"};
+  return {"gp", "metislike", "tabu", "exact", "random"};
 }
 
 std::unique_ptr<Partitioner> make_partitioner(const std::string& name) {
   if (name == "gp") return std::make_unique<GpPartitioner>();
   if (name == "metislike") return std::make_unique<MetisLikePartitioner>();
   if (name == "tabu") return std::make_unique<TabuPartitioner>();
-  if (name == "annealing") return std::make_unique<AnnealingPartitioner>();
   if (name == "exact") return std::make_unique<ExactPartitioner>();
   if (name == "random") return std::make_unique<RandomPartitioner>();
   return nullptr;

@@ -2,10 +2,10 @@
 // Common partitioner interface used by the benchmark harness, the portfolio
 // engine and examples.
 //
-// Every algorithm in the library (GP, MetisLike, Tabu, Annealing, Exact,
-// Random) answers the same request so the paper's comparison tables — and
-// the engine's concurrent portfolios — can iterate over a heterogeneous set
-// of partitioners. `make_partitioner` is the central registry mapping stable
+// Every algorithm in the library (GP, MetisLike, Tabu, Exact, Random)
+// answers the same request so the paper's comparison tables — and the
+// engine's concurrent portfolios — can iterate over a heterogeneous set of
+// partitioners. `make_partitioner` is the central registry mapping stable
 // lowercase names to instances.
 
 #include <memory>
@@ -36,10 +36,11 @@ struct PartitionRequest {
   std::uint32_t threads = 1;
 
   /// Optional cooperative-stop signal (non-owning; may be null). Iterative
-  /// partitioners poll it at checkpoint granularity — V-cycle, temperature
-  /// step, tabu iteration — and return their best-so-far solution when it
-  /// fires, so a stopped run still yields a complete partition. Leave null
-  /// for fully deterministic, budget-free runs.
+  /// partitioners poll it at checkpoint granularity — GP's V-cycle, tabu
+  /// iteration, every 4096 exact search states — and return their
+  /// best-so-far solution when it fires, so a stopped run still yields a
+  /// complete partition. Leave null for fully deterministic, budget-free
+  /// runs.
   const support::StopToken* stop = nullptr;
 
   /// Optional cross-run coarsening cache (non-owning; may be null). When
@@ -115,8 +116,8 @@ class RandomPartitioner : public Partitioner {
 std::vector<std::string> partitioner_names();
 
 /// Instantiates an algorithm (with default options) by registry name:
-/// gp | metislike | tabu | annealing | exact | random. Returns nullptr for
-/// unknown names.
+/// gp | metislike | tabu | exact | random. Returns nullptr for unknown
+/// names.
 std::unique_ptr<Partitioner> make_partitioner(const std::string& name);
 
 }  // namespace ppnpart::part

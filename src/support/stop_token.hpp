@@ -5,9 +5,10 @@
 // A StopToken is shared between a controller (the portfolio engine, a
 // driver with a time budget) and one or more workers (partitioner run
 // loops). Workers poll `stop_requested()` at natural checkpoints — once per
-// V-cycle, temperature step, generation, tabu iteration — and return their
-// best-so-far solution when it fires. Cancellation is therefore always
-// graceful: a stopped partitioner still yields a complete, valid partition.
+// GP V-cycle, once per tabu iteration, every 4096 exact search states — and
+// return their best-so-far solution when it fires. Cancellation is
+// therefore always graceful: a stopped partitioner still yields a complete,
+// valid partition.
 //
 // All configuration (deadline, parent link) is stored atomically, so
 // arming a token that is already visible to workers cannot race their

@@ -65,7 +65,8 @@ engine::Job make_job(std::uint64_t seed, graph::NodeId nodes = 96,
 
 TEST(Portfolio, DefaultsAreRegistered) {
   const engine::Portfolio p = engine::Portfolio::defaults();
-  ASSERT_FALSE(p.empty());
+  EXPECT_EQ(p.members,
+            (std::vector<std::string>{"gp", "metislike", "tabu"}));
   for (const std::string& name : p.members) {
     EXPECT_NE(part::make_partitioner(name), nullptr) << name;
   }
@@ -76,10 +77,10 @@ TEST(Portfolio, DefaultsAreRegistered) {
 }
 
 TEST(Portfolio, ParseAcceptsListsAndDefaultKeyword) {
-  auto p = engine::Portfolio::parse("gp, annealing,tabu");
+  auto p = engine::Portfolio::parse("gp, tabu,metislike");
   ASSERT_TRUE(p.is_ok()) << p.message();
   EXPECT_EQ(p.value().members,
-            (std::vector<std::string>{"gp", "annealing", "tabu"}));
+            (std::vector<std::string>{"gp", "tabu", "metislike"}));
   EXPECT_EQ(engine::Portfolio::parse("default").value().members,
             engine::Portfolio::defaults().members);
   EXPECT_EQ(engine::Portfolio::parse("").value().members,
@@ -90,7 +91,8 @@ TEST(Portfolio, ParseRejectsUnknownNames) {
   EXPECT_FALSE(engine::Portfolio::parse("gp,notanalgo").is_ok());
   EXPECT_FALSE(engine::Portfolio::parse(",, ,").is_ok());
   // Plausible algorithm names outside the registry fail like any other.
-  for (const char* gone : {"nlevel", "kl", "spectral", "genetic"}) {
+  for (const char* gone :
+       {"nlevel", "kl", "spectral", "genetic", "annealing"}) {
     const auto parsed = engine::Portfolio::parse(std::string("gp,") + gone);
     ASSERT_FALSE(parsed.is_ok()) << gone;
     EXPECT_EQ(parsed.code(), support::StatusCode::kInvalidArgument) << gone;
@@ -255,7 +257,7 @@ TEST(Engine, BudgetEnforcementStillYieldsCompleteAnswer) {
 TEST(Engine, BatchMatchesBestSingleAlgorithmAtEqualSeeds) {
   const engine::Job job = make_job(11);
   engine::EngineOptions opts;
-  opts.portfolio = engine::Portfolio{{"gp", "metislike", "annealing"}};
+  opts.portfolio = engine::Portfolio{{"gp", "metislike", "tabu"}};
   opts.cache_capacity = 0;
   engine::Engine eng(opts);
 
@@ -838,7 +840,7 @@ TEST(Engine, MemberWinLossMetricsAreExact) {
 TEST(Engine, BoundedAdmissionWalksTheLadderAndRejectsAtCapacity) {
   using Rung = engine::AdmissionDecision::DegradeRung;
   engine::EngineOptions opts;
-  opts.portfolio = engine::Portfolio{{"gp", "annealing"}};
+  opts.portfolio = engine::Portfolio{{"gp", "tabu"}};
   opts.queue_capacity = 4;
   opts.max_running_jobs = 1;
   opts.shed_policy = engine::ShedPolicy::kRejectNew;
@@ -922,7 +924,7 @@ TEST(Engine, DropOldestShedsTheQueueHeadWithTypedError) {
 
 TEST(Engine, DeadlineAwareRefusesBudgetsThatCannotSurviveTheQueue) {
   engine::EngineOptions opts;
-  opts.portfolio = engine::Portfolio{{"gp", "annealing"}};
+  opts.portfolio = engine::Portfolio{{"gp", "tabu"}};
   opts.queue_capacity = 8;
   opts.max_running_jobs = 1;
   opts.shed_policy = engine::ShedPolicy::kDeadlineAware;
@@ -1161,7 +1163,7 @@ TEST(Engine, DegradedCompletionsDoNotSeedTheDrainPredictor) {
 
 TEST(Engine, ExpiredBudgetGetsProjectedAnswerInline) {
   engine::EngineOptions opts;
-  opts.portfolio = engine::Portfolio{{"gp", "annealing"}};
+  opts.portfolio = engine::Portfolio{{"gp", "tabu"}};
   opts.queue_capacity = 2;
   engine::Engine eng(opts);
 
@@ -1199,9 +1201,12 @@ TEST(Engine, ExpiredBudgetGetsProjectedAnswerInline) {
 
 /// Every way one stats() snapshot can disagree with itself, as text (empty
 /// when it does not): a published engine.* counter that differs from its
-/// EngineStats field or member row (or is missing or unknown), answering
-/// paths that do not add up to the finished jobs, unbalanced similarity
-/// probes, or more index evictions than insertions.
+/// EngineStats field or member row (or is missing or unknown), a job or
+/// member latency histogram whose count differs from the completed jobs or
+/// the member's runs, answering paths that do not add up to the finished
+/// jobs, unbalanced similarity probes, or more index evictions than
+/// insertions. Needs the engine's own registry: a shared one's histograms
+/// count other engines too.
 std::string ledger_disagreement(const engine::EngineStats& s) {
   std::map<std::string, std::uint64_t> expected = {
       {"engine.jobs", s.jobs_completed},
@@ -1239,6 +1244,16 @@ std::string ledger_disagreement(const engine::EngineStats& s) {
   if (published != expected.size())
     why << published << " engine counters published, " << expected.size()
         << " expected; ";
+  std::map<std::string, std::uint64_t> observations = {
+      {"engine.job.time_us", s.jobs_completed}};
+  for (const engine::MemberStats& m : s.members)
+    observations["engine.member." + m.name + ".time_us"] += m.runs;
+  for (const auto& [name, count] : observations) {
+    const auto* h = s.metrics.find_histogram(name);
+    const std::uint64_t observed = h == nullptr ? 0 : h->hist.count;
+    if (observed != count)
+      why << name << " count " << observed << ", ledger " << count << "; ";
+  }
   const std::uint64_t paths = s.exact_hits + s.repartitions_incremental +
                               s.similarity.near_hits + s.full_portfolio;
   const std::uint64_t finished =
@@ -1264,11 +1279,12 @@ void expect_ledger_consistent(const engine::Engine& eng,
 }
 
 TEST(Engine, StatsSnapshotIsNeverTornUnderConcurrentSubmit) {
-  // A probe and its verdict are counted in one transaction, and the metrics
-  // view is written from the same locked copy as the ledger fields, so no
-  // snapshot can catch a count half-made or in one view and not the other
-  // — even while writers race fresh graphs, exact repeats and near twins
-  // through every admission stage.
+  // A probe and its verdict are counted in one transaction, the job and
+  // member latency histograms are observed in the transaction that counts
+  // what they sample, and the metrics view is read under the same lock as
+  // the ledger fields, so no snapshot can catch a count half-made or in one
+  // view and not the other — even while writers race fresh graphs, exact
+  // repeats and near twins through every admission stage.
   engine::EngineOptions opts;
   opts.portfolio = engine::Portfolio{{"metislike"}};
   opts.similarity.enabled = true;

@@ -9,8 +9,7 @@
 //   --paper N           paper experiment instance 1 | 2 | 3
 //
 // Core options:
-//   --algorithm NAME    gp | metislike | tabu | annealing | exact |
-//                       random                                 (default gp)
+//   --algorithm NAME    gp | metislike | tabu | exact | random (default gp)
 //   --k N               number of FPGAs / parts                (default 4)
 //   --rmax W            per-FPGA resource budget               (default inf)
 //   --bmax W            per-link bandwidth budget              (default inf)
@@ -18,8 +17,8 @@
 //
 // Engine (portfolio) mode — any of these switches it on:
 //   --portfolio SPEC    race a comma-separated portfolio of algorithms
-//                       ("default" = gp,metislike,annealing,tabu; when
-//                       omitted, --algorithm runs as a 1-member portfolio)
+//                       ("default" = gp,metislike,tabu; when omitted,
+//                       --algorithm runs as a 1-member portfolio)
 //   --time-budget-ms N  per-job wall-clock budget (cooperative)
 //   --threads-per-job N most chunks per GP kernel call in a direct run
 //                       (default 1, 0 = auto); changes speed only, never
@@ -226,7 +225,7 @@ int main(int argc, char** argv) {
   args.add_int("seed", 1, "PRNG seed");
   args.add_string("portfolio", "",
                   "engine mode: comma-separated algorithms to race "
-                  "('default' = gp,metislike,annealing,tabu)");
+                  "('default' = gp,metislike,tabu)");
   args.add_int("time-budget-ms", 0,
                "engine mode: per-job wall-clock budget (0 = unlimited)");
   args.add_int("jobs", 1,
