@@ -180,12 +180,17 @@ void BM_ConstrainedFmPassWorkspace(benchmark::State& state) {
 BENCHMARK(BM_ConstrainedFmPassWorkspace)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // Dense small graph like GP's coarsest levels, the only place swap_refine
-// runs. The second argument picks Bmax: 0 leaves it slack, as on the tracked
-// workloads; 1 sets it below the pairwise cuts of a random 8-way start, so
-// every swap evaluation takes the bandwidth terms.
+// runs. The second argument picks the start and Bmax: 0 starts from a random
+// 8-way partition with Bmax slack, as on the tracked workloads; 1 sets Bmax
+// below the pairwise cuts of that start, so every swap evaluation takes the
+// bandwidth terms; 2 starts from the random partition refined by FM (untimed)
+// under slack Bmax, a feasible start as GP hands one to swap_refine, where
+// the bounded scan evaluates few pairs. `evals` is goodness_after_swap calls
+// per iteration, `feasible` the share of feasible starts.
 void BM_SwapRefine(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
-  const bool binding_bmax = state.range(1) != 0;
+  const bool binding_bmax = state.range(1) == 1;
+  const bool fm_start = state.range(1) == 2;
   support::Rng rng(21);
   const graph::Graph g =
       graph::erdos_renyi_gnm(n, std::uint64_t{n} * 30, rng, {1, 20}, {1, 15});
@@ -195,15 +200,24 @@ void BM_SwapRefine(benchmark::State& state) {
   part::SwapRefineOptions options;
   options.max_passes = 1;
   part::Workspace ws;
+  double feasible = 0;
   for (auto _ : state) {
     state.PauseTiming();
     part::Partition p = part::random_balanced_partition(g, 8, rng);
+    if (fm_start)
+      part::constrained_fm_refine(g, p, c, part::FmOptions{}, rng, ws);
+    const part::Goodness start = part::compute_goodness(g, p, c);
+    feasible += start.resource_excess == 0 && start.bandwidth_excess == 0;
     state.ResumeTiming();
     benchmark::DoNotOptimize(part::swap_refine(g, p, c, options, rng, ws));
   }
   state.SetItemsProcessed(state.iterations() * n);
+  state.counters["evals"] = static_cast<double>(ws.swap_evaluations) /
+                            static_cast<double>(state.iterations());
+  state.counters["feasible"] =
+      feasible / static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_SwapRefine)->Args({170, 0})->Args({170, 1});
+BENCHMARK(BM_SwapRefine)->Args({170, 0})->Args({170, 1})->Args({170, 2});
 
 void BM_CoarsenWorkspace(benchmark::State& state) {
   const graph::Graph g = make_pn(static_cast<graph::NodeId>(state.range(0)), 19);

@@ -371,6 +371,10 @@ struct EngineStats {
   /// design and would bias the estimate low). This is the per-job seconds
   /// the admission gate multiplies by queue depth.
   double avg_job_seconds = 0;
+  /// The result cache's own counters, read after the ledger fields. Every
+  /// hit answers its job as an exact hit, but the hit is counted at lookup
+  /// and exact_hits when the job completes, so exact_hits <= cache.hits in
+  /// every snapshot, with equality once no exact hit is in flight.
   CacheStats cache;
   CacheStats coarsening;  // CoarseningCache traffic (hits = reused builds)
   /// Similarity-admission traffic: probes (admissions that consulted the

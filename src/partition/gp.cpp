@@ -40,6 +40,8 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
     PhaseScope phase(ws.phases, PhaseProfile::kRefine, ws.phase_cat,
                      static_cast<std::int64_t>(level),
                      static_cast<std::int64_t>(g.num_nodes()));
+    const std::uint64_t swap_evals = ws.swap_evaluations;
+    const std::uint64_t fm_moves = ws.fm.totals.applied;
     if (level + 1 < h.num_levels()) {
       // Project from the coarser level.
       std::vector<PartId> finer(g.num_nodes());
@@ -74,10 +76,16 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
       // levels and small instances); swaps are what tight-Rmax repairs need.
       SwapRefineOptions swap_opts;
       for (std::uint32_t round = 0; round < 3; ++round) {
-        if (!swap_refine(ctx, swap_opts, ws.swap_evaluations)) break;
+        if (!swap_refine(ctx, swap_opts, ws.swap, ws.swap_evaluations))
+          break;
         constrained_fm_refine(ctx, fm, level_rng, ws.fm, seed_chunks);
       }
     }
+    // Where this level's refinement work went, for a production trace.
+    phase.arg("swap_evals",
+              static_cast<std::int64_t>(ws.swap_evaluations - swap_evals));
+    phase.arg("fm_moves",
+              static_cast<std::int64_t>(ws.fm.totals.applied - fm_moves));
     for (NodeId u = 0; u < g.num_nodes(); ++u) assign[u] = p[u];
     if (trace != nullptr) {
       GpLevelTrace t;

@@ -237,9 +237,15 @@ bool constrained_fm_refine(const Graph& g, Partition& p, const Constraints& c,
 }
 
 bool swap_refine(MoveContext& ctx, const SwapRefineOptions& options,
-                 std::uint64_t& evaluations) {
+                 SwapScratch& ss, std::uint64_t& evaluations) {
   const NodeId n = ctx.graph().num_nodes();
   if (n > options.max_nodes || n < 2) return false;
+  const PartId k = ctx.k();
+  const std::size_t kk = static_cast<std::size_t>(k);
+  std::vector<Weight>& best_gain = ss.best_gain;
+  std::vector<std::uint8_t>& pays = ss.pays;
+  support::assign_tracked(best_gain, kk * kk, 0, ss.stats);
+  support::assign_tracked(pays, kk, 0, ss.stats);
   const Goodness initial = ctx.goodness();
   std::uint64_t evaluated = 0;
 
@@ -248,19 +254,59 @@ bool swap_refine(MoveContext& ctx, const SwapRefineOptions& options,
     // Steepest descent: repeatedly take the best improving swap.
     for (std::uint64_t step = 0; step < n; ++step) {
       const Goodness current = ctx.goodness();
+      // Row b of best_gain holds the largest gain_v(a) = conn(v, a) -
+      // conn(v, b) over the nodes v of part b; pays[b] marks a filled row.
+      std::fill(pays.begin(), pays.end(), std::uint8_t{0});
+      for (NodeId v = 0; v < n; ++v) {
+        const PartId b = ctx.part_of(v);
+        Weight* const row = &best_gain[static_cast<std::size_t>(b) * kk];
+        const Weight own = ctx.conn(v, b);
+        for (PartId a = 0; a < k; ++a) {
+          const Weight gain = ctx.conn(v, a) - own;
+          row[a] = pays[b] ? std::max(row[a], gain) : gain;
+        }
+        pays[b] = 1;
+      }
       NodeId best_u = graph::kInvalidNode, best_v = graph::kInvalidNode;
       Goodness best_after = current;
+      // While the incumbent is feasible, swapping u (part a) with v (part
+      // b) beats it only if gain_u(b) + gain_v(a) > need: the swap's cut is
+      // cut - gain_u(b) - gain_v(a) + 2 w(u,v), and it must be feasible
+      // with a cut below the incumbent's.
+      bool bounded = false;
+      Weight need = 0;
+      const auto track_incumbent = [&] {
+        bounded = best_after.resource_excess == 0 &&
+                  best_after.bandwidth_excess == 0;
+        need = current.cut - best_after.cut;
+      };
+      track_incumbent();
       for (NodeId u = 0; u < n; ++u) {
-        const PartId pu = ctx.part_of(u);
+        const PartId a = ctx.part_of(u);
+        const Weight own = ctx.conn(u, a);
+        // pays[b]: some v of part b may still win against the incumbent.
+        bool any = false;
+        for (PartId b = 0; b < k; ++b) {
+          const std::size_t ba =
+              static_cast<std::size_t>(b) * kk + static_cast<std::size_t>(a);
+          pays[b] = b != a && ctx.part_size(b) > 0 &&
+                    (!bounded || ctx.conn(u, b) - own + best_gain[ba] > need);
+          any = any || pays[b];
+        }
+        if (!any) continue;
         for (NodeId v = u + 1; v < n; ++v) {
-          const PartId pv = ctx.part_of(v);
-          if (pu == pv) continue;
+          const PartId b = ctx.part_of(v);
+          if (!pays[b]) continue;
+          const Weight gain = ctx.conn(u, b) - own + ctx.conn(v, a) -
+                              ctx.conn(v, b);
+          if (bounded && gain <= need) continue;
           ++evaluated;
           const Goodness after = ctx.goodness_after_swap(u, v);
           if (after < best_after) {
             best_after = after;
             best_u = u;
             best_v = v;
+            track_incumbent();
           }
         }
       }
@@ -281,7 +327,7 @@ bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
                  const SwapRefineOptions& options, support::Rng& /*rng*/,
                  Workspace& ws) {
   ws.move_ctx.reset(g, p, c);
-  return swap_refine(ws.move_ctx, options, ws.swap_evaluations);
+  return swap_refine(ws.move_ctx, options, ws.swap, ws.swap_evaluations);
 }
 
 bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,

@@ -90,16 +90,29 @@ struct SwapRefineOptions {
 /// FM move transits a deep resource violation — swaps sidestep that by
 /// exchanging near-equal weights, which is exactly the move the paper's
 /// tight Experiment 3 needs. Returns true iff goodness improved. Each step
-/// scans all O(n^2) cross-part pairs through the closed-form, side-effect
-/// free MoveContext::goodness_after_swap: O(log degree) while the bandwidth
-/// bound has slack for both endpoints, O(log degree + k) otherwise. `rng`
-/// is unused (the scan is deterministic).
+/// takes the first best cross-part pair, u ascending then v ascending, by
+/// the closed-form, side-effect free MoveContext::goodness_after_swap:
+/// O(log degree) while the bandwidth bound has slack for both endpoints,
+/// O(log degree + k) otherwise. `rng` is unused (the scan is deterministic).
+///
+/// Bounded search: with gain_x(q) = conn(x, q) - conn(x, part(x)), a swap
+/// of u in part a with v in part b ends at cut - gain_u(b) - gain_v(a) +
+/// 2 w(u,v). So while the best swap found so far (the incumbent) is
+/// feasible, the pair can only beat it if gain_u(b) + gain_v(a) exceeds
+/// cut - incumbent cut. Each step first takes, in O(n k), every part's
+/// largest gain_v(a) toward every other part; it then drops, for each u,
+/// the parts b whose best v cannot pay, and each remaining pair whose own
+/// gain sum cannot, before evaluating it. An infeasible incumbent prunes
+/// nothing. The pairs that remain are evaluated in the same order under
+/// the same strict comparison, so the answer is the exhaustive scan's.
+/// Under a feasible FM-refined start a step costs O(n k + n^2) cheap
+/// reads and a handful of evaluations instead of ~n^2 / 2 evaluations.
 bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
                  const SwapRefineOptions& options, support::Rng& rng,
                  Workspace& ws);
-/// Armed form (see constrained_fm_refine); adds its goodness_after_swap
-/// calls to `evaluations`.
+/// Armed form (see constrained_fm_refine): the bound's scratch is `ss`, and
+/// its goodness_after_swap calls are added to `evaluations`.
 bool swap_refine(MoveContext& ctx, const SwapRefineOptions& options,
-                 std::uint64_t& evaluations);
+                 SwapScratch& ss, std::uint64_t& evaluations);
 
 }  // namespace ppnpart::part

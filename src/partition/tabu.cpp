@@ -32,12 +32,13 @@ bool tabu_refine(const Graph& g, Partition& p, const Constraints& c,
   const std::uint64_t max_iters =
       static_cast<std::uint64_t>(options.iterations_per_node) * n;
   std::uint32_t stall = 0;
+  std::vector<NodeId> pool;
 
   for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
     if (stop != nullptr && stop->stop_requested()) break;
     // Candidate pool: the current boundary (interior nodes cannot change
     // the cut, and load-only moves are reachable once the boundary shifts).
-    std::vector<NodeId> pool = ctx.boundary_nodes();
+    ctx.boundary_nodes(pool);
     if (ctx.goodness().resource_excess > 0) {
       // Over-capacity parts may need interior evictions too.
       const Constraints& cc = ctx.constraints();

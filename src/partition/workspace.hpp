@@ -87,6 +87,16 @@ struct FmScratch {
   FmTotals totals;
 };
 
+/// Scratch of swap_refine's bounded scan (refine.hpp), sized k x k and k.
+struct SwapScratch {
+  support::AllocStats* stats = nullptr;
+  /// best_gain[b * k + a]: the largest gain_v(a) over the nodes v of part b.
+  std::vector<Weight> best_gain;
+  /// Per-part flags: rows of best_gain filled this step, then, for the
+  /// scanned node u, the parts whose swaps with u can still win.
+  std::vector<std::uint8_t> pays;
+};
+
 /// Scratch of bisection_fm_refine (2-way FM with side caps).
 struct BisectionScratch {
   support::AllocStats* stats = nullptr;
@@ -168,6 +178,7 @@ class Workspace {
     contract.stats = &stats_;
     matching.stats = &stats_;
     fm.stats = &stats_;
+    swap.stats = &stats_;
     bisect.stats = &stats_;
     incremental.stats = &stats_;
     parallel.stats = &stats_;
@@ -184,6 +195,7 @@ class Workspace {
   graph::ContractScratch contract;
   MatchingScratch matching;
   FmScratch fm;
+  SwapScratch swap;
   BisectionScratch bisect;
   IncrementalScratch incremental;
   ParallelScratch parallel;

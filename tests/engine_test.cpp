@@ -1263,6 +1263,9 @@ std::string ledger_disagreement(const engine::EngineStats& s) {
         << "; ";
   if (s.similarity.probes != s.similarity.near_hits + s.similarity.declines)
     why << "similarity probes unbalanced; ";
+  if (s.exact_hits > s.cache.hits)
+    why << "exact hits " << s.exact_hits << " > cache hits " << s.cache.hits
+        << "; ";
   if (s.similarity.evictions > s.similarity.insertions)
     why << "more index evictions than insertions; ";
   return why.str();
@@ -1284,7 +1287,9 @@ TEST(Engine, StatsSnapshotIsNeverTornUnderConcurrentSubmit) {
   // what they sample, and the metrics view is read under the same lock as
   // the ledger fields, so no snapshot can catch a count half-made or in one
   // view and not the other — even while writers race fresh graphs, exact
-  // repeats and near twins through every admission stage.
+  // repeats and near twins through every admission stage. The result cache
+  // counts a hit at lookup and the ledger its exact hit at completion, so
+  // exact_hits never exceeds cache.hits, and they agree once writers stop.
   engine::EngineOptions opts;
   opts.portfolio = engine::Portfolio{{"metislike"}};
   opts.similarity.enabled = true;
@@ -1330,6 +1335,7 @@ TEST(Engine, StatsSnapshotIsNeverTornUnderConcurrentSubmit) {
   EXPECT_EQ(ledger_disagreement(s), "");
   EXPECT_EQ(s.jobs_completed, 3 * kWriters * kGraphsPerWriter);
   EXPECT_GT(s.exact_hits, 0u);
+  EXPECT_EQ(s.exact_hits, s.cache.hits);
   EXPECT_GT(s.similarity.near_hits, 0u);
   EXPECT_TRUE(registry.snapshot().counters.empty());
 }

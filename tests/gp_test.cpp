@@ -7,6 +7,7 @@
 #include "partition/workspace.hpp"
 #include "ppn/paper_instances.hpp"
 #include "support/timer.hpp"
+#include "support/trace.hpp"
 
 namespace ppnpart::part {
 namespace {
@@ -75,6 +76,65 @@ TEST(Gp, TrackedWorkloadRepeatsGrowsNothingWarmAndAccountsPhasesOnce) {
   EXPECT_GT(profile.total_us(), 0u);
   EXPECT_NEAR(share_sum, 1.0, 0.001);
   EXPECT_LE(static_cast<double>(profile.total_us()), wall_us * 1.02 + 1000.0);
+}
+
+TEST(Gp, RefineSpansCountSwapEvaluationsAndFmMoves) {
+  // Each per-level refine span carries that level's swap_refine evaluations
+  // and applied FM moves. On the 800-node tracked workload the swap_evals
+  // args add up to the run's Workspace::swap_evaluations delta, and tracing
+  // leaves the partition as the untraced run had it.
+  support::Tracer& tracer = support::Tracer::global();
+  tracer.set_enabled(true);
+  const bool compiled_in = tracer.enabled();
+  tracer.set_enabled(false);
+  if (!compiled_in) GTEST_SKIP() << "tracing compiled out";
+  const Graph g = bench::multilevel_workload_graph(800);
+  GpOptions options;
+  options.max_cycles = 2;
+  GpPartitioner gp(options);
+  Workspace ws;
+  PartitionRequest request = bench::multilevel_workload_request(g);
+  request.workspace = &ws;
+  const PartitionResult untraced = gp.run(g, request);
+
+  tracer.clear();
+  const std::uint64_t swaps_before = ws.swap_evaluations;
+  const std::uint64_t fm_before = ws.fm.totals.applied;
+  tracer.set_enabled(true);
+  const PartitionResult traced = gp.run(g, request);
+  tracer.set_enabled(false);
+  const std::vector<support::TraceEvent> events = tracer.snapshot();
+  tracer.clear();
+
+  std::int64_t spans = 0, swap_evals = 0, fm_moves = 0;
+  for (const support::TraceEvent& e : events) {
+    if (std::string_view(e.name) != "refine" ||
+        std::string_view(e.cat) != "gp")
+      continue;
+    ++spans;
+    int found = 0;
+    for (const support::TraceEvent::Arg& a : e.args) {
+      if (a.key == nullptr) continue;
+      if (std::string_view(a.key) == "swap_evals") {
+        swap_evals += a.value;
+        ++found;
+      } else if (std::string_view(a.key) == "fm_moves") {
+        fm_moves += a.value;
+        ++found;
+      }
+    }
+    EXPECT_EQ(found, 2) << "level span without both counts";
+  }
+  EXPECT_GT(spans, 0);
+  EXPECT_GT(swap_evals, 0);
+  EXPECT_EQ(static_cast<std::uint64_t>(swap_evals),
+            ws.swap_evaluations - swaps_before);
+  // The coarsest level's seeding FM runs in the initial phase, not a
+  // refine span.
+  EXPECT_GT(fm_moves, 0);
+  EXPECT_LE(static_cast<std::uint64_t>(fm_moves),
+            ws.fm.totals.applied - fm_before);
+  EXPECT_EQ(traced.partition.assignments(), untraced.partition.assignments());
 }
 
 TEST(Gp, UnconstrainedRunMinimizesCut) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "graph/generators.hpp"
+#include "partition/coarsen.hpp"
 #include "partition/initial.hpp"
 #include "partition/refine.hpp"
 
@@ -265,6 +268,252 @@ TEST(SwapRefine, SkipsLargeGraphs) {
   options.max_nodes = 100;
   Workspace ws;
   EXPECT_FALSE(swap_refine(g, p, Constraints{}, options, rng, ws));
+}
+
+// The exhaustive scan the bounded one replaced, kept as the reference: every
+// cross-part pair, u ascending then v ascending, the first best wins.
+bool exhaustive_swap_refine(MoveContext& ctx, const SwapRefineOptions& options,
+                            std::uint64_t& evaluations) {
+  const NodeId n = ctx.graph().num_nodes();
+  if (n > options.max_nodes || n < 2) return false;
+  const Goodness initial = ctx.goodness();
+  for (std::uint32_t pass = 0; pass < options.max_passes; ++pass) {
+    bool improved_this_pass = false;
+    for (std::uint64_t step = 0; step < n; ++step) {
+      NodeId best_u = graph::kInvalidNode, best_v = graph::kInvalidNode;
+      Goodness best_after = ctx.goodness();
+      for (NodeId u = 0; u < n; ++u) {
+        for (NodeId v = u + 1; v < n; ++v) {
+          if (ctx.part_of(u) == ctx.part_of(v)) continue;
+          ++evaluations;
+          const Goodness after = ctx.goodness_after_swap(u, v);
+          if (after < best_after) {
+            best_after = after;
+            best_u = u;
+            best_v = v;
+          }
+        }
+      }
+      if (best_u == graph::kInvalidNode) break;
+      const PartId pu = ctx.part_of(best_u);
+      const PartId pv = ctx.part_of(best_v);
+      ctx.apply(best_u, pv);
+      ctx.apply(best_v, pu);
+      improved_this_pass = true;
+    }
+    if (!improved_this_pass) break;
+  }
+  return ctx.goodness() < initial;
+}
+
+bool feasible(const Goodness& g) {
+  return g.resource_excess == 0 && g.bandwidth_excess == 0;
+}
+
+/// Tallies of the equivalence runs, so the test can show what it covered.
+struct SwapTally {
+  int feasible_starts = 0;
+  int infeasible_starts = 0;
+  int fewer = 0;  // feasible starts the bound evaluated fewer pairs on
+};
+
+/// Runs GP's schedule from `start` (swap_refine, then FM, up to three
+/// times) with the bounded scan and the reference side by side, and checks
+/// that every call returns the same verdict, partition, goodness and
+/// apply_count(). On a feasible start the bound must not evaluate more
+/// pairs than the reference, and fewer once the graph has 12 nodes.
+void expect_bounded_matches_exhaustive(const Graph& g, const Partition& start,
+                                       const Constraints& c,
+                                       const std::string& label,
+                                       SwapTally& tally) {
+  SCOPED_TRACE(label);
+  Partition bounded_p = start;
+  Partition exhaustive_p = start;
+  Workspace bounded_ws, exhaustive_ws;
+  MoveContext& bounded = bounded_ws.move_ctx;
+  MoveContext& exhaustive = exhaustive_ws.move_ctx;
+  bounded.reset(g, bounded_p, c);
+  exhaustive.reset(g, exhaustive_p, c);
+  const bool feasible_start = feasible(bounded.goodness());
+  ++(feasible_start ? tally.feasible_starts : tally.infeasible_starts);
+  std::uint64_t bounded_evals = 0, exhaustive_evals = 0;
+  const SwapRefineOptions options;
+  for (int call = 0; call < 3; ++call) {
+    SCOPED_TRACE("call " + std::to_string(call));
+    const bool bounded_improved =
+        swap_refine(bounded, options, bounded_ws.swap, bounded_evals);
+    const bool exhaustive_improved =
+        exhaustive_swap_refine(exhaustive, options, exhaustive_evals);
+    ASSERT_EQ(bounded_improved, exhaustive_improved);
+    ASSERT_EQ(bounded_p.assignments(), exhaustive_p.assignments());
+    ASSERT_EQ(bounded.goodness(), exhaustive.goodness());
+    ASSERT_EQ(bounded.apply_count(), exhaustive.apply_count());
+    if (!bounded_improved) break;
+    support::Rng bounded_rng(call + 1), exhaustive_rng(call + 1);
+    constrained_fm_refine(bounded, FmOptions{}, bounded_rng, bounded_ws.fm);
+    constrained_fm_refine(exhaustive, FmOptions{}, exhaustive_rng,
+                          exhaustive_ws.fm);
+    ASSERT_EQ(bounded_p.assignments(), exhaustive_p.assignments());
+  }
+  if (feasible_start) {
+    EXPECT_LE(bounded_evals, exhaustive_evals);
+    if (g.num_nodes() >= 12) {
+      EXPECT_LT(bounded_evals, exhaustive_evals);
+    }
+    tally.fewer += bounded_evals < exhaustive_evals ? 1 : 0;
+  }
+}
+
+/// A feasible-looking start, as GP hands swap_refine one: a random balanced
+/// partition refined by FM. Under binding constraints it may stay
+/// infeasible.
+Partition fm_refined_start(const Graph& g, PartId k, const Constraints& c,
+                           support::Rng& rng) {
+  Partition p = random_balanced_partition(g, k, rng);
+  constrained_fm_refine(g, p, c, FmOptions{}, rng);
+  return p;
+}
+
+/// A random start, infeasible under most of the constraints below: every
+/// node in a uniformly drawn part.
+Partition random_start(const Graph& g, PartId k, support::Rng& rng) {
+  Partition p(g.num_nodes(), k);
+  for (NodeId u = 0; u < g.num_nodes(); ++u)
+    p.set(u, static_cast<PartId>(
+                 rng.uniform_index(static_cast<std::size_t>(k))));
+  return p;
+}
+
+/// GP's kick on a refined start: a few nodes moved to random parts, which
+/// usually overloads one.
+Partition kicked_start(Partition p, support::Rng& rng) {
+  const NodeId n = static_cast<NodeId>(p.size());
+  for (NodeId i = 0; i < std::max<NodeId>(2, n / 32); ++i)
+    p.set(static_cast<NodeId>(rng.uniform_index(n)),
+          static_cast<PartId>(
+              rng.uniform_index(static_cast<std::size_t>(p.k()))));
+  return p;
+}
+
+/// Rmax at `slack` times the even share (plus the heaviest node), uniform
+/// or alternating 0.7x / 1.3x of that per part; Bmax at `bmax_slack` times
+/// the even share of edge weight per part pair, or unlimited at 0.
+Constraints slack_constraints(const Graph& g, PartId k, bool heterogeneous,
+                              double bmax_slack) {
+  Constraints c;
+  const double share = static_cast<double>(g.total_node_weight()) / k;
+  c.rmax = static_cast<Weight>(1.1 * share) + g.max_node_weight();
+  if (heterogeneous) {
+    for (PartId p = 0; p < k; ++p)
+      c.rmax_per_part.push_back(
+          static_cast<Weight>((p % 2 == 0 ? 0.7 : 1.3) * 1.1 * share) +
+          g.max_node_weight());
+  }
+  if (bmax_slack > 0) {
+    const double pairs = k * (k - 1) / 2.0;
+    c.bmax = std::max<Weight>(
+        1, static_cast<Weight>(bmax_slack *
+                               static_cast<double>(g.total_edge_weight()) /
+                               pairs));
+  }
+  return c;
+}
+
+/// One G(n, m) case: the graph (a third of all pairs are edges, at least
+/// one), its constraints, an FM-refined start and, for n <= 60, a random
+/// start; larger graphs get a kicked FM start instead, whose repair takes a
+/// few steps where a random start's takes ~n / 2 of ~n^2 / 2 evaluations.
+void run_gnm_case(NodeId n, PartId k, double bmax_slack, bool heterogeneous,
+                  std::uint64_t seed, SwapTally& tally,
+                  graph::WeightRange node_w = {1, 20},
+                  graph::WeightRange edge_w = {1, 9}) {
+  support::Rng rng(seed);
+  const Graph g = graph::erdos_renyi_gnm(
+      n, std::max<std::uint64_t>(1, std::uint64_t{n} * (n - 1) / 6), rng,
+      node_w, edge_w);
+  const Constraints c = slack_constraints(g, k, heterogeneous, bmax_slack);
+  const std::string label = "n=" + std::to_string(n) +
+                            " k=" + std::to_string(k) +
+                            " bmax_slack=" + std::to_string(bmax_slack) +
+                            (heterogeneous ? " heterogeneous" : " uniform") +
+                            (edge_w.hi == 1 ? " unit weights" : "");
+  const Partition fm = fm_refined_start(g, k, c, rng);
+  expect_bounded_matches_exhaustive(g, fm, c, label + " fm", tally);
+  if (n <= 60) {
+    expect_bounded_matches_exhaustive(g, random_start(g, k, rng), c,
+                                      label + " random", tally);
+  } else {
+    expect_bounded_matches_exhaustive(g, kicked_start(fm, rng), c,
+                                      label + " kicked", tally);
+  }
+}
+
+TEST(SwapRefine, BoundedScanMatchesExhaustiveScan) {
+  SwapTally tally;
+  // Dense G(n, m) graphs like GP's coarsest levels, with k > n leaving
+  // parts empty; Bmax unlimited (0), slack (1.3) and binding (0.5; at
+  // k = 70 even 1.3 binds). Up to 60 nodes every combination runs.
+  std::uint64_t seed = 0;
+  for (const NodeId n : {2u, 12u, 60u}) {
+    for (const PartId k : {2, 8, 70}) {
+      for (const double bmax_slack : {0.0, 1.3, 0.5}) {
+        for (const bool heterogeneous : {false, true})
+          run_gnm_case(n, k, bmax_slack, heterogeneous, ++seed, tally);
+      }
+    }
+  }
+  // Unit weights make equal-goodness swaps common, and ties are where the
+  // scan order decides the answer.
+  for (const PartId k : {2, 8, 70}) {
+    for (const double bmax_slack : {0.0, 1.3})
+      run_gnm_case(60, k, bmax_slack, false, ++seed, tally, {1, 1}, {1, 1});
+  }
+  // At 170 and 200 nodes the reference pays ~n^2 / 2 evaluations a step
+  // (times k with binding bandwidth), so a covering set runs: each k, each
+  // Bmax regime and each Rmax regime appears at both sizes or at one.
+  run_gnm_case(170, 2, 1.3, false, ++seed, tally);
+  run_gnm_case(170, 8, 0.5, true, ++seed, tally);
+  run_gnm_case(200, 2, 0.5, true, ++seed, tally);
+  run_gnm_case(200, 8, 1.3, false, ++seed, tally);
+  run_gnm_case(200, 8, 0.0, true, ++seed, tally);
+  run_gnm_case(200, 70, 0.0, false, ++seed, tally);
+  // The levels of at most 200 nodes of a 4k service-class PN (K=8, Rmax and
+  // Bmax at 1.3 and 1.05 times the even share), which GP swap-refines.
+  graph::ProcessNetworkParams params;
+  params.num_nodes = 4000;
+  params.layers = 4000 / 16;
+  support::Rng pn_rng(4);
+  const Graph pn = graph::random_process_network(params, pn_rng);
+  Workspace coarsen_ws;
+  const Hierarchy h = coarsen(pn, CoarsenOptions{}, pn_rng, coarsen_ws);
+  int coarse_levels = 0;
+  for (std::size_t level = 0; level < h.num_levels(); ++level) {
+    const Graph& g = h.graphs[level];
+    if (g.num_nodes() > SwapRefineOptions{}.max_nodes) continue;
+    ++coarse_levels;
+    for (const double slack : {1.3, 1.05}) {
+      Constraints c;
+      c.rmax = std::max<Weight>(
+          static_cast<Weight>(slack * static_cast<double>(
+                                          pn.total_node_weight()) / 8),
+          pn.max_node_weight());
+      c.bmax = static_cast<Weight>(
+          slack * static_cast<double>(pn.total_edge_weight()) / 28 / 2);
+      support::Rng rng(level * 10 + (slack > 1.2 ? 1 : 2));
+      const std::string label = "pn4k level " + std::to_string(level) +
+                                " slack " + std::to_string(slack);
+      expect_bounded_matches_exhaustive(g, fm_refined_start(g, 8, c, rng), c,
+                                        label + " fm", tally);
+      expect_bounded_matches_exhaustive(g, random_start(g, 8, rng), c,
+                                        label + " random", tally);
+    }
+  }
+  EXPECT_GT(coarse_levels, 0);
+  std::printf("swap equivalence: %d feasible starts (%d with fewer "
+              "evaluations), %d infeasible\n",
+              tally.feasible_starts, tally.fewer, tally.infeasible_starts);
+  EXPECT_GE(tally.feasible_starts, 40);
+  EXPECT_GE(tally.infeasible_starts, 40);
 }
 
 TEST(SwapRefine, NeverWorsens) {
