@@ -212,6 +212,70 @@ TEST(QualityGate, ServiceClassGpTotalCut) {
   EXPECT_LE(total_cut, 39622);
 }
 
+TEST(QualityGate, BindingBmaxServiceClass) {
+  // The instances of ServiceClassGpTotalCut with the paper's bandwidth bound
+  // made to bind. M is an instance's largest pairwise cut from GP at
+  // registry defaults with Bmax unlimited, frozen here so that a GP change
+  // cannot move the yardstick. Bmax = max(1, floor(f M)): at f = 1.0 GP's
+  // own Bmax-free answer is feasible, at f = 0.65 no instance keeps it. The
+  // ceilings are the summed cuts when the gate was introduced.
+  constexpr graph::NodeId kSizes[] = {1000, 4000};
+  constexpr double kSlacks[] = {1.3, 1.05};
+  constexpr graph::Weight kM[16] = {202, 196, 161, 169, 200, 191, 182, 176,
+                                    524, 679, 336, 385, 708, 553, 332, 394};
+  struct Level {
+    graph::Weight percent;
+    graph::Weight max_total_cut;
+  };
+  for (const Level level : {Level{100, 41948}, Level{65, 43894}}) {
+    graph::Weight total_cut = 0;
+    int feasible = 0;
+    std::size_t i = 0;
+    for (const graph::NodeId n : kSizes) {
+      for (const double slack : kSlacks) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+          Instance inst = family_instance(n, 8, seed, slack);
+          inst.request.constraints.bmax =
+              std::max<graph::Weight>(1, kM[i++] * level.percent / 100);
+          const part::PartitionResult r =
+              part::GpPartitioner{}.run(inst.graph, inst.request);
+          total_cut += r.metrics.total_cut;
+          feasible += r.feasible ? 1 : 0;
+        }
+      }
+    }
+    std::printf("GP binding-Bmax class at f = %.2f: total cut %lld, "
+                "feasible %d/16\n",
+                static_cast<double>(level.percent) / 100,
+                static_cast<long long>(total_cut), feasible);
+    EXPECT_EQ(feasible, 16) << "f = " << level.percent << "%";
+    EXPECT_LE(total_cut, level.max_total_cut) << "f = " << level.percent << "%";
+  }
+}
+
+TEST(QualityGate, SmallClassGpTotalCut) {
+  // 300-node PNs (K=8, slack 1.3 and 1.05, seeds 1-8), the size of
+  // service_mix's warm-up instance, solved by GP at registry defaults
+  // without a coarsening cache: a class whose every level, the finest
+  // included, has at most 300 nodes. The bound is the summed cut when the
+  // gate was introduced.
+  graph::Weight total_cut = 0;
+  int feasible = 0;
+  for (const double slack : {1.3, 1.05}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const Instance inst = family_instance(300, 8, seed, slack);
+      const part::PartitionResult r =
+          part::GpPartitioner{}.run(inst.graph, inst.request);
+      total_cut += r.metrics.total_cut;
+      feasible += r.feasible ? 1 : 0;
+    }
+  }
+  std::printf("GP 300-node class total cut: %lld, feasible %d/16\n",
+              static_cast<long long>(total_cut), feasible);
+  EXPECT_EQ(feasible, 16);
+  EXPECT_LE(total_cut, 12434);
+}
+
 /// Cut-to-optimum ratios over an instance family: the worst as an exact
 /// fraction, the mean, and how many answers were feasible.
 struct GapTally {
