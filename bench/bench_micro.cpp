@@ -159,6 +159,9 @@ void BM_ConstrainedFmPass(benchmark::State& state) {
 }
 BENCHMARK(BM_ConstrainedFmPass)->Arg(1000)->Arg(5000);
 
+// One FM pass from a random 4-way partition through a reused workspace.
+// 200 nodes is the size of GP's small levels, where the stall limit is
+// scaled down to its floor; `applied` is FM moves applied per iteration.
 void BM_ConstrainedFmPassWorkspace(benchmark::State& state) {
   const graph::Graph g = make_pn(static_cast<graph::NodeId>(state.range(0)), 11);
   support::Rng rng(12);
@@ -176,8 +179,14 @@ void BM_ConstrainedFmPassWorkspace(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * g.num_nodes());
   state.counters["ws_growths"] = static_cast<double>(ws.stats().growths);
+  state.counters["applied"] = static_cast<double>(ws.fm.totals.applied) /
+                              static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_ConstrainedFmPassWorkspace)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_ConstrainedFmPassWorkspace)
+    ->Arg(200)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000);
 
 // Dense small graph like GP's coarsest levels, the only place swap_refine
 // runs. The second argument picks the start and Bmax: 0 starts from a random

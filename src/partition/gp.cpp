@@ -41,7 +41,7 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
                      static_cast<std::int64_t>(level),
                      static_cast<std::int64_t>(g.num_nodes()));
     const std::uint64_t swap_evals = ws.swap_evaluations;
-    const std::uint64_t fm_moves = ws.fm.totals.applied;
+    const FmTotals fm_before = ws.fm.totals;
     if (level + 1 < h.num_levels()) {
       // Project from the coarser level.
       std::vector<PartId> finer(g.num_nodes());
@@ -84,8 +84,13 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
     // Where this level's refinement work went, for a production trace.
     phase.arg("swap_evals",
               static_cast<std::int64_t>(ws.swap_evaluations - swap_evals));
+    const FmTotals& fm_after = ws.fm.totals;
     phase.arg("fm_moves",
-              static_cast<std::int64_t>(ws.fm.totals.applied - fm_moves));
+              static_cast<std::int64_t>(fm_after.applied - fm_before.applied));
+    phase.arg("fm_kept",
+              static_cast<std::int64_t>(fm_after.kept - fm_before.kept));
+    phase.arg("fm_stalled",
+              static_cast<std::int64_t>(fm_after.stalled - fm_before.stalled));
     for (NodeId u = 0; u < g.num_nodes(); ++u) assign[u] = p[u];
     if (trace != nullptr) {
       GpLevelTrace t;

@@ -129,6 +129,7 @@ Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
   std::size_t best_prefix = 0;
   const std::uint64_t limit =
       options.move_limit == 0 ? n : options.move_limit;
+  const std::uint64_t stall_limit = fm_stall_moves(n);
 
   // Safety valve: lazy revalidation is amortized-cheap, but adversarial
   // weight patterns could ping-pong reinsertions; cap total pops.
@@ -140,7 +141,7 @@ Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
   const std::size_t heap_cap = heap.capacity();
 
   while (!heap.empty() && log.size() < limit &&
-         log.size() - best_prefix < kFmStallMoves && pops++ < pop_limit) {
+         log.size() - best_prefix < stall_limit && pops++ < pop_limit) {
     const FmHeapEntry e = pool[heap.front()];
     std::pop_heap(heap.begin(), heap.end(), WorseDelta{pool.data()});
     heap.pop_back();
@@ -188,7 +189,7 @@ Goodness constrained_fm_pass(MoveContext& ctx, const FmOptions& options,
   t.pops += std::min(pops, pop_limit);
   t.applied += log.size();
   t.kept += best_prefix;
-  if (log.size() - best_prefix >= kFmStallMoves) ++t.stalled;
+  if (log.size() - best_prefix >= stall_limit) ++t.stalled;
 
   if (fs.stats != nullptr) {
     if (pool.capacity() > pool_cap) {

@@ -7,14 +7,16 @@
 //    pass moves every node at most once, accepts temporarily-worsening moves
 //    and commits the best prefix (classic FM hill-climbing), so it can
 //    escape local minima while repairing constraint violations. A pass also
-//    ends once kFmStallMoves applied moves have gone by without a new best
-//    (the early stop of KaHyPar's FM, as a fixed count).
+//    ends once fm_stall_moves(n) applied moves have gone by without a new
+//    best (the early stop of KaHyPar's FM, as a count scaled to the size n
+//    of the graph the pass refines).
 //  * greedy_cut_refine — METIS-style k-way boundary refinement: positive
 //    cut-gain moves only, subject to a hard balance cap. Used by the
 //    MetisLike baseline, which models METIS's behavioural contract.
 //  * bisection_fm_refine — 2-way FM with per-side weight caps, used inside
 //    the MetisLike recursive-bisection initial partitioning.
 
+#include <algorithm>
 #include <cstdint>
 
 #include "partition/move_context.hpp"
@@ -24,15 +26,35 @@
 
 namespace ppnpart::part {
 
-/// A constrained FM pass ends once this many applied moves have gone by
-/// without a new best goodness; the moves after the best prefix are rolled
+/// The stall limit's cap: graphs of 1,400 nodes or more use it. A pass that
+/// stops paying is ended and its moves after the best prefix are rolled
 /// back as before, so a pass still never makes goodness worse. Without the
 /// rule, 97% of the moves applied on the tracked 100k-node PN were rolled
 /// back. Why 350: it keeps the tracked 10k and 20k cuts and gives 90,027 at
 /// 100k (90,058 without the rule); 100 and 50 lose cut at 100k (91,333 and
-/// 93,216); 1000 keeps the cut but saves ~20% less time. A graph of at most
-/// 350 nodes can never reach it.
+/// 93,216); 1000 keeps the cut but saves ~20% less time.
 constexpr std::uint64_t kFmStallMoves = 350;
+
+/// A constrained FM pass on an n-node graph ends once this many applied moves
+/// have gone by without a new best goodness. A flat 350 never ends a pass on a
+/// graph of at most 350 nodes, so on GP's small levels passes ran to
+/// exhaustion: over the 16 1k- and 4k-node service-class gate instances FM
+/// rolled back 98% of the moves it applied. Under the flat rule, the longest
+/// run of applied moves before a new best on a level below 2,048 nodes of the
+/// tracked 100k PN was 90, at a 677-node level (this limit: 169). Over the
+/// service classes (Bmax as given, unlimited, or binding at f = 1.0 to 0.4),
+/// 120 more service instances, the 300-node class and the tracked 10k PN it was
+/// 124, at a 1,315-node level (this limit: 328); the closest to its limit was
+/// 51 moves, on 243- and 98-node levels of the binding class (this limit: 64).
+/// Rejected: a flat 64 below 2,048 nodes (100k cut 90,027 -> 90,272), a flat 32
+/// there (100k 92,950; 300-node class 12,434 -> 12,440), a floor of 16
+/// (300-node class 12,440; service classes 39,622 -> 39,724), and n/8 with a
+/// floor of 96 (keeps every answer, but leaves 6 moves of margin at that
+/// 677-node level). Graphs of at most 64 nodes, the paper's instances among
+/// them, run as before.
+constexpr std::uint64_t fm_stall_moves(NodeId n) {
+  return std::clamp<std::uint64_t>(n / 4, 64, kFmStallMoves);
+}
 
 struct FmOptions {
   std::uint32_t max_passes = 8;

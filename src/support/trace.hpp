@@ -53,7 +53,7 @@ namespace ppnpart::support {
 /// One recorded event. POD-ish on purpose: ring slots are copied in and out
 /// under a seqlock, so the type must be trivially copyable.
 struct TraceEvent {
-  static constexpr std::size_t kMaxArgs = 4;
+  static constexpr std::size_t kMaxArgs = 6;
   static constexpr std::size_t kDetailBytes = 64;
 
   enum class Kind : std::uint8_t {

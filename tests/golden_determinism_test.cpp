@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <initializer_list>
+#include <span>
 
 #include "bench_common.hpp"
 #include "engine/engine.hpp"
@@ -185,31 +187,46 @@ TEST(QualityGate, GpTrackedWorkloadKeepsSerialCutAtEveryThreadCount) {
   EXPECT_LE(one.metrics.total_cut, 10013);
 }
 
+struct ClassResult {
+  graph::Weight total_cut = 0;
+  int feasible = 0;
+};
+
+/// Summed cut and feasible count of GP at registry defaults, without a
+/// coarsening cache, over family_instance(n, 8, seed, slack) for each n in
+/// `sizes`, slack 1.3 and 1.05 and seeds 1..`seeds`. A non-empty `bmax`
+/// replaces each instance's Bmax, in that order.
+ClassResult solve_class(std::initializer_list<graph::NodeId> sizes,
+                        std::uint64_t seeds,
+                        std::span<const graph::Weight> bmax = {}) {
+  ClassResult out;
+  std::size_t i = 0;
+  for (const graph::NodeId n : sizes) {
+    for (const double slack : {1.3, 1.05}) {
+      for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+        Instance inst = family_instance(n, 8, seed, slack);
+        if (!bmax.empty()) inst.request.constraints.bmax = bmax[i++];
+        const part::PartitionResult r =
+            part::GpPartitioner{}.run(inst.graph, inst.request);
+        out.total_cut += r.metrics.total_cut;
+        out.feasible += r.feasible ? 1 : 0;
+      }
+    }
+  }
+  return out;
+}
+
 TEST(QualityGate, ServiceClassGpTotalCut) {
   // The fresh-request classes of the service benchmark: 1k/4k-node PNs, K=8,
   // slack 1.3 and 1.05, built with perfbench's family_instance formula and
   // solved by GP at registry defaults without a coarsening cache. The bound
   // is the summed cut when the gate was introduced; a refiner or matching
   // change that loses quality on these classes shows up here.
-  constexpr graph::NodeId kSizes[] = {1000, 4000};
-  constexpr double kSlacks[] = {1.3, 1.05};
-  graph::Weight total_cut = 0;
-  int feasible = 0;
-  for (const graph::NodeId n : kSizes) {
-    for (const double slack : kSlacks) {
-      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-        const Instance inst = family_instance(n, 8, seed, slack);
-        const part::PartitionResult r =
-            part::GpPartitioner{}.run(inst.graph, inst.request);
-        total_cut += r.metrics.total_cut;
-        feasible += r.feasible ? 1 : 0;
-      }
-    }
-  }
+  const ClassResult r = solve_class({1000, 4000}, 4);
   std::printf("GP service-class total cut: %lld, feasible %d/16\n",
-              static_cast<long long>(total_cut), feasible);
-  EXPECT_EQ(feasible, 16);
-  EXPECT_LE(total_cut, 39622);
+              static_cast<long long>(r.total_cut), r.feasible);
+  EXPECT_EQ(r.feasible, 16);
+  EXPECT_LE(r.total_cut, 39622);
 }
 
 TEST(QualityGate, BindingBmaxServiceClass) {
@@ -219,8 +236,6 @@ TEST(QualityGate, BindingBmaxServiceClass) {
   // cannot move the yardstick. Bmax = max(1, floor(f M)): at f = 1.0 GP's
   // own Bmax-free answer is feasible, at f = 0.65 no instance keeps it. The
   // ceilings are the summed cuts when the gate was introduced.
-  constexpr graph::NodeId kSizes[] = {1000, 4000};
-  constexpr double kSlacks[] = {1.3, 1.05};
   constexpr graph::Weight kM[16] = {202, 196, 161, 169, 200, 191, 182, 176,
                                     524, 679, 336, 385, 708, 553, 332, 394};
   struct Level {
@@ -228,28 +243,17 @@ TEST(QualityGate, BindingBmaxServiceClass) {
     graph::Weight max_total_cut;
   };
   for (const Level level : {Level{100, 41948}, Level{65, 43894}}) {
-    graph::Weight total_cut = 0;
-    int feasible = 0;
-    std::size_t i = 0;
-    for (const graph::NodeId n : kSizes) {
-      for (const double slack : kSlacks) {
-        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-          Instance inst = family_instance(n, 8, seed, slack);
-          inst.request.constraints.bmax =
-              std::max<graph::Weight>(1, kM[i++] * level.percent / 100);
-          const part::PartitionResult r =
-              part::GpPartitioner{}.run(inst.graph, inst.request);
-          total_cut += r.metrics.total_cut;
-          feasible += r.feasible ? 1 : 0;
-        }
-      }
-    }
+    graph::Weight bmax[16];
+    for (std::size_t i = 0; i < 16; ++i)
+      bmax[i] = std::max<graph::Weight>(1, kM[i] * level.percent / 100);
+    const ClassResult r = solve_class({1000, 4000}, 4, bmax);
     std::printf("GP binding-Bmax class at f = %.2f: total cut %lld, "
                 "feasible %d/16\n",
                 static_cast<double>(level.percent) / 100,
-                static_cast<long long>(total_cut), feasible);
-    EXPECT_EQ(feasible, 16) << "f = " << level.percent << "%";
-    EXPECT_LE(total_cut, level.max_total_cut) << "f = " << level.percent << "%";
+                static_cast<long long>(r.total_cut), r.feasible);
+    EXPECT_EQ(r.feasible, 16) << "f = " << level.percent << "%";
+    EXPECT_LE(r.total_cut, level.max_total_cut)
+        << "f = " << level.percent << "%";
   }
 }
 
@@ -259,21 +263,11 @@ TEST(QualityGate, SmallClassGpTotalCut) {
   // without a coarsening cache: a class whose every level, the finest
   // included, has at most 300 nodes. The bound is the summed cut when the
   // gate was introduced.
-  graph::Weight total_cut = 0;
-  int feasible = 0;
-  for (const double slack : {1.3, 1.05}) {
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      const Instance inst = family_instance(300, 8, seed, slack);
-      const part::PartitionResult r =
-          part::GpPartitioner{}.run(inst.graph, inst.request);
-      total_cut += r.metrics.total_cut;
-      feasible += r.feasible ? 1 : 0;
-    }
-  }
+  const ClassResult r = solve_class({300}, 8);
   std::printf("GP 300-node class total cut: %lld, feasible %d/16\n",
-              static_cast<long long>(total_cut), feasible);
-  EXPECT_EQ(feasible, 16);
-  EXPECT_LE(total_cut, 12434);
+              static_cast<long long>(r.total_cut), r.feasible);
+  EXPECT_EQ(r.feasible, 16);
+  EXPECT_LE(r.total_cut, 12434);
 }
 
 /// Cut-to-optimum ratios over an instance family: the worst as an exact

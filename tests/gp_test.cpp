@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "bench_common.hpp"
 #include "graph/generators.hpp"
 #include "partition/gp.hpp"
@@ -80,9 +82,11 @@ TEST(Gp, TrackedWorkloadRepeatsGrowsNothingWarmAndAccountsPhasesOnce) {
 
 TEST(Gp, RefineSpansCountSwapEvaluationsAndFmMoves) {
   // Each per-level refine span carries that level's swap_refine evaluations
-  // and applied FM moves. On the 800-node tracked workload the swap_evals
-  // args add up to the run's Workspace::swap_evaluations delta, and tracing
-  // leaves the partition as the untraced run had it.
+  // and its FM moves applied, moves kept and passes ended by the stall rule.
+  // On the 800-node tracked workload the swap_evals args add up to the
+  // run's Workspace::swap_evaluations delta, each FM sum is bounded by the
+  // run's FmTotals delta, and tracing leaves the partition as the untraced
+  // run had it.
   support::Tracer& tracer = support::Tracer::global();
   tracer.set_enabled(true);
   const bool compiled_in = tracer.enabled();
@@ -99,32 +103,34 @@ TEST(Gp, RefineSpansCountSwapEvaluationsAndFmMoves) {
 
   tracer.clear();
   const std::uint64_t swaps_before = ws.swap_evaluations;
-  const std::uint64_t fm_before = ws.fm.totals.applied;
+  const FmTotals fm_before = ws.fm.totals;
   tracer.set_enabled(true);
   const PartitionResult traced = gp.run(g, request);
   tracer.set_enabled(false);
   const std::vector<support::TraceEvent> events = tracer.snapshot();
   tracer.clear();
 
-  std::int64_t spans = 0, swap_evals = 0, fm_moves = 0;
+  constexpr std::string_view kCounts[] = {"swap_evals", "fm_moves", "fm_kept",
+                                          "fm_stalled"};
+  std::int64_t spans = 0, sums[std::size(kCounts)] = {};
+  auto& [swap_evals, fm_moves, fm_kept, fm_stalled] = sums;
   for (const support::TraceEvent& e : events) {
     if (std::string_view(e.name) != "refine" ||
         std::string_view(e.cat) != "gp")
       continue;
     ++spans;
-    int found = 0;
+    std::size_t found = 0;
     for (const support::TraceEvent::Arg& a : e.args) {
       if (a.key == nullptr) continue;
-      if (std::string_view(a.key) == "swap_evals") {
-        swap_evals += a.value;
-        ++found;
-      } else if (std::string_view(a.key) == "fm_moves") {
-        fm_moves += a.value;
+      for (std::size_t i = 0; i < std::size(kCounts); ++i) {
+        if (std::string_view(a.key) != kCounts[i]) continue;
+        sums[i] += a.value;
         ++found;
       }
     }
-    EXPECT_EQ(found, 2) << "level span without both counts";
+    EXPECT_EQ(found, std::size(kCounts)) << "level span without all counts";
   }
+  const FmTotals& fm_after = ws.fm.totals;
   EXPECT_GT(spans, 0);
   EXPECT_GT(swap_evals, 0);
   EXPECT_EQ(static_cast<std::uint64_t>(swap_evals),
@@ -133,7 +139,13 @@ TEST(Gp, RefineSpansCountSwapEvaluationsAndFmMoves) {
   // refine span.
   EXPECT_GT(fm_moves, 0);
   EXPECT_LE(static_cast<std::uint64_t>(fm_moves),
-            ws.fm.totals.applied - fm_before);
+            fm_after.applied - fm_before.applied);
+  EXPECT_GT(fm_kept, 0);
+  EXPECT_LE(fm_kept, fm_moves);
+  EXPECT_LE(static_cast<std::uint64_t>(fm_kept),
+            fm_after.kept - fm_before.kept);
+  EXPECT_LE(static_cast<std::uint64_t>(fm_stalled),
+            fm_after.stalled - fm_before.stalled);
   EXPECT_EQ(traced.partition.assignments(), untraced.partition.assignments());
 }
 

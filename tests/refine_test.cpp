@@ -120,13 +120,13 @@ TEST(ConstrainedFm, FindsObviousCutImprovement) {
   EXPECT_EQ(compute_goodness(g, p, Constraints{}).cut, 1);
 }
 
-TEST(ConstrainedFm, StallRuleBoundsRolledBackMoves) {
-  // A 3000-node PN from a random 8-way split under slack-1.3 constraints:
-  // passes run far past their best prefix, so the stall rule ends them, and
-  // no pass rolls back more than kFmStallMoves moves.
+/// Runs constrained FM on an n-node PN from a random 8-way split under
+/// slack-1.3 constraints (generator Rng(21), FM Rng(22)), checks that the
+/// goodness did not get worse and returns the FM totals.
+FmTotals fm_totals_from_random_split(NodeId n, std::uint32_t layers) {
   graph::ProcessNetworkParams params;
-  params.num_nodes = 3000;
-  params.layers = 3000 / 16;
+  params.num_nodes = n;
+  params.layers = layers;
   support::Rng rng(21);
   const Graph g = graph::random_process_network(params, rng);
   const PartId k = 8;
@@ -138,15 +138,38 @@ TEST(ConstrainedFm, StallRuleBoundsRolledBackMoves) {
   Workspace ws;
   support::Rng frng(22);
   constrained_fm_refine(g, p, c, FmOptions{}, frng, ws);
+  EXPECT_FALSE(before < compute_goodness(g, p, c));
   const FmTotals& t = ws.fm.totals;
-  std::printf("passes %llu stalled %llu applied %llu kept %llu\n",
-              static_cast<unsigned long long>(t.passes),
+  std::printf("%u nodes: passes %llu stalled %llu applied %llu kept %llu\n",
+              n, static_cast<unsigned long long>(t.passes),
               static_cast<unsigned long long>(t.stalled),
               static_cast<unsigned long long>(t.applied),
               static_cast<unsigned long long>(t.kept));
+  return t;
+}
+
+TEST(ConstrainedFm, StallRuleBoundsRolledBackMoves) {
+  // 3000 nodes: passes run far past their best prefix, so the stall rule
+  // ends them, and no pass rolls back more than kFmStallMoves moves.
+  const FmTotals t = fm_totals_from_random_split(3000, 3000 / 16);
   EXPECT_GE(t.stalled, 1u);
   EXPECT_LE(t.applied - t.kept, t.passes * kFmStallMoves);
-  EXPECT_FALSE(before < compute_goodness(g, p, c));
+}
+
+TEST(ConstrainedFm, StallRuleScalesWithLevelSize) {
+  // The limit is n / 4 between a floor of 64 and the cap kFmStallMoves.
+  EXPECT_EQ(fm_stall_moves(12), 64u);
+  EXPECT_EQ(fm_stall_moves(256), 64u);
+  EXPECT_EQ(fm_stall_moves(677), 169u);
+  EXPECT_EQ(fm_stall_moves(1400), kFmStallMoves);
+  EXPECT_EQ(fm_stall_moves(100000), kFmStallMoves);
+  // 200 nodes, below the cap's reach: every pass runs far past its best
+  // prefix, so the rule ends each one after at most 64 moves that do not
+  // pay (a flat 350 let all of them run to exhaustion).
+  const FmTotals t = fm_totals_from_random_split(200, 12);
+  EXPECT_GT(t.passes, 0u);
+  EXPECT_EQ(t.stalled, t.passes);
+  EXPECT_LE(t.applied - t.kept, t.passes * 64);
 }
 
 // ------------------------------------------------------- greedy refine ---

@@ -21,8 +21,12 @@ namespace {
 TEST(TimingGate, TracingOffHookCostsAtMost250Ns) {
   // With tracing off, a ScopedSpan plus one arg() is what every
   // instrumented inner loop pays for good: one relaxed load, and nothing at
-  // all under PPN_TRACE_DISABLED. Averaged over 2M spans.
-  support::Tracer::global().set_enabled(false);
+  // all under PPN_TRACE_DISABLED. Averaged over 2M spans. The clock alone
+  // cannot see a disabled span that records anyway (an optimised build pays
+  // that in well under the bound), so the tracer's count must not move.
+  support::Tracer& tracer = support::Tracer::global();
+  tracer.set_enabled(false);
+  const std::uint64_t recorded = tracer.recorded();
   constexpr int kIters = 2'000'000;
   support::Timer timer;
   for (int i = 0; i < kIters; ++i) {
@@ -32,6 +36,7 @@ TEST(TimingGate, TracingOffHookCostsAtMost250Ns) {
   const double ns = timer.seconds() * 1e9 / kIters;
   std::printf("tracing-off hook: %.1f ns\n", ns);
   EXPECT_LE(ns, 250.0);
+  EXPECT_EQ(tracer.recorded(), recorded) << "a disabled span recorded";
 }
 
 TEST(TimingGate, NearTwinBurstSubmitsStayUnderHalfASecond) {
