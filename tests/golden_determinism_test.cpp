@@ -345,6 +345,58 @@ TEST(QualityGate, GpExactGapOn12NodeFamily) {
   EXPECT_LE(portfolio_gap.mean_gap(), 0.9961603);
 }
 
+TEST(QualityGate, BindingBmaxExactGap) {
+  // The instances of GpExactGapOn12NodeFamily with the paper's bandwidth
+  // bound made to bind. M is the largest pairwise cut of the proven optimum
+  // with Bmax unlimited (Rmax as given), and Bmax = max(1, floor(0.8 M)).
+  // An instance counts when branch and bound proves an optimum under that
+  // Bmax. GP (max_cycles = 4) misses an instance when its answer is
+  // infeasible; the gaps are taken over its feasible answers. The ceilings
+  // are the values when the gate was introduced.
+  part::GpOptions options;
+  options.max_cycles = 4;
+  part::GpPartitioner gp(options);
+  int family = 0, provable = 0, misses = 0;
+  GapTally gap;
+  for (std::uint64_t seed = 5000; family < 64 && seed < 5000 + 6400; ++seed) {
+    Instance inst = family_instance(12, 4, seed, 1.5);
+    const part::ExactResult exact = part::exact_min_cut(
+        inst.graph, inst.request.k, inst.request.constraints);
+    if (!exact.found || !exact.optimal) continue;
+    ++family;
+    part::Constraints loose = inst.request.constraints;
+    loose.bmax = part::Constraints::kUnlimited;
+    const part::ExactResult free_bmax =
+        part::exact_min_cut(inst.graph, inst.request.k, loose);
+    ASSERT_TRUE(free_bmax.found && free_bmax.optimal) << "seed " << seed;
+    const graph::Weight m =
+        part::compute_metrics(inst.graph, free_bmax.partition)
+            .max_pairwise_cut;
+    inst.request.constraints.bmax = std::max<graph::Weight>(1, 80 * m / 100);
+    const part::ExactResult bound = part::exact_min_cut(
+        inst.graph, inst.request.k, inst.request.constraints);
+    if (!bound.found || !bound.optimal) continue;
+    ++provable;
+    ASSERT_GT(bound.cut, 0);
+    const part::PartitionResult r = gp.run(inst.graph, inst.request);
+    if (r.feasible) {
+      gap.add(r, bound.cut);
+    } else {
+      ++misses;
+    }
+  }
+  gap.print("GP at Bmax = 0.8 M");
+  std::printf("GP at Bmax = 0.8 M: %d provable instances, %d missed\n",
+              provable, misses);
+  EXPECT_EQ(family, 64);
+  EXPECT_EQ(provable, 48);
+  EXPECT_LE(misses, 2);
+  // 1.032990664 when introduced.
+  EXPECT_LE(gap.mean_gap(), 1.0329907);
+  // worst gap <= 68/33
+  EXPECT_LE(gap.worst_cut * 33, 68 * gap.worst_opt);
+}
+
 // ---- Incremental repartitioning goldens (PR 4). ---------------------------
 // The incremental path is pinned the same way the PR-3 refactor was: a
 // fixed (graph, previous partition, delta sequence, seed) must reproduce
