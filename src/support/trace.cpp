@@ -4,67 +4,9 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <type_traits>
 #include <unordered_set>
 
-// ThreadSanitizer detection: GCC defines __SANITIZE_THREAD__, clang exposes
-// it through __has_feature.
-#if defined(__SANITIZE_THREAD__)
-#define PPN_TSAN_ENABLED 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PPN_TSAN_ENABLED 1
-#endif
-#endif
-#ifndef PPN_TSAN_ENABLED
-#define PPN_TSAN_ENABLED 0
-#endif
-
 namespace ppnpart::support {
-
-namespace {
-
-#if PPN_TSAN_ENABLED
-// The seqlock's payload copies are deliberate data races: record() writes
-// `slot.ev` while snapshot() speculatively reads it, and the seq recheck
-// discards any torn read. That design is invisible to TSan, which (rightly,
-// per the C++ memory model) reports the plain conflicting accesses. Under
-// TSan builds only, copy the payload as relaxed atomic words instead: the
-// same bytes move, no ordering claims are added (the seqlock's
-// acquire/release on `seq` still provides them), and every access TSan sees
-// is atomic. Normal builds keep the plain copy, a memcpy per recorded event.
-static_assert(std::is_trivially_copyable_v<TraceEvent>,
-              "TraceEvent is copied word-by-word under TSan");
-static_assert(sizeof(TraceEvent) % sizeof(std::uint64_t) == 0,
-              "TraceEvent must be whole 64-bit words (pad if it grows)");
-static_assert(alignof(TraceEvent) >= alignof(std::uint64_t),
-              "TraceEvent words must be naturally aligned for atomic_ref");
-
-void relaxed_word_copy(TraceEvent& dst, const TraceEvent& src) {
-  // atomic_ref requires mutable access even for loads until C++26; the
-  // source object is never actually written through this cast.
-  auto* d = reinterpret_cast<std::uint64_t*>(&dst);
-  auto* s = reinterpret_cast<std::uint64_t*>(const_cast<TraceEvent*>(&src));
-  for (std::size_t i = 0; i < sizeof(TraceEvent) / sizeof(std::uint64_t);
-       ++i) {
-    std::atomic_ref<std::uint64_t>(d[i]).store(
-        std::atomic_ref<std::uint64_t>(s[i]).load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-  }
-}
-#endif  // PPN_TSAN_ENABLED
-
-/// Copies a trace payload in or out of a ring slot. Plain assignment in
-/// normal builds; relaxed atomic words under TSan (see above).
-void copy_payload(TraceEvent& dst, const TraceEvent& src) {
-#if PPN_TSAN_ENABLED
-  relaxed_word_copy(dst, src);
-#else
-  dst = src;
-#endif
-}
-
-}  // namespace
 
 const char* intern_name(std::string_view name) {
   static std::mutex mutex;
@@ -77,7 +19,6 @@ const char* intern_name(std::string_view name) {
 
 Tracer::Tracer(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity),
-      slots_(std::make_unique<Slot[]>(capacity == 0 ? 1 : capacity)),
       epoch_(std::chrono::steady_clock::now()) {}
 
 Tracer& Tracer::global() {
@@ -91,6 +32,10 @@ void Tracer::set_enabled(bool on) {
 #ifdef PPN_TRACE_DISABLED
   (void)on;
 #else
+  if (on) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ring_.reserve(capacity_);
+  }
   enabled_.store(on, std::memory_order_relaxed);
 #endif
 }
@@ -102,45 +47,21 @@ std::uint32_t Tracer::current_tid() {
 }
 
 void Tracer::record(const TraceEvent& ev) {
-  const std::uint64_t n = cursor_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[n % capacity_];
-  // Per-slot seqlock. Two writers meet on one slot only when the ring laps
-  // itself mid-write (cursor advanced a full capacity while this write was
-  // in flight); the loser drops its event instead of corrupting the slot.
-  std::uint32_t seq = slot.seq.load(std::memory_order_relaxed);
-  if (seq & 1u) return;  // a lapped writer is mid-copy; drop ours
-  if (!slot.seq.compare_exchange_strong(seq, seq + 1,
-                                        std::memory_order_acquire,
-                                        std::memory_order_relaxed))
-    return;
-  copy_payload(slot.ev, ev);
-  slot.seq.store(seq + 2, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (ring_.size() < capacity_) {
+    ring_.reserve(capacity_);  // a no-op once reserved
+    ring_.push_back(ev);
+  } else {
+    ring_[recorded_ % capacity_] = ev;
+  }
+  ++recorded_;
 }
 
 std::vector<TraceEvent> Tracer::snapshot() const {
   std::vector<TraceEvent> out;
-  out.reserve(capacity_);
-  for (std::size_t i = 0; i < capacity_; ++i) {
-    const Slot& slot = slots_[i];
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      const std::uint32_t before = slot.seq.load(std::memory_order_acquire);
-      if (before == 0) break;       // never written
-      if (before & 1u) continue;    // mid-write; retry
-      TraceEvent ev;
-      copy_payload(ev, slot.ev);
-#if PPN_TSAN_ENABLED
-      // TSan neither models nor allows standalone fences (GCC hard-errors
-      // on atomic_thread_fence under -fsanitize=thread); an acquire on the
-      // recheck load provides the same ordering for the validation.
-      if (slot.seq.load(std::memory_order_acquire) == before) {
-#else
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot.seq.load(std::memory_order_relaxed) == before) {
-#endif
-        out.push_back(ev);
-        break;
-      }
-    }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    out = ring_;
   }
   std::sort(out.begin(), out.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
@@ -152,9 +73,14 @@ std::vector<TraceEvent> Tracer::snapshot() const {
 }
 
 void Tracer::clear() {
-  for (std::size_t i = 0; i < capacity_; ++i)
-    slots_[i].seq.store(0, std::memory_order_relaxed);
-  cursor_.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  ring_.clear();
+  recorded_ = 0;
+}
+
+std::uint64_t Tracer::recorded() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return recorded_;
 }
 
 namespace {

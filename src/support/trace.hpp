@@ -3,12 +3,14 @@
 // multilevel pipeline.
 //
 // A Tracer is a fixed-capacity ring buffer of TraceEvents (complete spans,
-// instant events and cross-thread async begin/end pairs) written lock-free
-// from any thread: recording is one relaxed fetch_add to claim a slot plus a
-// per-slot seqlock write, so concurrent partitioner threads never serialize
-// on a tracing mutex. When the ring wraps, the oldest events are overwritten
-// (and counted) — a long-running service keeps the most recent window, which
-// is the one a "where did this 40 ms go" question is about.
+// instant events and cross-thread async begin/end pairs) that any thread
+// may record into. One mutex guards the ring: traced runs record about a
+// thousand events a run, far too few for tracing threads to queue on it.
+// The ring's storage is reserved when tracing is first enabled (or by the
+// first record()), so a process that never traces holds none of it. When
+// the ring wraps, the oldest events are overwritten (and counted) — a
+// long-running service keeps the most recent window, which is the one a
+// "where did this 40 ms go" question is about.
 //
 // Recording degrades to nothing in two tiers:
 //   * runtime: Tracer::set_enabled(false) (the default) reduces every
@@ -20,7 +22,7 @@
 //     pins Tracer::enabled() to false. Call sites compile unchanged.
 //
 // Events carry static-string names/categories (use intern_name() for
-// dynamic ones like portfolio member names), up to four integer args and a
+// dynamic ones like portfolio member names), up to six integer args and a
 // short truncated free-text `detail` — enough for admission decision
 // records and per-level phase spans without any allocation on the hot path.
 //
@@ -31,13 +33,6 @@
 // Determinism contract: tracing OBSERVES, it never participates. Enabling
 // or disabling it must not change any partition output (pinned by the
 // golden-determinism tests).
-//
-// ThreadSanitizer: the seqlock's payload copies are deliberate, recheck-
-// resolved data races, which TSan reports as written. TSan builds
-// (PPNPART_TSAN, or any -fsanitize=thread compile) switch the payload copy
-// to relaxed atomic words in trace.cpp — identical bytes and ordering
-// semantics, zero cost in normal builds, and a race-free ring as far as
-// TSan can observe.
 
 #include <atomic>
 #include <chrono>
@@ -45,13 +40,14 @@
 #include <cstring>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <string_view>
 #include <vector>
 
 namespace ppnpart::support {
 
-/// One recorded event. POD-ish on purpose: ring slots are copied in and out
-/// under a seqlock, so the type must be trivially copyable.
+/// One recorded event. Plain data on purpose: recording copies it into the
+/// ring without allocating.
 struct TraceEvent {
   static constexpr std::size_t kMaxArgs = 6;
   static constexpr std::size_t kDetailBytes = 64;
@@ -115,7 +111,8 @@ class Tracer {
   static Tracer& global();
 
   /// Runtime switch; a no-op under PPN_TRACE_DISABLED (enabled() stays
-  /// false, so nothing is ever recorded).
+  /// false, so nothing is ever recorded). Enabling reserves the ring, so
+  /// a span's (noexcept) destructor never allocates it.
   void set_enabled(bool on);
   bool enabled() const {
 #ifdef PPN_TRACE_DISABLED
@@ -136,14 +133,14 @@ class Tracer {
   /// Small dense id of the calling thread (stable for the thread lifetime).
   static std::uint32_t current_tid();
 
-  /// Records an event (timestamps/tid must already be filled in). Lock-free:
-  /// a relaxed fetch_add claims the slot, a per-slot seqlock guards the
-  /// copy. Recording while disabled is allowed (tests use it); the public
+  /// Records an event (timestamps/tid must already be filled in) under the
+  /// ring's mutex. Recording while disabled is allowed (tests use it); the
+  /// first record() on a never-enabled tracer reserves the ring. The public
   /// helpers all early-out on enabled() before building the event.
   void record(const TraceEvent& ev);
 
-  /// Consistent copy of the ring's live events, oldest first (sorted by
-  /// timestamp, then tid). Slots mid-write are skipped, not blocked on.
+  /// Copy of the ring's events, oldest first (sorted by timestamp, then
+  /// tid): the newest capacity() recorded.
   std::vector<TraceEvent> snapshot() const;
 
   /// Drops every recorded event (the epoch is unchanged).
@@ -152,9 +149,7 @@ class Tracer {
   std::size_t capacity() const { return capacity_; }
   /// Events recorded over the tracer lifetime (monotonic, includes
   /// overwritten ones).
-  std::uint64_t recorded() const {
-    return cursor_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t recorded() const;
   /// Events lost to ring wraparound so far.
   std::uint64_t overwritten() const {
     const std::uint64_t n = recorded();
@@ -166,15 +161,12 @@ class Tracer {
   void write_chrome_trace(std::ostream& out) const;
 
  private:
-  struct Slot {
-    /// Seqlock: even = stable, odd = being written. 0 = never written.
-    std::atomic<std::uint32_t> seq{0};
-    TraceEvent ev;
-  };
-
-  std::size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> cursor_{0};
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;
+  /// Grows to capacity_ by push_back, then event n lands in slot
+  /// n % capacity_. Guarded by mutex_, like recorded_.
+  std::vector<TraceEvent> ring_;
+  std::uint64_t recorded_ = 0;
   std::atomic<bool> enabled_{false};
   std::chrono::steady_clock::time_point epoch_;
 };

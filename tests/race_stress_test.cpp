@@ -216,8 +216,8 @@ TEST(RaceStressTest, CoarsenCacheSingleFlight) {
 }
 
 TEST(RaceStressTest, TracerRecordVsSnapshot) {
-  // A tiny private ring forces continuous wraparound, so writers lap each
-  // other and readers constantly observe slots mid-write.
+  // A tiny private ring forces continuous wraparound, so every snapshot
+  // contends with writers overwriting the slots it copies.
   support::Tracer tracer(64);
   std::atomic<bool> stop{false};
 

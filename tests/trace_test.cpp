@@ -1,8 +1,9 @@
-// Trace layer: ring wraparound and the lock-free recording contract, span
-// nesting/ordering under the thread pool, Chrome trace_event export that
-// parses back as valid JSON (via a minimal hand-written parser — no JSON
-// dependency), intern_name stability, and the observe-only contract:
-// enabling tracing or attaching a PhaseProfile changes no partition output.
+// Trace layer: ring wraparound, concurrent recording, the ring reserved on
+// first use, span nesting/ordering under the thread pool, Chrome
+// trace_event export that parses back as valid JSON (via a minimal
+// hand-written parser — no JSON dependency), intern_name stability, and the
+// observe-only contract: enabling tracing or attaching a PhaseProfile
+// changes no partition output.
 //
 // Every test that needs events recorded first checks whether tracing is
 // compiled in (PPNPART_TRACE_DISABLED builds pin Tracer::enabled() to
@@ -10,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <future>
 #include <map>
 #include <optional>
@@ -279,13 +282,31 @@ TEST(Tracer, RingWraparoundKeepsTheNewestEvents) {
   EXPECT_TRUE(t.snapshot().empty());
 }
 
-TEST(Tracer, ConcurrentRecordingIsSeqlockSafe) {
-  // 4 writers hammer a small ring concurrently; after they join, every
-  // surviving slot must hold a fully written event (never a torn mix), and
-  // the lifetime counter must be exact.
+TEST(Tracer, ConcurrentRecordingNeverTearsAnEvent) {
+  // 4 writers hammer a small ring concurrently while a reader snapshots it:
+  // every event the reader sees, and every one left after the writers join,
+  // must be fully written (never a torn mix), the ring must hold exactly
+  // its capacity of events, and the lifetime counter must be exact.
   Tracer t(/*capacity=*/64);
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 5000;
+  // A torn event would show a mismatched cat/name pair, an id outside the
+  // written range, or a timestamp its id does not predict.
+  const auto whole = [](const TraceEvent& ev) {
+    return std::string_view(ev.cat) == "stress" &&
+           std::string_view(ev.name) == "w" &&
+           ev.id < kThreads * kPerThread && ev.ts_us == ev.id % kPerThread;
+  };
+  std::atomic<bool> writing{true};
+  std::uint64_t seen = 0, torn = 0;
+  std::thread reader([&] {
+    do {
+      for (const TraceEvent& ev : t.snapshot()) {
+        ++seen;
+        if (!whole(ev)) ++torn;
+      }
+    } while (writing.load(std::memory_order_relaxed));
+  });
   std::vector<std::thread> writers;
   for (int w = 0; w < kThreads; ++w) {
     writers.emplace_back([&t, w] {
@@ -301,17 +322,51 @@ TEST(Tracer, ConcurrentRecordingIsSeqlockSafe) {
     });
   }
   for (std::thread& th : writers) th.join();
+  writing.store(false, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_EQ(torn, 0u) << "of " << seen << " events read mid-recording";
 
   EXPECT_EQ(t.recorded(), kThreads * kPerThread);
   const std::vector<TraceEvent> events = t.snapshot();
-  EXPECT_LE(events.size(), t.capacity());
+  EXPECT_EQ(events.size(), t.capacity());
   for (const TraceEvent& ev : events) {
-    // A torn slot would show a mismatched cat/name pair or an id outside
-    // the written range.
     EXPECT_STREQ(ev.cat, "stress");
     EXPECT_STREQ(ev.name, "w");
     EXPECT_LT(ev.id, kThreads * kPerThread);
+    EXPECT_TRUE(whole(ev));
   }
+}
+
+/// This process's resident set in kB, from /proc/self/status; nullopt
+/// where that file cannot be read.
+std::optional<long> resident_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return std::nullopt;
+}
+
+TEST(Tracer, UnusedTracerHoldsNoRing) {
+  // 65,536 events of ~216 bytes would be ~14 MB resident if the ring were
+  // allocated at construction. A tracer that has recorded nothing holds
+  // none of it; the first record() reserves the ring.
+  const std::optional<long> before = resident_kb();
+  if (!before.has_value()) GTEST_SKIP() << "/proc/self/status unreadable";
+  Tracer t(std::size_t{1} << 16);
+  const std::optional<long> after = resident_kb();
+  ASSERT_TRUE(after.has_value());
+  EXPECT_LT(*after - *before, 2048) << "kB resident after construction";
+
+  TraceEvent ev;
+  ev.cat = "lazy";
+  ev.name = "first";
+  ev.kind = TraceEvent::Kind::kInstant;
+  t.record(ev);
+  const std::vector<TraceEvent> events = t.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].name, "first");
 }
 
 TEST(Tracer, ScopedSpanLatchesTheEnableDecision) {
