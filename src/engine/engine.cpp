@@ -371,7 +371,7 @@ Engine::JobId Engine::admit(Job job, std::uint64_t graph_fp, bool owns_graph,
     // never a pool round-trip.
     if (auto cached = cache_.lookup(state->key)) {
       state->decision.path = Path::kExactHit;
-      complete(state, *std::move(cached), Tally::kCompleted);
+      complete(state, *std::move(cached), &EngineStats::jobs_completed);
       return state->id;
     }
 
@@ -385,7 +385,7 @@ Engine::JobId Engine::admit(Job job, std::uint64_t graph_fp, bool owns_graph,
       if (auto warm = run_warm_start(state, *caller_warm)) {
         state->decision.path = Path::kWarmStart;
         complete(state, single_answer(*std::move(warm), "incremental"),
-                 Tally::kCompleted);
+                 &EngineStats::jobs_completed);
         return state->id;
       }
       // Declined: fall through to the portfolio, but keep the reason on
@@ -457,7 +457,7 @@ bool Engine::admit_similarity(const std::shared_ptr<JobState>& state) {
       // still open — it is counted when the warm start resolves.
       state->decision.warm_deferred = true;
       span.detail("parked behind pending leader");
-      count(Tally::kSimParked);
+      bump(stats_.similarity.parked);
       return true;
     case SimilarityIndex::ProbeRole::kLeader:
       // First of a cohort nothing was answered for yet: route full, and let
@@ -476,7 +476,7 @@ bool Engine::admit_similarity(const std::shared_ptr<JobState>& state) {
 void Engine::spawn_warm_task(const std::shared_ptr<JobState>& state,
                              SimilarityIndex::Match match) {
   state->decision.warm_deferred = true;
-  count(Tally::kSimDeferred);
+  bump(stats_.similarity.deferred);
   try {
     support::ThreadPool::global().submit(
         [this, state, match = std::move(match)]() mutable {
@@ -544,13 +544,15 @@ void Engine::run_warm_task(const std::shared_ptr<JobState>& state,
   // concurrent stats() reader always sees probes == near_hits + declines.
   state->decision.path = Path::kSimilarity;
   complete(state, single_answer(*std::move(warm), "similarity"),
-           Tally::kCompleted);
+           &EngineStats::jobs_completed);
 }
 
 void Engine::count_probe_declined(const std::shared_ptr<JobState>& state,
                                   const std::string& reason) {
   state->decision.decline_reason = reason;
-  count(Tally::kSimDecline);  // the probe and its verdict: one ledger entry
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.similarity.probes;  // the probe and its verdict: one transaction
+  ++stats_.similarity.declines;
 }
 
 void Engine::resume_follower(const std::shared_ptr<JobState>& state) {
@@ -618,7 +620,7 @@ void Engine::launch_full(const std::shared_ptr<JobState>& state) {
         if (!leader->done) {
           leader->followers.push_back(state);
           trace_decision(state->id, state->decision);
-          count(Tally::kCoalesced);
+          bump(stats_.jobs_coalesced);
           return;
         }
       }
@@ -711,9 +713,9 @@ bool Engine::admission_gate(const std::shared_ptr<JobState>& state) {
     }
 
     if ((run_now || queued) && rung != Rung::kFull) {
-      tally(rung == Rung::kCheapMembers ? Tally::kDegradeCheap
-            : rung == Rung::kGpOnly     ? Tally::kDegradeGp
-                                        : Tally::kDegradeProjected);
+      ++(rung == Rung::kCheapMembers ? stats_.degraded_cheap_members
+         : rung == Rung::kGpOnly     ? stats_.degraded_gp_only
+                                     : stats_.degraded_projected);
     }
   }
 
@@ -722,10 +724,11 @@ bool Engine::admission_gate(const std::shared_ptr<JobState>& state) {
              error_outcome(support::Status::error(
                  support::StatusCode::kResourceExhausted,
                  "engine: shed by drop_oldest")),
-             Tally::kShed);
+             &EngineStats::jobs_shed);
   }
   if (!refusal.is_ok()) {
-    complete(state, error_outcome(std::move(refusal)), Tally::kRejected);
+    complete(state, error_outcome(std::move(refusal)),
+             &EngineStats::jobs_rejected);
     return false;
   }
   if (queued) {
@@ -867,7 +870,7 @@ void Engine::serve_projected(const std::shared_ptr<JobState>& state) {
              error_outcome(support::Status::error(
                  support::StatusCode::kInternal,
                  "engine: projected answer failed")),
-             Tally::kCompleted);
+             &EngineStats::jobs_completed);
     return;
   }
   span.arg("cut", static_cast<std::int64_t>(result.metrics.total_cut));
@@ -876,7 +879,7 @@ void Engine::serve_projected(const std::shared_ptr<JobState>& state) {
   // or similarity-indexed: the rung depends on transient load, the cache
   // key does not (complete() publishes full-rung answers only).
   complete(state, single_answer(std::move(result), "projected"),
-           Tally::kCompleted);
+           &EngineStats::jobs_completed);
 }
 
 void Engine::run_member(const std::shared_ptr<JobState>& state,
@@ -993,11 +996,12 @@ void Engine::collect_members(const std::shared_ptr<JobState>& state) {
   }
   if (!out.winner.empty())
     support::trace_instant(kTraceCat, "winner", state->id, {}, out.winner);
-  complete(state, std::move(out), Tally::kCompleted);
+  complete(state, std::move(out), &EngineStats::jobs_completed);
 }
 
 void Engine::complete(const std::shared_ptr<JobState>& state,
-                      PortfolioOutcome outcome, Tally bucket) {
+                      PortfolioOutcome outcome,
+                      std::uint64_t EngineStats::*bucket) {
   // ORDER MATTERS: every touch of engine members (cache_, sim_index_,
   // mutex_ and what it guards, the pool) happens BEFORE `done` is published
   // — the moment a waiter observes done it may collect the outcome and
@@ -1010,7 +1014,8 @@ void Engine::complete(const std::shared_ptr<JobState>& state,
   outcome.key = state->key;
   outcome.seconds = state->timer.seconds();
   outcome.decision = state->decision;
-  if (bucket != Tally::kCompleted) outcome.decision.path = Path::kShed;
+  const bool completed = bucket == &EngineStats::jobs_completed;
+  if (!completed) outcome.decision.path = Path::kShed;
   const Path path = outcome.decision.path;
   outcome.from_cache = path == Path::kExactHit;
   outcome.similarity = path == Path::kSimilarity;
@@ -1070,13 +1075,16 @@ void Engine::complete(const std::shared_ptr<JobState>& state,
   std::vector<std::shared_ptr<JobState>> start;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    tally(bucket);
-    if (bucket == Tally::kCompleted) job_us_.observe(outcome.seconds * 1e6);
+    ++(stats_.*bucket);
+    if (completed) job_us_.observe(outcome.seconds * 1e6);
     switch (state->decision.path) {
-      case Path::kExactHit: tally(Tally::kExactHit); break;
-      case Path::kWarmStart: tally(Tally::kWarmStart); break;
-      case Path::kSimilarity: tally(Tally::kSimNearHit); break;
-      case Path::kFullPortfolio: tally(Tally::kFullPortfolio); break;
+      case Path::kExactHit: ++stats_.exact_hits; break;
+      case Path::kWarmStart: ++stats_.repartitions_incremental; break;
+      case Path::kSimilarity:  // the probe and its near-hit verdict
+        ++stats_.similarity.probes;
+        ++stats_.similarity.near_hits;
+        break;
+      case Path::kFullPortfolio: ++stats_.full_portfolio; break;
       case Path::kShed: break;
     }
     // Only this job's own fan-out has member rows to settle: a replayed
@@ -1141,7 +1149,9 @@ void Engine::complete(const std::shared_ptr<JobState>& state,
   // follower was admitted (it attached), so a refused leader sheds it.
   shared.coalesced = true;
   for (const std::shared_ptr<JobState>& f : followers)
-    complete(f, shared, bucket == Tally::kRejected ? Tally::kShed : bucket);
+    complete(f, shared,
+             bucket == &EngineStats::jobs_rejected ? &EngineStats::jobs_shed
+                                                   : bucket);
 }
 
 std::uint64_t EngineStats::members_run() const {
@@ -1162,37 +1172,9 @@ std::uint64_t EngineStats::members_failed() const {
   return n;
 }
 
-void Engine::count(Tally what) {
+void Engine::bump(std::uint64_t& field) {
   std::lock_guard<std::mutex> lock(mutex_);
-  tally(what);
-}
-
-void Engine::tally(Tally what) {
-  EngineStats& s = stats_;
-  switch (what) {
-    case Tally::kCompleted: ++s.jobs_completed; return;
-    case Tally::kRejected: ++s.jobs_rejected; return;
-    case Tally::kShed: ++s.jobs_shed; return;
-    case Tally::kExactHit: ++s.exact_hits; return;
-    case Tally::kWarmStart: ++s.repartitions_incremental; return;
-    case Tally::kSimNearHit:
-      ++s.similarity.probes;
-      ++s.similarity.near_hits;
-      return;
-    case Tally::kFullPortfolio: ++s.full_portfolio; return;
-    case Tally::kSimDecline:
-      ++s.similarity.probes;
-      ++s.similarity.declines;
-      return;
-    case Tally::kSimDeferred: ++s.similarity.deferred; return;
-    case Tally::kSimParked: ++s.similarity.parked; return;
-    case Tally::kCoalesced: ++s.jobs_coalesced; return;
-    case Tally::kDegradeCheap: ++s.degraded_cheap_members; return;
-    case Tally::kDegradeGp: ++s.degraded_gp_only; return;
-    case Tally::kDegradeProjected: ++s.degraded_projected; return;
-    case Tally::kRepartitionFallback: ++s.repartitions_fallback; return;
-    case Tally::kRepartitionCacheHit: ++s.repartition_cache_hits; return;
-  }
+  ++field;
 }
 
 RepartitionOutcome Engine::repartition(const Job& job,
@@ -1234,14 +1216,14 @@ RepartitionOutcome Engine::repartition(const Job& job,
   switch (out.outcome.decision.path) {
     case Path::kExactHit:
       out.fallback_reason = "result-cache hit for the edited graph";
-      count(Tally::kRepartitionCacheHit);
+      bump(stats_.repartition_cache_hits);
       break;
     case Path::kWarmStart:
       out.incremental = true;  // counted in complete(), like every path
       break;
     default:
       out.fallback_reason = istats.fallback_reason;
-      count(Tally::kRepartitionFallback);
+      bump(stats_.repartitions_fallback);
       break;
   }
   return out;

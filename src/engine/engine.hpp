@@ -509,19 +509,6 @@ class Engine {
  private:
   struct JobState;
 
-  /// What the ledger counts (see tally()). The first three are the
-  /// completion buckets: every submitted job ends in exactly one of them.
-  enum class Tally : std::uint8_t {
-    kCompleted,  // answered, or typed kInternal when no answer was produced
-    kRejected,   // refused at admission (queue full, unmeetable deadline)
-    kShed,       // evicted from the queue, or coalesced onto a refused job
-    kExactHit, kWarmStart, kSimNearHit, kFullPortfolio,  // answering path
-    kSimDecline, kSimDeferred, kSimParked,
-    kCoalesced,
-    kDegradeCheap, kDegradeGp, kDegradeProjected,
-    kRepartitionFallback, kRepartitionCacheHit,
-  };
-
   /// A caller-supplied warm start (repartition): the previous partition of
   /// the pre-edit graph plus the node map / touched set its delta produced,
   /// and where the warm start's accounting goes (non-null). Spans alias
@@ -612,17 +599,16 @@ class Engine {
   void collect_members(const std::shared_ptr<JobState>& state);
   /// The one completion path. Stamps the outcome, publishes an eligible
   /// answer to the result cache and the similarity index, settles the
-  /// ledger (`bucket` is kCompleted, kRejected or kShed; the answering
-  /// path; a fan-out's member rows) and observes the job and member latency
+  /// ledger (`bucket` is jobs_completed, jobs_rejected or jobs_shed: every
+  /// submitted job ends in exactly one of them; the answering path; a
+  /// fan-out's member rows) and observes the job and member latency
   /// histograms in one mutex_ transaction, resolves pending near-twins,
   /// pumps the queue, then flips `done` and completes the single-flight
   /// followers the same way.
   void complete(const std::shared_ptr<JobState>& state,
-                PortfolioOutcome outcome, Tally bucket);
-  /// Bumps the stats_ field `what` names. Caller holds mutex_.
-  void tally(Tally what);
-  /// tally() as its own mutex_ transaction.
-  void count(Tally what);
+                PortfolioOutcome outcome, std::uint64_t EngineStats::*bucket);
+  /// Increments one stats_ field as its own mutex_ transaction.
+  void bump(std::uint64_t& field);
 
   bool similarity_enabled() const {
     return options_.similarity.enabled && options_.similarity.capacity > 0;
