@@ -1,7 +1,6 @@
 #include "partition/coarsen.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 
 #include "graph/contract.hpp"
@@ -54,19 +53,35 @@ std::uint32_t contract_chunks(const Graph& current, std::uint32_t threads) {
   return chunks_for(threads, current.adj().size(), kContractGrain);
 }
 
+/// Unmatches the pairs of `m` that straddle two parts of `parts` and
+/// returns the matched weight they took with them.
+Weight unmatch_straddlers(const Graph& g, const std::vector<PartId>& parts,
+                          Matching& m) {
+  Weight removed = 0;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const NodeId v = m[u];
+    if (v != u && parts[u] != parts[v]) {
+      m[u] = u;
+      m[v] = v;
+      removed += g.edge_weight_between(u, v);
+    }
+  }
+  return removed;
+}
+
 /// Races the enabled matching heuristics on `current`: strategy i runs into
 /// ws.race_slot(i). Returns the winner's slot (most hidden weight; ties:
-/// more pairs, then strategy order). `filter`, when non-null, may unmatch
-/// pairs after a heuristic runs and must return the weight it removed
-/// (restricted coarsening breaks part-straddling pairs this way). With
-/// `concurrent`, the strategies run as tasks on the global pool. Each draws
-/// from its own stream derived from the const `rng` and the winner is
-/// picked serially in strategy order, so the outcome is the same either way.
+/// more pairs, then strategy order). With `parts` (restricted coarsening),
+/// each heuristic's part-straddling pairs are unmatched before the winner
+/// is picked. With `concurrent`, the strategies run as tasks on the global
+/// pool. Each draws from its own stream derived from the const `rng` and
+/// the winner is picked serially in strategy order, so the outcome is the
+/// same either way.
 const RaceSlot& race_matchings(const Graph& current,
                                const CoarsenOptions& options,
                                std::size_t num_levels,
                                const support::Rng& rng, Workspace& ws,
-                               const std::function<Weight(Matching&)>& filter,
+                               const std::vector<PartId>* parts,
                                bool concurrent) {
   const std::size_t count = options.strategies.size();
   // Slots are created serially, before any task runs.
@@ -79,7 +94,8 @@ const RaceSlot& race_matchings(const Graph& current,
     slot.kind = kind;
     slot.weight =
         run_matching_into(current, kind, stream, slot.match, slot.scratch);
-    if (filter != nullptr) slot.weight -= filter(slot.match);
+    if (parts != nullptr)
+      slot.weight -= unmatch_straddlers(current, *parts, slot.match);
     slot.pairs = matched_pair_count(slot.match);
   };
   if (concurrent) {
@@ -95,6 +111,47 @@ const RaceSlot& race_matchings(const Graph& current,
       best = &slot;
   }
   return *best;
+}
+
+/// The level loop of coarsen() and coarsen_restricted(). With `parts`,
+/// which labels g's nodes, pairs that straddle two parts are never matched,
+/// and `*parts` is carried down to each coarser level, ending as the
+/// coarsest level's labels; without, the matching race is unfiltered.
+Hierarchy coarsen_levels(const Graph& g, const CoarsenOptions& options,
+                         support::Rng& rng, Workspace& ws,
+                         std::uint32_t threads, std::vector<PartId>* parts) {
+  if (options.strategies.empty())
+    throw std::invalid_argument("coarsen: no matching strategies enabled");
+  Hierarchy h;
+  h.graphs.push_back(g);
+  while (h.coarsest().num_nodes() > options.coarsen_to &&
+         h.num_levels() <= options.max_levels) {
+    const Graph& current = h.coarsest();
+    PhaseScope phase(ws.phases, PhaseProfile::kCoarsen, ws.phase_cat,
+                     static_cast<std::int64_t>(h.num_levels() - 1),
+                     static_cast<std::int64_t>(current.num_nodes()));
+    // Race the enabled heuristics; each writes its own workspace slot, so
+    // the race allocates nothing once warm.
+    const RaceSlot& best =
+        race_matchings(current, options, h.num_levels(), rng, ws, parts,
+                       race_concurrently(current, threads));
+    if (best.pairs == 0) break;  // nothing contractible (e.g. no edges)
+    CoarseLevel level = contract(current, best.match, ws,
+                                 contract_chunks(current, threads));
+    const double shrink = static_cast<double>(level.graph.num_nodes()) /
+                          static_cast<double>(current.num_nodes());
+    if (shrink > options.min_shrink_factor) break;
+    if (parts != nullptr) {
+      std::vector<PartId> coarse_parts(level.graph.num_nodes(), kUnassigned);
+      for (NodeId u = 0; u < current.num_nodes(); ++u)
+        coarse_parts[level.fine_to_coarse[u]] = (*parts)[u];
+      *parts = std::move(coarse_parts);
+    }
+    h.maps.push_back(std::move(level.fine_to_coarse));
+    h.winners.push_back(best.kind);
+    h.graphs.push_back(std::move(level.graph));
+  }
+  return h;
 }
 
 }  // namespace
@@ -179,85 +236,18 @@ RestrictedHierarchy coarsen_restricted(const Graph& g,
                                        const CoarsenOptions& options,
                                        support::Rng& rng, Workspace& ws,
                                        std::uint32_t threads) {
-  if (options.strategies.empty())
-    throw std::invalid_argument(
-        "coarsen_restricted: no matching strategies enabled");
   if (parts.size() != g.num_nodes())
     throw std::invalid_argument("coarsen_restricted: parts size mismatch");
   RestrictedHierarchy out;
-  Hierarchy& h = out.hierarchy;
-  h.graphs.push_back(g);
-  std::vector<PartId> level_parts = parts;
-  while (h.coarsest().num_nodes() > options.coarsen_to &&
-         h.num_levels() <= options.max_levels) {
-    const Graph& current = h.coarsest();
-    PhaseScope phase(ws.phases, PhaseProfile::kCoarsen, ws.phase_cat,
-                     static_cast<std::int64_t>(h.num_levels() - 1),
-                     static_cast<std::int64_t>(current.num_nodes()));
-    // Unmatch pairs that straddle parts (the projection must stay exact),
-    // deducting each broken pair from the matched weight.
-    const auto unmatch_straddlers = [&](Matching& m) {
-      Weight removed = 0;
-      for (NodeId u = 0; u < current.num_nodes(); ++u) {
-        const NodeId v = m[u];
-        if (v != u && level_parts[u] != level_parts[v]) {
-          m[u] = u;
-          m[v] = v;
-          removed += current.edge_weight_between(u, v);
-        }
-      }
-      return removed;
-    };
-    const RaceSlot& best =
-        race_matchings(current, options, h.num_levels(), rng, ws,
-                       unmatch_straddlers, race_concurrently(current, threads));
-    if (best.pairs == 0) break;
-    CoarseLevel level = contract(current, best.match, ws,
-                                 contract_chunks(current, threads));
-    const double shrink = static_cast<double>(level.graph.num_nodes()) /
-                          static_cast<double>(current.num_nodes());
-    if (shrink > options.min_shrink_factor) break;
-    std::vector<PartId> coarse_parts(level.graph.num_nodes(), kUnassigned);
-    for (NodeId u = 0; u < current.num_nodes(); ++u) {
-      coarse_parts[level.fine_to_coarse[u]] = level_parts[u];
-    }
-    level_parts = std::move(coarse_parts);
-    h.maps.push_back(std::move(level.fine_to_coarse));
-    h.winners.push_back(best.kind);
-    h.graphs.push_back(std::move(level.graph));
-  }
-  out.coarse_parts = std::move(level_parts);
+  out.coarse_parts = parts;
+  out.hierarchy = coarsen_levels(g, options, rng, ws, threads,
+                                 &out.coarse_parts);
   return out;
 }
 
 Hierarchy coarsen(const Graph& g, const CoarsenOptions& options,
                   support::Rng& rng, Workspace& ws, std::uint32_t threads) {
-  if (options.strategies.empty())
-    throw std::invalid_argument("coarsen: no matching strategies enabled");
-  Hierarchy h;
-  h.graphs.push_back(g);
-  while (h.coarsest().num_nodes() > options.coarsen_to &&
-         h.num_levels() <= options.max_levels) {
-    const Graph& current = h.coarsest();
-    PhaseScope phase(ws.phases, PhaseProfile::kCoarsen, ws.phase_cat,
-                     static_cast<std::int64_t>(h.num_levels() - 1),
-                     static_cast<std::int64_t>(current.num_nodes()));
-    // Race the enabled heuristics; each writes its own workspace slot, so
-    // the race allocates nothing once warm.
-    const RaceSlot& best =
-        race_matchings(current, options, h.num_levels(), rng, ws, nullptr,
-                       race_concurrently(current, threads));
-    if (best.pairs == 0) break;  // nothing contractible (e.g. no edges)
-    CoarseLevel level = contract(current, best.match, ws,
-                                 contract_chunks(current, threads));
-    const double shrink = static_cast<double>(level.graph.num_nodes()) /
-                          static_cast<double>(current.num_nodes());
-    if (shrink > options.min_shrink_factor) break;
-    h.maps.push_back(std::move(level.fine_to_coarse));
-    h.winners.push_back(best.kind);
-    h.graphs.push_back(std::move(level.graph));
-  }
-  return h;
+  return coarsen_levels(g, options, rng, ws, threads, nullptr);
 }
 
 Hierarchy coarsen(const Graph& g, const CoarsenOptions& options,
