@@ -114,9 +114,10 @@ const RaceSlot& race_matchings(const Graph& current,
 }
 
 /// The level loop of coarsen() and coarsen_restricted(). With `parts`,
-/// which labels g's nodes, pairs that straddle two parts are never matched,
-/// and `*parts` is carried down to each coarser level, ending as the
-/// coarsest level's labels; without, the matching race is unfiltered.
+/// which labels g's nodes, pairs that straddle two parts are never matched
+/// (so the partition projects exactly onto every level), and `*parts` is
+/// carried down to each coarser level, ending as the coarsest level's
+/// labels; without, the matching race is unfiltered.
 Hierarchy coarsen_levels(const Graph& g, const CoarsenOptions& options,
                          support::Rng& rng, Workspace& ws,
                          std::uint32_t threads, std::vector<PartId>* parts) {
