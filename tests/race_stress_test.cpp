@@ -8,9 +8,8 @@
 //     so sketch probes, index inserts and warm starts interleave;
 //   * coarsening cache: get-or-build single-flight from many threads on the
 //     same key plus churn on distinct keys;
-//   * tracer seqlock: writers record() into the ring while readers
-//     snapshot(), including ring wraparound (the payload copy is the one
-//     deliberate benign race — trace.cpp makes it TSan-visible-clean);
+//   * tracer ring: writers record() into the ring while readers
+//     snapshot(), including ring wraparound;
 //   * metrics registry: get-or-create races, relaxed counter/histogram
 //     updates racing snapshot();
 //   * stop tokens: late deadline arming and parent linking racing
