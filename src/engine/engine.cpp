@@ -142,10 +142,10 @@ void publish_counters(EngineStats& s) {
     counters[prefix + "losses"] += row.losses;
     counters[prefix + "failures"] += row.failures;
   }
-  auto& out = s.metrics.counters;
-  for (auto& [name, value] : counters) out.push_back({name, value});
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.name < b.name; });
+  // The registry's snapshot carries no counters, and the map iterates in
+  // name order, so the view comes out name-sorted.
+  for (auto& [name, value] : counters)
+    s.metrics.counters.push_back({name, value});
 }
 
 }  // namespace

@@ -85,7 +85,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "engine/cache.hpp"
 #include "engine/portfolio.hpp"
 #include "engine/similarity.hpp"
 #include "graph/delta.hpp"
@@ -94,6 +93,7 @@
 #include "partition/incremental.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/workspace_pool.hpp"
+#include "support/lru_cache.hpp"
 #include "support/metrics.hpp"
 #include "support/status.hpp"
 
@@ -375,8 +375,9 @@ struct EngineStats {
   /// hit answers its job as an exact hit, but the hit is counted at lookup
   /// and exact_hits when the job completes, so exact_hits <= cache.hits in
   /// every snapshot, with equality once no exact hit is in flight.
-  CacheStats cache;
-  CacheStats coarsening;  // CoarseningCache traffic (hits = reused builds)
+  support::CacheStats cache;
+  /// CoarseningCache traffic (hits = reused builds).
+  support::CacheStats coarsening;
   /// Similarity-admission traffic: probes (admissions that consulted the
   /// index), near_hits (warm starts served), declines (probes routed to the
   /// full path), deferred/parked (async-stage traffic), plus the index's
@@ -615,7 +616,7 @@ class Engine {
   }
 
   EngineOptions options_;
-  LruCache<PortfolioOutcome> cache_;
+  support::LruCache<PortfolioOutcome> cache_;
   part::CoarseningCache coarsen_cache_;
   part::IncrementalPartitioner incremental_;
   SimilarityIndex sim_index_;

@@ -47,7 +47,7 @@ void recursive_bisect(const Graph& g, const std::vector<NodeId>& original_of,
   const Weight cap1 = side_cap(1.0 - fraction);
 
   Partition p = region_grow_bisection(g, fraction, rng);
-  bisection_fm_refine(g, p, cap0, cap1, fm_passes, rng, ws);
+  bisection_fm_refine(g, p, cap0, cap1, fm_passes, ws);
 
   std::vector<NodeId> side0, side1;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {

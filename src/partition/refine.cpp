@@ -383,7 +383,7 @@ bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
 
 bool bisection_fm_refine(const Graph& g, Partition& p, Weight cap0,
                          Weight cap1, std::uint32_t max_passes,
-                         support::Rng& rng, Workspace& ws) {
+                         Workspace& ws) {
   if (p.k() != 2)
     throw std::invalid_argument("bisection_fm_refine: k must be 2");
   const NodeId n = g.num_nodes();
@@ -426,6 +426,34 @@ bool bisection_fm_refine(const Graph& g, Partition& p, Weight cap0,
   const State initial{overweight(load[0], load[1]), cut};
   State current = initial;
 
+  // Moves u to the other side and keeps loads, counts, cut and the
+  // neighbours' internal/external weights current. A pass flips each node
+  // it picks, then flips the moves past its best prefix back, newest first.
+  auto flip = [&](NodeId u) {
+    const PartId from = p[u];
+    const PartId to = 1 - from;
+    const Weight w = g.node_weight(u);
+    load[from] -= w;
+    load[to] += w;
+    --count[from];
+    ++count[to];
+    cut += internal[u] - external[u];
+    std::swap(internal[u], external[u]);
+    auto nbrs = g.neighbors(u);
+    auto wgts = g.edge_weights(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const NodeId v = nbrs[i];
+      if (p[v] == to) {
+        internal[v] += wgts[i];
+        external[v] -= wgts[i];
+      } else {
+        internal[v] -= wgts[i];
+        external[v] += wgts[i];
+      }
+    }
+    p.set(u, to);
+  };
+
   for (std::uint32_t pass = 0; pass < max_passes; ++pass) {
     support::assign_tracked(bs.locked, n, 0, bs.stats);
     std::vector<NodeId>& log = bs.log;
@@ -457,29 +485,7 @@ bool bisection_fm_refine(const Graph& g, Partition& p, Weight cap0,
         }
       }
       if (pick == graph::kInvalidNode) break;
-      // Apply the move.
-      const PartId from = p[pick];
-      const PartId to = 1 - from;
-      const Weight w = g.node_weight(pick);
-      load[from] -= w;
-      load[to] += w;
-      --count[from];
-      ++count[to];
-      cut += internal[pick] - external[pick];
-      std::swap(internal[pick], external[pick]);
-      auto nbrs = g.neighbors(pick);
-      auto wgts = g.edge_weights(pick);
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const NodeId v = nbrs[i];
-        if (p[v] == to) {
-          internal[v] += wgts[i];
-          external[v] -= wgts[i];
-        } else {
-          internal[v] -= wgts[i];
-          external[v] += wgts[i];
-        }
-      }
-      p.set(pick, to);
+      flip(pick);
       bs.locked[pick] = 1;
       log.push_back(pick);
       const State now{overweight(load[0], load[1]), cut};
@@ -489,35 +495,9 @@ bool bisection_fm_refine(const Graph& g, Partition& p, Weight cap0,
       }
     }
 
-    // Roll back to best prefix (re-run the same update in reverse).
-    for (std::size_t i = log.size(); i-- > best_prefix;) {
-      const NodeId u = log[i];
-      const PartId from = p[u];
-      const PartId to = 1 - from;
-      const Weight w = g.node_weight(u);
-      load[from] -= w;
-      load[to] += w;
-      --count[from];
-      ++count[to];
-      cut += internal[u] - external[u];
-      std::swap(internal[u], external[u]);
-      auto nbrs = g.neighbors(u);
-      auto wgts = g.edge_weights(u);
-      for (std::size_t j = 0; j < nbrs.size(); ++j) {
-        const NodeId v = nbrs[j];
-        if (p[v] == to) {
-          internal[v] += wgts[j];
-          external[v] -= wgts[j];
-        } else {
-          internal[v] -= wgts[j];
-          external[v] += wgts[j];
-        }
-      }
-      p.set(u, to);
-    }
+    for (std::size_t i = log.size(); i-- > best_prefix;) flip(log[i]);
     if (!better(best, current)) break;
     current = best;
-    (void)rng;
   }
   return better(current, initial);
 }

@@ -98,7 +98,7 @@ bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
 /// improved.
 bool bisection_fm_refine(const Graph& g, Partition& p, Weight cap0,
                          Weight cap1, std::uint32_t max_passes,
-                         support::Rng& rng, Workspace& ws);
+                         Workspace& ws);
 
 struct SwapRefineOptions {
   std::uint32_t max_passes = 4;

@@ -29,8 +29,7 @@
 //
 // tests/contracts_test.cpp pins both tiers: Debug builds abort (death
 // tests), Release builds compile the checks out entirely (the test
-// self-skips its death half, mirroring trace_test's PPN_TRACE_DISABLED
-// pattern).
+// self-skips its death half).
 
 #include <string>
 

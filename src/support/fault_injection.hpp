@@ -10,12 +10,9 @@
 // invariants hold: no hangs, no torn stats, every decline falls to the
 // untouched full path, every job completes or returns a typed error.
 //
-// Cost discipline mirrors the tracer (support/trace.hpp):
-//   * runtime tier — when disarmed (the default), every fault_fire() check
-//     is one relaxed atomic load;
-//   * compile-time tier — building with -DPPNPART_FAULTS_DISABLED (CMake
-//     option) folds fault_fire() to `false`, compiling every site check out
-//     of release binaries entirely.
+// Cost discipline mirrors the tracer (support/trace.hpp): when disarmed
+// (the default), every fault_fire() check is one relaxed atomic load, so
+// the sites stay in every build.
 //
 // Arm/disarm are meant for test setup: arm BEFORE submitting work and
 // disarm after draining it. Arming while workers are mid-flight is safe
@@ -36,7 +33,7 @@ namespace ppnpart::support {
 /// stable CLI/API surface: "cache.insert", "coarsen.leader", "member.run",
 /// "pool.task", "sim.verify".
 enum class FaultSite : std::uint8_t {
-  kCacheInsert = 0,   // engine result-cache insert in finalize_job
+  kCacheInsert = 0,   // engine result-cache insert in Engine::complete
   kCoarsenLeader,     // coarsening-cache single-flight leader build
   kMemberRun,         // portfolio member execution
   kPoolTask,          // thread-pool task submission
@@ -111,15 +108,6 @@ class FaultInjector {
   std::array<PerSite, kNumFaultSites> sites_;
 };
 
-#if defined(PPN_FAULTS_DISABLED)
-
-/// Compiled-out tier: sites fold to constant false, same discipline as the
-/// tracer's no-op twins.
-inline bool fault_fire(FaultSite /*site*/) { return false; }
-constexpr bool faults_compiled_in() { return false; }
-
-#else
-
 /// The one hot-path check every named site performs. Disarmed cost: one
 /// relaxed atomic load.
 inline bool fault_fire(FaultSite site) {
@@ -127,8 +115,5 @@ inline bool fault_fire(FaultSite site) {
   if (!injector.armed()) return false;
   return injector.should_fire(site);
 }
-constexpr bool faults_compiled_in() { return true; }
-
-#endif
 
 }  // namespace ppnpart::support

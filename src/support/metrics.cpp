@@ -98,8 +98,6 @@ std::string MetricsSnapshot::to_string() const {
   std::ostringstream out;
   for (const CounterEntry& c : counters)
     out << "counter " << c.name << " " << c.value << "\n";
-  for (const GaugeEntry& g : gauges)
-    out << "gauge " << g.name << " " << g.value << "\n";
   for (const HistogramEntry& h : histograms) {
     out << "histogram " << h.name << " count=" << h.hist.count
         << " mean=" << h.hist.mean() << " p50=" << h.hist.quantile(0.5)
@@ -110,24 +108,10 @@ std::string MetricsSnapshot::to_string() const {
 }
 
 MetricsRegistry& MetricsRegistry::global() {
-  // Leaked: cached Counter&/Gauge& references may be used from destructors
-  // of other statics during shutdown.
+  // Leaked: cached Histogram& references may be used from destructors of
+  // other statics during shutdown.
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
-}
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::unique_ptr<Counter>& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::unique_ptr<Gauge>& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
@@ -141,12 +125,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& [name, c] : counters_)
-    snap.counters.push_back({name, c->value()});
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_)
-    snap.gauges.push_back({name, g->value()});
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_)
     snap.histograms.push_back({name, h->snapshot()});
@@ -155,8 +133,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
 }
 

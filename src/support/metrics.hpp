@@ -1,16 +1,20 @@
 #pragma once
-// Metrics registry — named counters, gauges and fixed-bucket histograms
-// with a consistent snapshot, the quantitative half of the observability
-// layer (traces answer "where did this job's time go", metrics answer "what
-// does the fleet look like over thousands of jobs").
+// Metrics registry — named fixed-bucket histograms with a consistent
+// snapshot, the quantitative half of the observability layer (traces answer
+// "where did this job's time go", metrics answer "what does the fleet look
+// like over thousands of jobs").
 //
-// Design: registration (name -> metric object) is mutex-protected and
-// happens once per name; the returned references are pointer-stable for the
-// registry lifetime, so hot paths cache them and every update is a plain
-// relaxed atomic — no locks, no allocation, no string hashing per event.
-// snapshot() walks the registry under the mutex and reads each metric's
-// atomics in one pass, yielding a name-sorted, self-consistent view (each
-// metric internally consistent; counters never run backwards).
+// Design: registration (name -> histogram) is mutex-protected and happens
+// once per name; the returned references are pointer-stable for the
+// registry lifetime, so hot paths cache them and every observation is a few
+// relaxed atomics — no locks, no allocation, no string hashing per event.
+// snapshot() walks the registry under the mutex and reads each histogram's
+// atomics in one pass, yielding a name-sorted, self-consistent view.
+//
+// The registry holds only histograms. A MetricsSnapshot also carries
+// counters, but those are written by whoever owns the counts: the engine
+// copies its ledger rows in under its own lock (Engine::stats()), so a
+// counter can never disagree with the ledger it mirrors.
 //
 // There is one process-wide registry (MetricsRegistry::global()) for
 // service-style use, but the type is instantiable so tests and embedded
@@ -26,37 +30,6 @@
 #include <vector>
 
 namespace ppnpart::support {
-
-/// Monotonic event counter.
-class Counter {
- public:
-  void add(std::uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t delta) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::int64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> value_{0};
-};
 
 /// Fixed-bucket histogram: `bounds` are ascending inclusive upper bounds,
 /// plus an implicit overflow bucket. Observation is two relaxed atomic adds
@@ -93,15 +66,13 @@ class Histogram {
   std::atomic<double> sum_{0};
 };
 
-/// A consistent, name-sorted view of every registered metric.
+/// A consistent, name-sorted view of a registry's histograms, plus the
+/// counters its owner wrote in (MetricsRegistry::snapshot() leaves them
+/// empty).
 struct MetricsSnapshot {
   struct CounterEntry {
     std::string name;
     std::uint64_t value = 0;
-  };
-  struct GaugeEntry {
-    std::string name;
-    std::int64_t value = 0;
   };
   struct HistogramEntry {
     std::string name;
@@ -109,10 +80,9 @@ struct MetricsSnapshot {
   };
 
   std::vector<CounterEntry> counters;
-  std::vector<GaugeEntry> gauges;
   std::vector<HistogramEntry> histograms;
 
-  /// Value of a counter, or `fallback` when it was never registered.
+  /// Value of a counter, or `fallback` when there is none by that name.
   std::uint64_t counter_or(std::string_view name,
                            std::uint64_t fallback = 0) const;
   const HistogramEntry* find_histogram(std::string_view name) const;
@@ -127,30 +97,28 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// The process-wide registry. Leaked (like ThreadPool::global()): metric
-  /// references handed out must stay valid through static destruction.
+  /// The process-wide registry. Leaked (like ThreadPool::global()):
+  /// histogram references handed out must stay valid through static
+  /// destruction.
   static MetricsRegistry& global();
 
   /// Get-or-create by name. References stay valid for the registry
-  /// lifetime; cache them on hot paths.
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  /// `bounds` applies only at creation (empty = latency_bounds_us()); a
-  /// later lookup of an existing histogram ignores it.
+  /// lifetime; cache them on hot paths. `bounds` applies only at creation
+  /// (empty = latency_bounds_us()); a later lookup of an existing histogram
+  /// ignores it.
   Histogram& histogram(const std::string& name,
                        std::vector<double> bounds = {});
 
+  /// Every histogram, name-sorted; `counters` is left empty.
   MetricsSnapshot snapshot() const;
 
-  /// Zeroes every metric; registrations (and cached references) survive.
+  /// Zeroes every histogram; registrations (and cached references) survive.
   void reset();
 
  private:
   mutable std::mutex mutex_;
-  // node-based maps: pointer stability for the values, sorted iteration for
+  // node-based map: pointer stability for the values, sorted iteration for
   // the snapshot.
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

@@ -29,15 +29,11 @@ Tracer& Tracer::global() {
 }
 
 void Tracer::set_enabled(bool on) {
-#ifdef PPN_TRACE_DISABLED
-  (void)on;
-#else
   if (on) {
     std::lock_guard<std::mutex> lock(mutex_);
     ring_.reserve(capacity_);
   }
   enabled_.store(on, std::memory_order_relaxed);
-#endif
 }
 
 std::uint32_t Tracer::current_tid() {
@@ -162,8 +158,6 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
   out << "\n],\"displayTimeUnit\":\"ms\"}\n";
 }
 
-#ifndef PPN_TRACE_DISABLED
-
 namespace {
 
 void trace_point(TraceEvent::Kind kind, const char* cat, const char* name,
@@ -203,7 +197,5 @@ void trace_async_end(const char* cat, const char* name, std::uint64_t id,
                      std::string_view detail) {
   trace_point(TraceEvent::Kind::kAsyncEnd, cat, name, id, args, detail);
 }
-
-#endif  // PPN_TRACE_DISABLED
 
 }  // namespace ppnpart::support

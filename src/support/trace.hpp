@@ -12,14 +12,10 @@
 // long-running service keeps the most recent window, which is the one a
 // "where did this 40 ms go" question is about.
 //
-// Recording degrades to nothing in two tiers:
-//   * runtime: Tracer::set_enabled(false) (the default) reduces every
-//     ScopedSpan to a single relaxed atomic load — cheap enough to leave in
-//     the multilevel inner loop permanently;
-//   * compile time: building with PPN_TRACE_DISABLED (CMake option
-//     PPNPART_TRACE_DISABLED) turns ScopedSpan / trace_instant /
-//     trace_async_* into empty inline no-ops the optimizer deletes, and
-//     pins Tracer::enabled() to false. Call sites compile unchanged.
+// Tracer::set_enabled(false) (the default) reduces every ScopedSpan to a
+// single relaxed atomic load — cheap enough to leave in the multilevel
+// inner loop of every build (TimingGate.TracingOffHookCostsAtMost250Ns
+// bounds it).
 //
 // Events carry static-string names/categories (use intern_name() for
 // dynamic ones like portfolio member names), up to six integer args and a
@@ -110,17 +106,10 @@ class Tracer {
   /// The process-wide tracer every ScopedSpan/trace_instant records into.
   static Tracer& global();
 
-  /// Runtime switch; a no-op under PPN_TRACE_DISABLED (enabled() stays
-  /// false, so nothing is ever recorded). Enabling reserves the ring, so
-  /// a span's (noexcept) destructor never allocates it.
+  /// Runtime switch. Enabling reserves the ring, so a span's (noexcept)
+  /// destructor never allocates it.
   void set_enabled(bool on);
-  bool enabled() const {
-#ifdef PPN_TRACE_DISABLED
-    return false;
-#else
-    return enabled_.load(std::memory_order_relaxed);
-#endif
-  }
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Microseconds since this tracer's construction (monotonic).
   std::uint64_t now_us() const {
@@ -170,8 +159,6 @@ class Tracer {
   std::atomic<bool> enabled_{false};
   std::chrono::steady_clock::time_point epoch_;
 };
-
-#ifndef PPN_TRACE_DISABLED
 
 /// RAII span over the global tracer: records one complete event covering
 /// construction..destruction when tracing is enabled AT CONSTRUCTION (the
@@ -228,31 +215,5 @@ void trace_async_begin(const char* cat, const char* name, std::uint64_t id,
 void trace_async_end(const char* cat, const char* name, std::uint64_t id,
                      std::initializer_list<TraceEvent::Arg> args = {},
                      std::string_view detail = {});
-
-#else  // PPN_TRACE_DISABLED: same API, empty inline bodies, zero hot-path
-       // residue — TimingGate.TracingOffHookCostsAtMost250Ns times this
-       // tier too.
-
-class ScopedSpan {
- public:
-  ScopedSpan(const char*, const char*, std::uint64_t = 0) {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  constexpr bool active() const { return false; }
-  void arg(const char*, std::int64_t) {}
-  void detail(std::string_view) {}
-};
-
-inline void trace_instant(const char*, const char*, std::uint64_t = 0,
-                          std::initializer_list<TraceEvent::Arg> = {},
-                          std::string_view = {}) {}
-inline void trace_async_begin(const char*, const char*, std::uint64_t,
-                              std::initializer_list<TraceEvent::Arg> = {},
-                              std::string_view = {}) {}
-inline void trace_async_end(const char*, const char*, std::uint64_t,
-                            std::initializer_list<TraceEvent::Arg> = {},
-                            std::string_view = {}) {}
-
-#endif  // PPN_TRACE_DISABLED
 
 }  // namespace ppnpart::support

@@ -13,7 +13,7 @@
 //
 // With the injector disarmed the seams are single relaxed loads and the
 // engine is bit-identical to its history (the goldens stay goldens); the
-// first test pins that. Builds with PPNPART_FAULTS_DISABLED skip the rest.
+// first test pins that.
 
 #include <gtest/gtest.h>
 
@@ -109,7 +109,6 @@ TEST(ChaosTest, DisarmedInjectorChangesNothing) {
 }
 
 TEST(ChaosTest, MemberRunFaultsYieldAnswerOrTypedError) {
-  if (!support::faults_compiled_in()) GTEST_SKIP() << "faults compiled out";
   const ArmedFaults armed("seed=7,rate=0.5,sites=member.run");
 
   engine::EngineOptions opts;
@@ -139,7 +138,6 @@ TEST(ChaosTest, MemberRunFaultsYieldAnswerOrTypedError) {
 }
 
 TEST(ChaosTest, AllMembersFaultedIsTypedAndNotCached) {
-  if (!support::faults_compiled_in()) GTEST_SKIP() << "faults compiled out";
   const engine::Job job = make_job(200);
   engine::EngineOptions opts;
   opts.portfolio = engine::Portfolio{{"gp", "metislike"}};
@@ -160,7 +158,6 @@ TEST(ChaosTest, AllMembersFaultedIsTypedAndNotCached) {
 }
 
 TEST(ChaosTest, CoarsenLeaderFaultLeavesCacheRetryable) {
-  if (!support::faults_compiled_in()) GTEST_SKIP() << "faults compiled out";
   const engine::Job job = make_job(300, /*nodes=*/96);
   engine::EngineOptions opts;
   opts.portfolio = engine::Portfolio{{"gp"}};
@@ -181,7 +178,6 @@ TEST(ChaosTest, CoarsenLeaderFaultLeavesCacheRetryable) {
 }
 
 TEST(ChaosTest, ProjectedCoarsenFaultCompletesWithTypedError) {
-  if (!support::faults_compiled_in()) GTEST_SKIP() << "faults compiled out";
   engine::EngineOptions opts;
   opts.portfolio = engine::Portfolio{{"gp", "metislike"}};
   opts.queue_capacity = 2;
@@ -210,7 +206,6 @@ TEST(ChaosTest, ProjectedCoarsenFaultCompletesWithTypedError) {
 }
 
 TEST(ChaosTest, CacheInsertFaultDropsTheInsertOnly) {
-  if (!support::faults_compiled_in()) GTEST_SKIP() << "faults compiled out";
   const engine::Job job = make_job(400);
   engine::EngineOptions opts;
   opts.portfolio = engine::Portfolio{{"metislike"}};
@@ -233,7 +228,6 @@ TEST(ChaosTest, CacheInsertFaultDropsTheInsertOnly) {
 }
 
 TEST(ChaosTest, SimilarityVerifyFaultFallsBackToFullPath) {
-  if (!support::faults_compiled_in()) GTEST_SKIP() << "faults compiled out";
   engine::EngineOptions opts;
   opts.portfolio = engine::Portfolio{{"gp"}};
   opts.similarity.enabled = true;
@@ -255,7 +249,6 @@ TEST(ChaosTest, SimilarityVerifyFaultFallsBackToFullPath) {
 }
 
 TEST(ChaosTest, OverloadPlusFaultsKeepsAccountingExact) {
-  if (!support::faults_compiled_in()) GTEST_SKIP() << "faults compiled out";
   const ArmedFaults armed("seed=13,rate=0.3,sites=member.run+pool.task");
 
   engine::EngineOptions opts;
@@ -296,7 +289,6 @@ TEST(ChaosTest, OverloadPlusFaultsKeepsAccountingExact) {
 }
 
 TEST(ChaosTest, FixedSeedScheduleIsReplayable) {
-  if (!support::faults_compiled_in()) GTEST_SKIP() << "faults compiled out";
 
   // Serial submission pins the check indices per job, so the same seed must
   // reproduce the same per-job verdicts and the same fire tally — chaos

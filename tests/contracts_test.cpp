@@ -3,8 +3,8 @@
 // with death tests over PPN_ASSERT / PPN_CHECK_MSG, the Partition bounds
 // contracts and the WorkspaceLease exclusivity guard. Release builds compile
 // every check out entirely, including the condition expression — pinned by
-// counting evaluations. Each half self-skips on the other tier, mirroring
-// trace_test's PPNPART_TRACE_DISABLED pattern, so the suite passes on both.
+// counting evaluations. Each half self-skips on the other tier, so the
+// suite passes on both.
 
 #include <gtest/gtest.h>
 

@@ -88,10 +88,6 @@ TEST(Gp, RefineSpansCountSwapEvaluationsAndFmMoves) {
   // run's FmTotals delta, and tracing leaves the partition as the untraced
   // run had it.
   support::Tracer& tracer = support::Tracer::global();
-  tracer.set_enabled(true);
-  const bool compiled_in = tracer.enabled();
-  tracer.set_enabled(false);
-  if (!compiled_in) GTEST_SKIP() << "tracing compiled out";
   const Graph g = bench::multilevel_workload_graph(800);
   GpOptions options;
   options.max_cycles = 2;

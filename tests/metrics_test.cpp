@@ -1,6 +1,6 @@
-// Metrics registry: counter/gauge semantics, histogram bucketing and
-// quantile estimation, get-or-create pointer stability, snapshot
-// consistency (sorted, internally consistent under concurrent updates) and
+// Metrics registry: histogram bucketing and quantile estimation,
+// get-or-create pointer stability, snapshot consistency (sorted, internally
+// consistent under concurrent updates), counter lookup on a snapshot and
 // the to_string format the CLI --metrics flag prints.
 
 #include <gtest/gtest.h>
@@ -15,28 +15,9 @@
 namespace ppnpart {
 namespace {
 
-using support::Counter;
-using support::Gauge;
 using support::Histogram;
 using support::MetricsRegistry;
 using support::MetricsSnapshot;
-
-TEST(Metrics, CounterAndGaugeBasics) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.add();
-  c.add(41);
-  EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-
-  Gauge g;
-  g.set(7);
-  g.add(-10);
-  EXPECT_EQ(g.value(), -3);
-  g.reset();
-  EXPECT_EQ(g.value(), 0);
-}
 
 TEST(Metrics, HistogramBucketsAndQuantiles) {
   Histogram h({1, 10, 100});
@@ -103,12 +84,8 @@ TEST(Metrics, HistogramBoundsAreSortedAndDeduplicated) {
 
 TEST(Metrics, RegistryGetOrCreateIsPointerStable) {
   MetricsRegistry reg;
-  Counter& a = reg.counter("jobs");
-  Counter& b = reg.counter("jobs");
-  EXPECT_EQ(&a, &b);
-  EXPECT_NE(&a, &reg.counter("other"));
-
   Histogram& h1 = reg.histogram("lat", {1, 2, 3});
+  EXPECT_NE(&h1, &reg.histogram("other"));
   // Creation-time bounds win; a later lookup's bounds are ignored.
   Histogram& h2 = reg.histogram("lat", {99});
   EXPECT_EQ(&h1, &h2);
@@ -117,44 +94,44 @@ TEST(Metrics, RegistryGetOrCreateIsPointerStable) {
 
 TEST(Metrics, SnapshotIsNameSortedAndQueriable) {
   MetricsRegistry reg;
-  reg.counter("c.zeta").add(3);
-  reg.counter("c.alpha").add(1);
-  reg.gauge("depth").set(-4);
-  reg.histogram("lat").observe(42);
+  reg.histogram("lat.zeta").observe(42);
+  reg.histogram("lat.alpha");
 
   const MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 2u);
-  EXPECT_EQ(snap.counters[0].name, "c.alpha");
-  EXPECT_EQ(snap.counters[1].name, "c.zeta");
-  EXPECT_EQ(snap.counter_or("c.zeta"), 3u);
-  EXPECT_EQ(snap.counter_or("missing", 77), 77u);
-  ASSERT_NE(snap.find_histogram("lat"), nullptr);
-  EXPECT_EQ(snap.find_histogram("lat")->hist.count, 1u);
+  EXPECT_TRUE(snap.counters.empty());
+  ASSERT_EQ(snap.histograms.size(), 2u);
+  EXPECT_EQ(snap.histograms[0].name, "lat.alpha");
+  EXPECT_EQ(snap.histograms[1].name, "lat.zeta");
+  ASSERT_NE(snap.find_histogram("lat.zeta"), nullptr);
+  EXPECT_EQ(snap.find_histogram("lat.zeta")->hist.count, 1u);
   EXPECT_EQ(snap.find_histogram("missing"), nullptr);
+
+  // Counters are written into a snapshot by its owner (the engine's
+  // stats()); counter_or reads them back.
+  MetricsSnapshot owned;
+  owned.counters = {{"c.alpha", 1}, {"c.zeta", 3}};
+  EXPECT_EQ(owned.counter_or("c.zeta"), 3u);
+  EXPECT_EQ(owned.counter_or("missing", 77), 77u);
 }
 
 TEST(Metrics, ResetZeroesValuesButKeepsRegistrations) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("jobs");
-  c.add(9);
-  reg.histogram("lat").observe(5);
+  Histogram& h = reg.histogram("lat");
+  h.observe(5);
   reg.reset();
-  // The cached reference survives and still points at the live metric.
-  EXPECT_EQ(c.value(), 0u);
-  c.add(2);
-  const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter_or("jobs"), 2u);
-  EXPECT_EQ(snap.find_histogram("lat")->hist.count, 0u);
+  // The cached reference survives and still points at the live histogram.
+  EXPECT_EQ(h.snapshot().count, 0u);
+  h.observe(2);
+  EXPECT_EQ(reg.snapshot().find_histogram("lat")->hist.count, 1u);
 }
 
 TEST(Metrics, ToStringMatchesTheCliFormat) {
   MetricsRegistry reg;
-  reg.counter("engine.jobs").add(3);
-  reg.gauge("inflight").set(2);
   reg.histogram("engine.job.time_us").observe(10);
-  const std::string text = reg.snapshot().to_string();
+  MetricsSnapshot snap = reg.snapshot();
+  snap.counters = {{"engine.jobs", 3}};
+  const std::string text = snap.to_string();
   EXPECT_NE(text.find("counter engine.jobs 3\n"), std::string::npos) << text;
-  EXPECT_NE(text.find("gauge inflight 2\n"), std::string::npos) << text;
   EXPECT_NE(text.find("histogram engine.job.time_us count=1"),
             std::string::npos)
       << text;
@@ -170,12 +147,9 @@ TEST(Metrics, ConcurrentUpdatesAreExactAndSnapshotsConsistent) {
   for (int w = 0; w < kThreads; ++w) {
     workers.emplace_back([&reg, w] {
       // Hot-path idiom: resolve once, then relaxed atomics only.
-      Counter& c = reg.counter("hits");
       Histogram& h = reg.histogram("lat", {10, 100, 1000});
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        c.add();
+      for (std::uint64_t i = 0; i < kPerThread; ++i)
         h.observe(static_cast<double>((w * 37 + i) % 2000));
-      }
     });
   }
   // A reader races the writers: every snapshot must be internally
@@ -194,7 +168,6 @@ TEST(Metrics, ConcurrentUpdatesAreExactAndSnapshotsConsistent) {
   reader.join();
 
   const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter_or("hits"), kThreads * kPerThread);
   const auto* lat = snap.find_histogram("lat");
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->hist.count, kThreads * kPerThread);

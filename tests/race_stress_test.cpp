@@ -266,19 +266,18 @@ TEST(RaceStressTest, MetricsRegistryAndInstruments) {
 
   run_threads(6, [&](unsigned t) {
     // Same names from every thread: the get-or-create path races itself,
-    // then the relaxed updates race the snapshots.
-    auto& hits = registry.counter("stress.hits");
-    auto& depth = registry.gauge("stress.depth");
+    // then the relaxed observations race the snapshots.
     auto& lat = registry.histogram("stress.latency_us");
+    auto& own = registry.histogram("stress.thread" + std::to_string(t));
     for (int i = 0; i < 2000; ++i) {
-      hits.add();
-      depth.set(static_cast<std::int64_t>(t));
       lat.observe(static_cast<double>(i % 97));
+      own.observe(static_cast<double>(t));
     }
   });
   stop.store(true, std::memory_order_relaxed);
   reader.join();
-  EXPECT_GE(registry.counter("stress.hits").value(), 6u * 2000u);
+  EXPECT_GE(registry.histogram("stress.latency_us").snapshot().count,
+            6u * 2000u);
 }
 
 TEST(RaceStressTest, StopTokenLateArming) {
@@ -314,14 +313,11 @@ TEST(RaceStressTest, QueueShedRacesFaultsAndLateArming) {
   // threads. The contract: every wait() returns (shed jobs are born
   // finished), and completed + rejected + shed covers every job in the
   // final snapshot with no torn intermediate ones.
-  const bool chaos = support::faults_compiled_in();
-  if (chaos) {
-    auto plan = support::parse_fault_plan(
-        "seed=21,rate=0.25,sites=member.run+pool.task");
-    ASSERT_TRUE(plan.is_ok()) << plan.message();
-    support::FaultInjector::global().reset_counts();
-    support::FaultInjector::global().arm(plan.value());
-  }
+  auto plan = support::parse_fault_plan(
+      "seed=21,rate=0.25,sites=member.run+pool.task");
+  ASSERT_TRUE(plan.is_ok()) << plan.message();
+  support::FaultInjector::global().reset_counts();
+  support::FaultInjector::global().arm(plan.value());
 
   engine::EngineOptions opts;
   opts.portfolio = engine::Portfolio{{"gp", "metislike"}};
@@ -365,7 +361,7 @@ TEST(RaceStressTest, QueueShedRacesFaultsAndLateArming) {
   for (std::thread& th : submitters) th.join();
   stop_reader.store(true, std::memory_order_relaxed);
   reader.join();
-  if (chaos) support::FaultInjector::global().disarm();
+  support::FaultInjector::global().disarm();
 
   EXPECT_EQ(finished.load(), kThreads * kPerThread);
   EXPECT_EQ(torn.load(), 0u);

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "graph/generators.hpp"
 #include "partition/coarsen.hpp"
@@ -213,9 +215,8 @@ TEST(BisectionFm, BalancesTwoCliques) {
   // Terrible start: alternate nodes.
   for (NodeId u = 0; u < g.num_nodes(); ++u) p.set(u, u % 2);
   const Weight half = g.total_node_weight() / 2;
-  support::Rng rng(11);
   Workspace ws;
-  bisection_fm_refine(g, p, half, half, 10, rng, ws);
+  bisection_fm_refine(g, p, half, half, 10, ws);
   const PartitionMetrics m = compute_metrics(g, p);
   EXPECT_LE(m.max_load, half);
   // The clean cut separates the cliques (ring has 2 bridges).
@@ -226,9 +227,8 @@ TEST(BisectionFm, RequiresK2) {
   const Graph g = graph::ring_of_cliques(2, 3);
   Partition p(g.num_nodes(), 3);
   for (NodeId u = 0; u < g.num_nodes(); ++u) p.set(u, 0);
-  support::Rng rng(12);
   Workspace ws;
-  EXPECT_THROW(bisection_fm_refine(g, p, 10, 10, 4, rng, ws),
+  EXPECT_THROW(bisection_fm_refine(g, p, 10, 10, 4, ws),
                std::invalid_argument);
 }
 
@@ -247,11 +247,93 @@ TEST(BisectionFm, ReducesOverweightFirst) {
   p.set(1, 0);  // 80 > cap
   p.set(2, 1);
   p.set(3, 1);
-  support::Rng rng(13);
   Workspace ws;
-  bisection_fm_refine(g, p, 60, 60, 10, rng, ws);
+  bisection_fm_refine(g, p, 60, 60, 10, ws);
   const PartitionMetrics m = compute_metrics(g, p);
   EXPECT_LE(m.max_load, 60) << "overweight must dominate the heavy edge";
+}
+
+TEST(BisectionFm, BookkeepingAndRollbackHoldOnRandomGraphs) {
+  // Random G(n, m) graphs with random weights and random 2-way starts,
+  // under caps from binding (below half the weight, so some overweight is
+  // unavoidable) to loose. After the call the scratch's conn-to-own and
+  // conn-to-other rows must describe the final partition (each pass rolls
+  // back past its best prefix through the same update), (overweight, cut)
+  // by compute_metrics must be no worse than at the start, the return value
+  // must say whether it is strictly better, and a side that started
+  // non-empty must still be non-empty. Given passes enough to converge,
+  // the last pass found no improving prefix, so no single move that leaves
+  // its side non-empty may improve (overweight, cut) either: a pass that
+  // misjudged its states would stop early.
+  const double cap_factors[][2] = {
+      {0.6, 0.6}, {0.9, 1.1}, {1.0, 1.0}, {1.05, 1.05}, {1.5, 0.8}, {3, 3}};
+  int improved_runs = 0, runs = 0;
+  for (const NodeId n : {2u, 12u, 60u}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      support::Rng rng(seed * 1000 + n);
+      const std::uint64_t m = n * (1 + seed % 4);
+      const Graph g = graph::erdos_renyi_gnm(n, m, rng, {1, 20}, {1, 9});
+      const double half = static_cast<double>(g.total_node_weight()) / 2;
+      for (const auto& f : cap_factors) {
+        const auto cap0 = static_cast<Weight>(std::ceil(f[0] * half));
+        const auto cap1 = static_cast<Weight>(std::ceil(f[1] * half));
+        auto over_and_cut = [&](const Partition& q) {
+          const PartitionMetrics pm = compute_metrics(g, q);
+          return std::pair<Weight, Weight>{
+              std::max<Weight>(0, pm.loads[0] - cap0) +
+                  std::max<Weight>(0, pm.loads[1] - cap1),
+              pm.total_cut};
+        };
+        Partition p(n, 2);
+        for (NodeId u = 0; u < n; ++u)
+          p.set(u, static_cast<PartId>(rng.uniform_index(2)));
+        const PartitionMetrics start = compute_metrics(g, p);
+        const auto before = over_and_cut(p);
+
+        Workspace ws;
+        const bool improved =
+            bisection_fm_refine(g, p, cap0, cap1, /*max_passes=*/1000, ws);
+        ++runs;
+        improved_runs += improved;
+        const auto after = over_and_cut(p);
+        const std::string where = "n=" + std::to_string(n) +
+                                  " seed=" + std::to_string(seed) +
+                                  " caps=" + std::to_string(cap0) + "/" +
+                                  std::to_string(cap1);
+        EXPECT_FALSE(before < after) << where;
+        EXPECT_EQ(improved, after < before) << where;
+
+        const PartitionMetrics end = compute_metrics(g, p);
+        for (PartId side = 0; side < 2; ++side) {
+          if (start.loads[side] > 0) EXPECT_GT(end.loads[side], 0) << where;
+        }
+        Weight external_sum = 0;
+        for (NodeId u = 0; u < n; ++u) {
+          Weight own = 0, other = 0;
+          auto nbrs = g.neighbors(u);
+          auto wgts = g.edge_weights(u);
+          for (std::size_t i = 0; i < nbrs.size(); ++i)
+            (p[nbrs[i]] == p[u] ? own : other) += wgts[i];
+          EXPECT_EQ(ws.bisect.internal[u], own) << where << " u=" << u;
+          EXPECT_EQ(ws.bisect.external[u], other) << where << " u=" << u;
+          external_sum += ws.bisect.external[u];
+        }
+        EXPECT_EQ(external_sum, 2 * end.total_cut) << where;
+
+        std::uint32_t count[2] = {0, 0};
+        for (NodeId u = 0; u < n; ++u) ++count[p[u]];
+        for (NodeId u = 0; u < n; ++u) {
+          const PartId side = p[u];
+          if (count[side] <= 1) continue;
+          p.set(u, 1 - side);
+          EXPECT_FALSE(over_and_cut(p) < after) << where << " move u=" << u;
+          p.set(u, side);
+        }
+      }
+    }
+  }
+  // The sweep is only a check of rollback if passes do find improvements.
+  EXPECT_GT(improved_runs, runs / 4);
 }
 
 // ---------------------------------------------------------- swap refine ---

@@ -20,10 +20,10 @@ namespace {
 
 TEST(TimingGate, TracingOffHookCostsAtMost250Ns) {
   // With tracing off, a ScopedSpan plus one arg() is what every
-  // instrumented inner loop pays for good: one relaxed load, and nothing at
-  // all under PPN_TRACE_DISABLED. Averaged over 2M spans. The clock alone
-  // cannot see a disabled span that records anyway (an optimised build pays
-  // that in well under the bound), so the tracer's count must not move.
+  // instrumented inner loop pays in every build: one relaxed load. Averaged
+  // over 2M spans. The clock alone cannot see a disabled span that records
+  // anyway (an optimised build pays that in well under the bound), so the
+  // tracer's count must not move.
   support::Tracer& tracer = support::Tracer::global();
   tracer.set_enabled(false);
   const std::uint64_t recorded = tracer.recorded();

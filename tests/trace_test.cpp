@@ -4,10 +4,6 @@
 // hand-written parser — no JSON dependency), intern_name stability, and the
 // observe-only contract: enabling tracing or attaching a PhaseProfile
 // changes no partition output.
-//
-// Every test that needs events recorded first checks whether tracing is
-// compiled in (PPNPART_TRACE_DISABLED builds pin Tracer::enabled() to
-// false) and skips cleanly when it is not — the suite passes on both tiers.
 
 #include <gtest/gtest.h>
 
@@ -38,16 +34,6 @@ namespace {
 using support::ScopedSpan;
 using support::TraceEvent;
 using support::Tracer;
-
-/// True when the build records events at all; the compile-time kill switch
-/// pins enabled() to false regardless of set_enabled.
-bool tracing_compiled_in() {
-  Tracer& t = Tracer::global();
-  t.set_enabled(true);
-  const bool on = t.enabled();
-  t.set_enabled(false);
-  return on;
-}
 
 /// RAII guard: whatever a test does, the global tracer ends disabled and
 /// empty so tests cannot leak events into each other.
@@ -371,7 +357,6 @@ TEST(Tracer, UnusedTracerHoldsNoRing) {
 
 TEST(Tracer, ScopedSpanLatchesTheEnableDecision) {
   GlobalTracerGuard guard;
-  if (!tracing_compiled_in()) GTEST_SKIP() << "tracing compiled out";
   Tracer& t = Tracer::global();
 
   {
@@ -398,7 +383,6 @@ TEST(Tracer, ScopedSpanLatchesTheEnableDecision) {
 
 TEST(Tracer, SpanNestingAndOrderingUnderThreadPool) {
   GlobalTracerGuard guard;
-  if (!tracing_compiled_in()) GTEST_SKIP() << "tracing compiled out";
   Tracer& t = Tracer::global();
   t.set_enabled(true);
 

@@ -21,11 +21,6 @@ Rules (each has a stable id, used in the allowlist):
                           unique_ptr/shared_ptr/containers; the deliberate
                           leaked singletons (ThreadPool/Tracer/Metrics
                           globals) are allowlisted, not idiomatic.
-  tracer-in-header        Tracer:: internals referenced from a header other
-                          than support/trace.hpp — headers must compile
-                          identically under PPNPART_TRACE_DISABLED, so they
-                          may only use the ScopedSpan/trace_* wrappers that
-                          have no-op twins.
   workspace-pool-lease    an ad-hoc `Workspace <name>` local/member declared
                           in src/engine/ — engine code (warm-start tasks
                           especially, which run concurrently on the pool)
@@ -39,6 +34,9 @@ Rules (each has a stable id, used in the allowlist):
 Exceptions live in tools/invariant_allowlist.txt, one per line:
 
     <rule-id> <path-substring>[:<enclosing-function>]   # comment
+
+An entry that excuses no finding is itself a finding (stale-allowlist), so
+the file cannot rot.
 
 Usage:
     python3 tools/check_invariants.py [--root DIR]   # lint src/, exit 1 on findings
@@ -244,22 +242,6 @@ def rule_raw_new_delete(path, stripped, lines):
     return found
 
 
-TRACER_INTERNAL_RE = re.compile(r"\bTracer\s*::")
-
-
-def rule_tracer_in_header(path, stripped, lines):
-    if not path.endswith(".hpp") or path.endswith("support/trace.hpp"):
-        return []
-    return _findings_for(
-        "tracer-in-header",
-        TRACER_INTERNAL_RE,
-        path,
-        stripped,
-        lines,
-        "Tracer internals in a header; use the ScopedSpan/trace_* wrappers",
-    )
-
-
 WORKSPACE_DECL_RE = re.compile(
     r"\b(?:part\s*::\s*)?Workspace\s+[A-Za-z_]\w*\s*[;{=(]"
 )
@@ -283,13 +265,15 @@ RULES = [
     rule_result_cache_write,
     rule_workspace_ref_capture,
     rule_raw_new_delete,
-    rule_tracer_in_header,
     rule_workspace_pool_lease,
 ]
 
 
 # --------------------------------------------------------------------------
 # Allowlist
+
+
+ALLOWLIST = "tools/invariant_allowlist.txt"
 
 
 @dataclasses.dataclass
@@ -303,6 +287,9 @@ class AllowEntry:
         if self.rule != f.rule or self.path_sub not in f.path:
             return False
         return self.func is None or self.func == f.func
+
+    def __str__(self) -> str:
+        return f"{self.rule} {self.path_sub}" + (f":{self.func}" if self.func else "")
 
 
 def load_allowlist(path: pathlib.Path) -> list[AllowEntry]:
@@ -340,31 +327,36 @@ def lint_text(path: str, text: str) -> list[Finding]:
     return found
 
 
+def lint_files(files, allowlist: list[AllowEntry]) -> list[str]:
+    """Findings over (path, text) pairs that no allowlist entry excuses,
+    then one stale-allowlist finding per entry that excused nothing."""
+    problems = []
+    for path, text in files:
+        for f in lint_text(path, text):
+            entry = next((e for e in allowlist if e.matches(f)), None)
+            if entry is None:
+                problems.append(str(f))
+            else:
+                entry.used = True
+    problems.extend(
+        f"{ALLOWLIST}: [stale-allowlist] {entry} excuses no finding; delete it"
+        for entry in allowlist
+        if not entry.used
+    )
+    return problems
+
+
 def lint_tree(root: pathlib.Path) -> int:
-    allowlist = load_allowlist(root / "tools" / "invariant_allowlist.txt")
-    findings = []
-    for ext in ("*.hpp", "*.cpp"):
-        for file in sorted((root / "src").rglob(ext)):
-            rel = file.relative_to(root).as_posix()
-            for f in lint_text(rel, file.read_text()):
-                allowed = False
-                for entry in allowlist:
-                    if entry.matches(f):
-                        entry.used = True
-                        allowed = True
-                        break
-                if not allowed:
-                    findings.append(f)
-    for f in findings:
-        print(f)
-    for entry in allowlist:
-        if not entry.used:
-            print(
-                f"note: unused allowlist entry: {entry.rule} {entry.path_sub}"
-                + (f":{entry.func}" if entry.func else "")
-            )
-    if findings:
-        print(f"check_invariants: {len(findings)} violation(s)")
+    files = [
+        (file.relative_to(root).as_posix(), file.read_text())
+        for ext in ("*.hpp", "*.cpp")
+        for file in sorted((root / "src").rglob(ext))
+    ]
+    problems = lint_files(files, load_allowlist(root / ALLOWLIST))
+    for p in problems:
+        print(p)
+    if problems:
+        print(f"check_invariants: {len(problems)} violation(s)")
         return 1
     print("check_invariants: ok")
     return 0
@@ -404,12 +396,6 @@ SELF_TESTS = [
         "  std::unique_ptr<int> p = std::make_unique<int>(3);  // new-free\n}\n",
     ),
     (
-        "tracer-in-header",
-        "src/partition/phase_profile.hpp",
-        "inline void f() { Tracer::global().record(ev); }\n",
-        "inline void f() { support::ScopedSpan span(\"cat\", \"name\"); }\n",
-    ),
-    (
         "workspace-pool-lease",
         "src/engine/engine.cpp",
         "void Engine::run_warm_task() {\n"
@@ -439,6 +425,20 @@ def self_test() -> int:
     )
     if masked:
         print(f"self-test FAIL: stripper leaked a masked token: {masked[0]}")
+        failures += 1
+    # An allowlist entry excuses its finding; once the finding is gone the
+    # same entry is stale, and stale is a failure.
+    bad = ("src/support/metrics.cpp", "void f() {\n  auto* p = new int;\n}\n")
+    good = ("src/support/metrics.cpp", "void f() {\n  int p = 0;\n}\n")
+
+    def allow():
+        return [AllowEntry("raw-new-delete", "src/support/metrics.cpp", "f")]
+
+    if lint_files([bad], allow()):
+        print("self-test FAIL: an allowlist entry did not excuse its finding")
+        failures += 1
+    if not any("stale-allowlist" in p for p in lint_files([good], allow())):
+        print("self-test FAIL: a stale allowlist entry passed the lint")
         failures += 1
     if failures:
         return 1

@@ -278,17 +278,9 @@ int main(int argc, char** argv) {
   }
 
   // Tracing switches on before any work so admission spans from the very
-  // first job land in the ring. Under PPN_TRACE_DISABLED nothing records
-  // and the file written at exit is an empty (but valid) timeline.
+  // first job land in the ring.
   const std::string trace_path = args.get_string("trace");
-  if (!trace_path.empty()) {
-#ifdef PPN_TRACE_DISABLED
-    std::fprintf(stderr,
-                 "ppnpart: warning: tracing is compiled out "
-                 "(PPNPART_TRACE_DISABLED); --trace will be empty\n");
-#endif
-    support::Tracer::global().set_enabled(true);
-  }
+  if (!trace_path.empty()) support::Tracer::global().set_enabled(true);
 
   const std::string similarity_mode = args.get_string("similarity");
   if (similarity_mode != "on" && similarity_mode != "off")
@@ -316,10 +308,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (plan.value().site_mask != 0) {
-      if (!support::faults_compiled_in())
-        std::fprintf(stderr,
-                     "ppnpart: warning: fault injection is compiled out "
-                     "(PPNPART_FAULTS_DISABLED); --faults has no effect\n");
       support::FaultInjector::global().arm(plan.value());
       faults_armed = true;
     }
