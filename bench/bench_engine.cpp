@@ -279,9 +279,9 @@ int main() {
                   shared_stats.graph_fingerprints_computed),
               kSameGraphJobs);
   // Job-held copies only. The shared side's coarsening cache additionally
-  // retains the coarser hierarchy levels (~1x the graph per cached key;
-  // level 0 is stripped) while entries live, so its true peak is ~2x one
-  // graph — still ~12x below the by-value path.
+  // retains the coarse hierarchy levels (~1x the graph per cached key; a
+  // hierarchy never holds its input) while entries live, so its true peak
+  // is ~2x one graph — still ~12x below the by-value path.
   std::printf(
       "  graph bytes held by jobs : %.1f KiB shared vs %.1f KiB by-value "
       "(%dx)\n\n",

@@ -848,8 +848,7 @@ void Engine::serve_projected(const std::shared_ptr<JobState>& state) {
       h = std::make_shared<const part::Hierarchy>(
           part::coarsen(g, copts, coarsen_rng));
     }
-    // A one-level hierarchy is g itself (cached ones drop graphs[0]).
-    const graph::Graph& coarsest = h->num_levels() == 1 ? g : h->coarsest();
+    const graph::Graph& coarsest = h->coarsest(g);
     part::GreedyGrowOptions gopts;
     gopts.parallel = false;  // the saturated pool is the reason we're here
     support::Rng grow_rng(hash_combine(req.seed, 0x70726f6a32ull));

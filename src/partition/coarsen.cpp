@@ -6,6 +6,7 @@
 #include "graph/contract.hpp"
 #include "partition/parallel.hpp"
 #include "partition/phase_profile.hpp"
+#include "support/contracts.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ppnpart::part {
@@ -124,10 +125,9 @@ Hierarchy coarsen_levels(const Graph& g, const CoarsenOptions& options,
   if (options.strategies.empty())
     throw std::invalid_argument("coarsen: no matching strategies enabled");
   Hierarchy h;
-  h.graphs.push_back(g);
-  while (h.coarsest().num_nodes() > options.coarsen_to &&
+  while (h.coarsest(g).num_nodes() > options.coarsen_to &&
          h.num_levels() <= options.max_levels) {
-    const Graph& current = h.coarsest();
+    const Graph& current = h.coarsest(g);
     PhaseScope phase(ws.phases, PhaseProfile::kCoarsen, ws.phase_cat,
                      static_cast<std::int64_t>(h.num_levels() - 1),
                      static_cast<std::int64_t>(current.num_nodes()));
@@ -148,9 +148,8 @@ Hierarchy coarsen_levels(const Graph& g, const CoarsenOptions& options,
         coarse_parts[level.fine_to_coarse[u]] = (*parts)[u];
       *parts = std::move(coarse_parts);
     }
-    h.maps.push_back(std::move(level.fine_to_coarse));
-    h.winners.push_back(best.kind);
-    h.graphs.push_back(std::move(level.graph));
+    level.used_matching = best.kind;
+    h.levels.push_back(std::move(level));  // invalidates `current`
   }
   return h;
 }
@@ -213,20 +212,24 @@ Weight run_matching_into(const Graph& g, MatchingKind kind, support::Rng& rng,
   return run_matching_into(g, kind, rng, match, ws.matching);
 }
 
+const Graph& Hierarchy::coarsest() const {
+  PPN_ASSERT(!levels.empty());
+  return levels.back().graph;
+}
+
 std::vector<PartId> Hierarchy::project_to_level(
     const std::vector<PartId>& coarse_assign, std::size_t level) const {
-  // Levels are sized by their maps, never by graphs[i]: CoarseningCache
-  // empties graphs[0]. The coarsest level has no map; with no maps at all
-  // it is level 0 and there is nothing to project.
-  if (maps.empty()) return coarse_assign;
-  if (coarse_assign.size() != coarsest().num_nodes())
+  // With no coarse level the input is the coarsest: nothing to project.
+  if (levels.empty()) return coarse_assign;
+  if (coarse_assign.size() != levels.back().graph.num_nodes())
     throw std::invalid_argument("project_to_level: size mismatch");
   std::vector<PartId> assign = coarse_assign;
-  // maps[i] : level i -> level i+1; walk backwards from the coarsest.
-  for (std::size_t i = maps.size(); i-- > level;) {
-    std::vector<PartId> finer(maps[i].size());
-    for (std::size_t u = 0; u < finer.size(); ++u)
-      finer[u] = assign[maps[i][u]];
+  // levels[i].fine_to_coarse : level i -> level i+1; walk backwards from
+  // the coarsest.
+  for (std::size_t i = levels.size(); i-- > level;) {
+    const std::vector<NodeId>& map = levels[i].fine_to_coarse;
+    std::vector<PartId> finer(map.size());
+    for (std::size_t u = 0; u < finer.size(); ++u) finer[u] = assign[map[u]];
     assign = std::move(finer);
   }
   return assign;

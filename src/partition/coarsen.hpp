@@ -23,7 +23,8 @@ namespace ppnpart::part {
 
 std::string to_string(MatchingKind kind);
 
-/// One contracted level: the coarse graph plus fine-to-coarse node map.
+/// One contracted level: the coarse graph, the map from the finer level's
+/// node ids to its own, and the matching heuristic whose pairs it contracts.
 struct CoarseLevel {
   Graph graph;
   std::vector<NodeId> fine_to_coarse;
@@ -52,21 +53,26 @@ struct CoarsenOptions {
   std::uint32_t max_levels = 64;
 };
 
-/// The whole multilevel hierarchy. graphs[0] is the input; maps[i] sends
-/// node ids of graphs[i] to graphs[i+1]. levels_used[i] records which
-/// heuristic won level i.
+/// The levels coarsened above an input graph, which the hierarchy does not
+/// hold: level 0 is the input, which callers pass back as `finest`, and
+/// levels[i] is level i + 1, contracted from level i.
 struct Hierarchy {
-  std::vector<Graph> graphs;
-  std::vector<std::vector<NodeId>> maps;
-  std::vector<MatchingKind> winners;
+  std::vector<CoarseLevel> levels;
 
-  const Graph& coarsest() const { return graphs.back(); }
-  std::size_t num_levels() const { return graphs.size(); }
+  /// Levels including the input: 1 when nothing was contracted.
+  std::size_t num_levels() const { return levels.size() + 1; }
+  const Graph& level_graph(std::size_t level, const Graph& finest) const {
+    return level == 0 ? finest : levels[level - 1].graph;
+  }
+  const Graph& coarsest(const Graph& finest) const {
+    return level_graph(levels.size(), finest);
+  }
+  /// The coarsest contracted graph; requires at least one coarse level.
+  const Graph& coarsest() const;
 
   /// Projects a coarsest-level part assignment down to level `level`
-  /// (0 = original graph). `coarse_assign` indexes coarsest-graph nodes.
-  /// Needs only the maps, so it also serves cached hierarchies, whose
-  /// graphs[0] is empty.
+  /// (0 = the input). `coarse_assign` indexes coarsest-graph nodes. Needs
+  /// only the maps, not the input.
   std::vector<PartId> project_to_level(
       const std::vector<PartId>& coarse_assign, std::size_t level) const;
 };

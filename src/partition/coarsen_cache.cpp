@@ -53,11 +53,7 @@ CoarseningCache::HierarchyPtr CoarseningCache::hierarchy(
   return hierarchy(graph_key, options, [&]() -> Hierarchy {
     support::Rng canonical(
         canonical_coarsen_seed(coarsen_options_digest(options)));
-    Hierarchy built = coarsen(finest, options, canonical);
-    // Don't retain a copy of the input: every consumer already holds the
-    // finest graph and substitutes it for level 0.
-    built.graphs[0] = Graph();
-    return built;
+    return coarsen(finest, options, canonical);
   });
 }
 

@@ -56,27 +56,24 @@ class CoarseningCache {
   /// `capacity` bounds the number of cached hierarchies. 0 disables storage
   /// but keeps single-flight coalescing of concurrent identical builds.
   ///
-  /// Memory note: cached hierarchies are stored with an EMPTY level-0
-  /// graph (consumers substitute the input they already hold), so an entry
-  /// costs the coarser levels only — roughly one input graph's worth — and
-  /// holds it until eviction or clear(). Size the capacity for the number
-  /// of distinct (graph, options) keys actually in rotation.
+  /// Memory note: a hierarchy holds its coarse levels only, never the
+  /// input, so an entry costs roughly one input graph's worth and holds it
+  /// until eviction or clear(). Size the capacity for the number of
+  /// distinct (graph, options) keys actually in rotation.
   explicit CoarseningCache(std::size_t capacity = 32);
 
   /// Returns the cached hierarchy for (graph_key, options), building it at
   /// most once on a miss. Concurrent callers with the same key wait for
   /// the one in-flight build (counted as hits). This overload owns the
-  /// cache's two load-bearing invariants so callers can't drift: the build
-  /// runs from the canonical seed-independent stream, and the entry is
-  /// stored with an EMPTY level-0 graph — consume via
-  /// `level == 0 ? finest : h.graphs[level]` (and substitute `finest` for
-  /// `coarsest()` when num_levels() == 1).
+  /// cache's load-bearing invariant so callers can't drift: the build runs
+  /// coarsen() from the canonical seed-independent stream, and the entry is
+  /// what it returns.
   HierarchyPtr hierarchy(std::uint64_t graph_key, const CoarsenOptions& options,
                          const Graph& finest);
 
-  /// Advanced: caller-supplied builder. The invariants above become the
-  /// caller's responsibility — a seed-dependent or unstripped entry poisons
-  /// the key for every other consumer.
+  /// Advanced: caller-supplied builder. The invariant above becomes the
+  /// caller's responsibility — a seed-dependent entry poisons the key for
+  /// every other consumer.
   HierarchyPtr hierarchy(std::uint64_t graph_key, const CoarsenOptions& options,
                          const std::function<Hierarchy()>& build);
 

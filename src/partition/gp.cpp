@@ -20,23 +20,20 @@ namespace {
 
 constexpr const char* kTraceCat = "gp";
 
-/// Refines an assignment down a hierarchy, recording the trace. `assign`
-/// indexes the coarsest graph on entry and the finest on return. `finest`
-/// stands in for level 0: cached hierarchies drop their level-0 graph (the
-/// caller holds the input already), and for local hierarchies it is simply
-/// the same graph by content.
+/// Refines an assignment down the hierarchy above `finest`, recording the
+/// trace. `assign` indexes the coarsest graph on entry and `finest` on
+/// return.
 std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
                                 std::vector<PartId> assign, PartId k,
-                                const Constraints& c, const GpOptions& options,
+                                const Constraints& c,
                                 const ParallelOptions& par,
                                 support::Rng& rng, std::uint32_t cycle,
                                 std::vector<GpLevelTrace>* trace,
                                 Workspace& ws) {
-  FmOptions fm;
-  fm.max_passes = options.refine_passes;
+  const FmOptions fm;
   support::ThreadPool& pool = support::ThreadPool::global();
   for (std::size_t level = h.num_levels(); level-- > 0;) {
-    const Graph& g = level == 0 ? finest : h.graphs[level];
+    const Graph& g = h.level_graph(level, finest);
     PhaseScope phase(ws.phases, PhaseProfile::kRefine, ws.phase_cat,
                      static_cast<std::int64_t>(level),
                      static_cast<std::int64_t>(g.num_nodes()));
@@ -45,7 +42,8 @@ std::vector<PartId> refine_down(const Hierarchy& h, const Graph& finest,
     if (level + 1 < h.num_levels()) {
       // Project from the coarser level.
       std::vector<PartId> finer(g.num_nodes());
-      for (NodeId u = 0; u < g.num_nodes(); ++u) finer[u] = assign[h.maps[level][u]];
+      const std::vector<NodeId>& map = h.levels[level].fine_to_coarse;
+      for (NodeId u = 0; u < g.num_nodes(); ++u) finer[u] = assign[map[u]];
       assign = std::move(finer);
     }
     Partition& p = ws.level_partition;
@@ -114,7 +112,7 @@ void record_coarsen_trace(const Hierarchy& h, const Graph& finest,
                           std::vector<GpLevelTrace>* trace) {
   if (trace == nullptr) return;
   for (std::size_t level = 0; level < h.num_levels(); ++level) {
-    const Graph& g = level == 0 ? finest : h.graphs[level];
+    const Graph& g = h.level_graph(level, finest);
     GpLevelTrace t;
     t.cycle = cycle;
     t.level = level;
@@ -122,7 +120,7 @@ void record_coarsen_trace(const Hierarchy& h, const Graph& finest,
     t.edges = g.num_edges();
     t.phase = level + 1 == h.num_levels() ? GpLevelTrace::Phase::kInitial
                                           : GpLevelTrace::Phase::kCoarsen;
-    if (level > 0) t.matching = h.winners[level - 1];
+    if (level > 0) t.matching = h.levels[level - 1].used_matching;
     trace->push_back(t);
   }
 }
@@ -162,11 +160,9 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
 
   GreedyGrowOptions grow_opts;
   grow_opts.restarts = options_.restarts;
-  grow_opts.balance_slack = options_.balance_slack;
   grow_opts.parallel = par.threads > 1;
 
-  FmOptions fm;
-  fm.max_passes = options_.refine_passes;
+  const FmOptions fm;
 
   Workspace local_ws;
   Workspace& ws = request.workspace != nullptr ? *request.workspace : local_ws;
@@ -213,7 +209,7 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
       }
       const Hierarchy& h = shared_h ? *shared_h : local;
       record_coarsen_trace(h, g, cycle, &result.trace);
-      const Graph& coarsest = h.num_levels() == 1 ? g : h.coarsest();
+      const Graph& coarsest = h.coarsest(g);
       std::vector<PartId> coarse_assign;
       {
         PhaseScope phase(request.phases, PhaseProfile::kInitial, kTraceCat,
@@ -228,8 +224,8 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
         for (NodeId u = 0; u < coarsest.num_nodes(); ++u)
           coarse_assign[u] = seed_part[u];
       }
-      assign = refine_down(h, g, std::move(coarse_assign), k, c, options_,
-                           par, cycle_rng, cycle, &result.trace, ws);
+      assign = refine_down(h, g, std::move(coarse_assign), k, c, par,
+                           cycle_rng, cycle, &result.trace, ws);
     } else {
       // Cyclic re-coarsening around the incumbent (paper: "coarsened back to
       // the lowest level if needed … repeated a number of parametrized
@@ -239,11 +235,11 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
           g, *best_assign, coarsen_opts, cycle_rng, ws, par.threads);
       record_coarsen_trace(rh.hierarchy, g, cycle, &result.trace);
       std::vector<PartId>& coarse = rh.coarse_parts;
-      const NodeId cn = rh.hierarchy.coarsest().num_nodes();
+      const NodeId cn = rh.hierarchy.coarsest(g).num_nodes();
       support::Rng kick_rng = cycle_rng.derive(0x6B1C6);
-      const std::uint32_t kicks = std::max<std::uint32_t>(
-          options_.perturbation_moves,
-          static_cast<std::uint32_t>(cn / 64));
+      // One random move per 64 coarsest nodes, and at least 3.
+      const std::uint32_t kicks =
+          std::max<std::uint32_t>(3, static_cast<std::uint32_t>(cn / 64));
       for (std::uint32_t i = 0; i < kicks && cn > 1; ++i) {
         // Alternate single-node reassignments with pairwise swaps; swaps
         // keep loads level, which matters when Rmax is tight.
@@ -256,8 +252,8 @@ GpResult GpPartitioner::run_detailed(const Graph& g,
           if (u != v) std::swap(coarse[u], coarse[v]);
         }
       }
-      assign = refine_down(rh.hierarchy, g, std::move(coarse), k, c, options_,
-                           par, cycle_rng, cycle, &result.trace, ws);
+      assign = refine_down(rh.hierarchy, g, std::move(coarse), k, c, par,
+                           cycle_rng, cycle, &result.trace, ws);
     }
 
     Partition p(g.num_nodes(), k);

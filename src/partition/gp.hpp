@@ -32,7 +32,6 @@ struct GpOptions {
   std::uint32_t restarts = 10;      // paper default
   std::uint32_t max_cycles = 16;
   std::uint32_t fresh_restart_period = 3;  // every Nth cycle restarts fresh
-  std::uint32_t refine_passes = 8;
   /// Matchings raced at every coarsening level. The paper races random,
   /// heavy-edge and k-means; random is off by default because it never won
   /// a level: 0 of 60 on the tracked 100k-node PN (heavy-edge 54, k-means 6)
@@ -42,15 +41,10 @@ struct GpOptions {
   /// list). The paper's three-way race stays selectable.
   std::vector<MatchingKind> matchings = {MatchingKind::kHeavyEdge,
                                          MatchingKind::kKMeans};
-  double balance_slack = 1.0;  // growth cap slack in greedy initial
   /// Once a feasible finest-level partition exists, run this many further
   /// cycles to polish the cut before stopping (0 = stop immediately; the
   /// paper's Table II shows GP beating METIS on cut, which needs polish).
   std::uint32_t extra_cycles_after_feasible = 2;
-  /// Random kick applied before refining a re-coarsened incumbent
-  /// (iterated-local-search escape from FM local optima); number of random
-  /// node moves, scaled up with graph size.
-  std::uint32_t perturbation_moves = 3;
 };
 
 /// Per-level trace of one V-cycle; regenerates the paper's Figure 1 (the

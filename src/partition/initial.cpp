@@ -17,23 +17,21 @@ namespace {
 /// subsequent partitions always seed from the heaviest remaining node (the
 /// paper's rule — only the initial selection is randomised across restarts).
 Partition grow_once(const Graph& g, PartId k, const Constraints& c,
-                    double balance_slack, NodeId first_seed,
-                    support::Rng& rng) {
+                    NodeId first_seed) {
   const NodeId n = g.num_nodes();
   Partition p(n, k);
   std::vector<bool> assigned(n, false);
 
   const Weight total = g.total_node_weight();
   // The paper grows each partition "as long as Rmax is not violated"; the
-  // balanced cap only substitutes when no resource budget is given (a
-  // loose/unlimited Rmax must not let one part swallow the whole graph).
+  // balanced cap ceil(W / k) only substitutes when no resource budget is
+  // given (an unlimited Rmax must not let one part swallow the whole graph).
   const Weight balanced =
-      k > 0 ? std::max<Weight>(
-                  static_cast<Weight>(std::ceil(
-                      std::max(1.0, balance_slack) *
-                      static_cast<double>(total) / k)),
-                  1)
-            : total;
+      k > 0
+          ? std::max<Weight>(
+                static_cast<Weight>(std::ceil(static_cast<double>(total) / k)),
+                1)
+          : total;
   const auto cap_of = [&](PartId part) {
     const Weight budget = c.rmax_of(part);
     return budget == Constraints::kUnlimited ? balanced : budget;
@@ -135,7 +133,6 @@ Partition grow_once(const Graph& g, PartId k, const Constraints& c,
     p.set(u, target);
     loads[static_cast<std::size_t>(target)] += w;
   }
-  (void)rng;
   return p;
 }
 
@@ -157,8 +154,7 @@ Partition greedy_grow_initial(const Graph& g, PartId k, const Constraints& c,
 
   std::vector<Partition> results(restarts);
   auto run_one = [&](std::size_t r) {
-    support::Rng local = rng.derive(0xABCDull + r);
-    results[r] = grow_once(g, k, c, options.balance_slack, seeds[r], local);
+    results[r] = grow_once(g, k, c, seeds[r]);
   };
   if (options.parallel && restarts > 1) {
     support::parallel_for(0, restarts, run_one);

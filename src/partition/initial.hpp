@@ -22,9 +22,6 @@ namespace ppnpart::part {
 
 struct GreedyGrowOptions {
   std::uint32_t restarts = 10;  // paper default
-  /// Growth stops when a part reaches min(Rmax, ceil(balance_slack * W / k));
-  /// the cap keeps a loose Rmax from letting one part swallow the graph.
-  double balance_slack = 1.0;
   /// Run restarts on the global thread pool.
   bool parallel = true;
 };

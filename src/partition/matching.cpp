@@ -20,7 +20,7 @@ void identity_matching_into(NodeId n, Matching& m, MatchingScratch& scratch) {
   std::iota(m.begin(), m.end(), NodeId{0});
 }
 
-/// Random tie-break among equal weights keeps the sweeps stochastic across
+/// Random tie-break among equal weights keeps the sweep stochastic across
 /// V-cycles, as the multi-restart design expects. Tagging the shuffled
 /// positions and sorting by (w desc, pos asc) is exactly the stable sort by
 /// descending weight, minus stable_sort's per-call merge-buffer allocation.
@@ -69,34 +69,10 @@ Matching random_maximal_matching(const Graph& g, support::Rng& rng) {
 }
 
 Weight heavy_edge_matching_into(const Graph& g, support::Rng& rng,
-                                Matching& match, MatchingScratch& scratch,
-                                bool globally_sorted) {
+                                Matching& match, MatchingScratch& scratch) {
   const NodeId n = g.num_nodes();
   identity_matching_into(n, match, scratch);
   Weight matched_weight = 0;
-  if (globally_sorted) {
-    // Literal description from the paper: sort all edges by weight
-    // descending, sweep, match edges whose both endpoints are free.
-    std::vector<WeightedEdge>& edges = scratch.edges;
-    support::reserve_tracked(edges, g.num_edges(), scratch.stats);
-    edges.clear();
-    for (NodeId u = 0; u < n; ++u) {
-      auto nbrs = g.neighbors(u);
-      auto wgts = g.edge_weights(u);
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        if (u < nbrs[i]) edges.push_back({wgts[i], u, nbrs[i], 0});
-      }
-    }
-    shuffle_sort_by_weight(rng, edges);
-    for (const WeightedEdge& e : edges) {
-      if (match[e.u] == e.u && match[e.v] == e.v) {
-        match[e.u] = e.v;
-        match[e.v] = e.u;
-        matched_weight += e.w;
-      }
-    }
-    return matched_weight;
-  }
   // Node-local HEM (Karypis-Kumar style): random visit order, pick the
   // heaviest free incident edge.
   support::reserve_tracked(scratch.order, n, scratch.stats);
@@ -124,11 +100,10 @@ Weight heavy_edge_matching_into(const Graph& g, support::Rng& rng,
   return matched_weight;
 }
 
-Matching heavy_edge_matching(const Graph& g, support::Rng& rng,
-                             bool globally_sorted) {
+Matching heavy_edge_matching(const Graph& g, support::Rng& rng) {
   Matching match;
   MatchingScratch scratch;
-  heavy_edge_matching_into(g, rng, match, scratch, globally_sorted);
+  heavy_edge_matching_into(g, rng, match, scratch);
   return match;
 }
 

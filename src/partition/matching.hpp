@@ -24,10 +24,11 @@ enum class MatchingKind { kRandom, kHeavyEdge, kKMeans };
 /// match[u] == u means u stays single.
 using Matching = std::vector<NodeId>;
 
-/// An undirected edge record for sorted-edge sweeps. `pos` tags the edge's
-/// position after the pre-sort shuffle so an unstable sort by (w desc, pos
-/// asc) reproduces exactly what a stable sort by weight produced — without
-/// stable_sort's per-call merge-buffer allocation.
+/// An undirected edge record for k-means matching's sorted-edge sweep within
+/// a cluster. `pos` tags the edge's position after the pre-sort shuffle so
+/// an unstable sort by (w desc, pos asc) reproduces exactly what a stable
+/// sort by weight produced — without stable_sort's per-call merge-buffer
+/// allocation.
 struct WeightedEdge {
   Weight w;
   NodeId u, v;
@@ -42,7 +43,7 @@ struct MatchingScratch {
   support::AllocStats* stats = nullptr;
   std::vector<std::uint32_t> order;      // random visit order
   std::vector<NodeId> candidates;        // free-neighbour pool
-  std::vector<WeightedEdge> edges;       // sorted-edge sweeps
+  std::vector<WeightedEdge> edges;       // k-means sorted-edge sweep
   // k-means matching state; buckets are numbered in first-seen order
   std::vector<std::uint32_t> weight_table;  // open addressing -> bucket
   std::vector<Weight> bucket_w;             // node weight per bucket
@@ -68,15 +69,12 @@ Weight random_maximal_matching_into(const Graph& g, support::Rng& rng,
                                     Matching& match, MatchingScratch& scratch);
 
 /// Visits nodes in random order; each unmatched node picks its heaviest
-/// unmatched incident edge. (The paper describes the global sorted-edge
-/// variant; the node-local variant is the standard equivalent — it selects
-/// the same matchings up to ties and is O(m) instead of O(m log m). Set
-/// `globally_sorted` to use the literal sorted-edge sweep.)
-Matching heavy_edge_matching(const Graph& g, support::Rng& rng,
-                             bool globally_sorted = false);
+/// unmatched incident edge. (The paper describes a global sorted-edge
+/// sweep; this node-local variant is the standard Karypis–Kumar form, O(m)
+/// instead of O(m log m).)
+Matching heavy_edge_matching(const Graph& g, support::Rng& rng);
 Weight heavy_edge_matching_into(const Graph& g, support::Rng& rng,
-                                Matching& match, MatchingScratch& scratch,
-                                bool globally_sorted = false);
+                                Matching& match, MatchingScratch& scratch);
 
 struct KMeansMatchingOptions {
   /// Number of weight-clusters; 0 means ceil(n / 8).

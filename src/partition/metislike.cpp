@@ -19,14 +19,15 @@ namespace ppnpart::part {
 namespace {
 
 constexpr const char* kTraceCat = "metislike";
+constexpr std::uint32_t kBisectionFmPasses = 10;
 
 /// Recursive bisection of `g` into parts [part_offset, part_offset + k);
 /// writes into `assign` through `original_of` (ids of g's nodes in the
 /// caller's graph).
 void recursive_bisect(const Graph& g, const std::vector<NodeId>& original_of,
                       PartId k, PartId part_offset, double imbalance,
-                      std::uint32_t fm_passes, support::Rng& rng,
-                      std::vector<PartId>& assign, Workspace& ws) {
+                      support::Rng& rng, std::vector<PartId>& assign,
+                      Workspace& ws) {
   if (k <= 1) {
     for (NodeId u = 0; u < g.num_nodes(); ++u)
       assign[original_of[u]] = part_offset;
@@ -47,7 +48,7 @@ void recursive_bisect(const Graph& g, const std::vector<NodeId>& original_of,
   const Weight cap1 = side_cap(1.0 - fraction);
 
   Partition p = region_grow_bisection(g, fraction, rng);
-  bisection_fm_refine(g, p, cap0, cap1, fm_passes, ws);
+  bisection_fm_refine(g, p, cap0, cap1, kBisectionFmPasses, ws);
 
   std::vector<NodeId> side0, side1;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
@@ -75,8 +76,8 @@ void recursive_bisect(const Graph& g, const std::vector<NodeId>& original_of,
     for (std::size_t i = 0; i < side.size(); ++i) {
       sub_original[i] = original_of[side[i]];
     }
-    recursive_bisect(sub.graph, sub_original, sub_k, offset, imbalance,
-                     fm_passes, rng, assign, ws);
+    recursive_bisect(sub.graph, sub_original, sub_k, offset, imbalance, rng,
+                     assign, ws);
   };
   recurse(side0, k0, part_offset);
   recurse(side1, k1, part_offset + k0);
@@ -146,7 +147,7 @@ PartitionResult MetisLikePartitioner::run(const Graph& g,
   const Hierarchy& h = shared_h ? *shared_h : local;
 
   // --- Initial partitioning: recursive bisection of the coarsest graph. --
-  const Graph& coarsest = h.num_levels() == 1 ? *work : h.coarsest();
+  const Graph& coarsest = h.coarsest(*work);
   std::vector<PartId> coarse_assign(coarsest.num_nodes(), 0);
   std::vector<NodeId> identity(coarsest.num_nodes());
   for (NodeId u = 0; u < coarsest.num_nodes(); ++u) identity[u] = u;
@@ -154,8 +155,8 @@ PartitionResult MetisLikePartitioner::run(const Graph& g,
     PhaseScope phase(request.phases, PhaseProfile::kInitial, kTraceCat,
                      static_cast<std::int64_t>(h.num_levels() - 1),
                      static_cast<std::int64_t>(coarsest.num_nodes()));
-    recursive_bisect(coarsest, identity, k, 0, options_.imbalance,
-                     options_.bisection_fm_passes, rng, coarse_assign, ws);
+    recursive_bisect(coarsest, identity, k, 0, options_.imbalance, rng,
+                     coarse_assign, ws);
   }
 
   // --- Uncoarsening: project + greedy k-way boundary refinement. ---------
@@ -169,28 +170,24 @@ PartitionResult MetisLikePartitioner::run(const Graph& g,
                static_cast<Weight>(std::ceil(target)));
   max_load = std::max(max_load, work->max_node_weight());
 
-  GreedyRefineOptions refine_opts;
-  refine_opts.max_passes = options_.refine_passes;
-
   std::vector<PartId> assign = std::move(coarse_assign);
   for (std::size_t level = h.num_levels(); level-- > 0;) {
-    // Level 0 of a cached hierarchy is empty; the work graph stands in.
-    const Graph& level_graph = level == 0 ? *work : h.graphs[level];
+    const Graph& level_graph = h.level_graph(level, *work);
     PhaseScope phase(request.phases, PhaseProfile::kRefine, kTraceCat,
                      static_cast<std::int64_t>(level),
                      static_cast<std::int64_t>(level_graph.num_nodes()));
     if (level + 1 < h.num_levels()) {
+      const std::vector<NodeId>& map = h.levels[level].fine_to_coarse;
       std::vector<PartId> finer(level_graph.num_nodes());
-      for (NodeId u = 0; u < level_graph.num_nodes(); ++u) {
-        finer[u] = assign[h.maps[level][u]];
-      }
+      for (NodeId u = 0; u < level_graph.num_nodes(); ++u)
+        finer[u] = assign[map[u]];
       assign = std::move(finer);
     }
     Partition& p = ws.level_partition;
     p.reset(level_graph.num_nodes(), k);
     for (NodeId u = 0; u < level_graph.num_nodes(); ++u) p.set(u, assign[u]);
     support::Rng level_rng = rng.derive(0x3E71ull * (level + 1));
-    greedy_cut_refine(level_graph, p, max_load, refine_opts, level_rng, ws);
+    greedy_cut_refine(level_graph, p, max_load, level_rng, ws);
     for (NodeId u = 0; u < level_graph.num_nodes(); ++u) assign[u] = p[u];
   }
 

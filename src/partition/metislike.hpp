@@ -23,8 +23,6 @@ struct MetisLikeOptions {
   double imbalance = 1.03;
   /// Coarsening stops at max(this, 20 * k) nodes; 0 keeps the default.
   NodeId coarsen_to = 0;
-  std::uint32_t refine_passes = 8;
-  std::uint32_t bisection_fm_passes = 10;
   /// Balance node *count* instead of node weight — how the paper's authors
   /// ran METIS (resources were tallied only after the fact; Tables I–III
   /// show METIS exceeding Rmax by ~11%, far beyond ufactor 30's 3%, which

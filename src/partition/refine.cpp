@@ -332,8 +332,8 @@ bool swap_refine(const Graph& g, Partition& p, const Constraints& c,
 }
 
 bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
-                       const GreedyRefineOptions& options, support::Rng& rng,
-                       Workspace& ws) {
+                       support::Rng& rng, Workspace& ws) {
+  constexpr std::uint32_t kMaxPasses = 8;
   // Balance modelled as a hard cap; cut via the goodness cut component.
   Constraints cap;
   cap.rmax = max_load;
@@ -345,7 +345,7 @@ bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
   // warranted — and it is the incremental boundary enumeration, not a
   // graph rescan.
   std::vector<NodeId>& order = ws.boundary;
-  for (std::uint32_t pass = 0; pass < options.max_passes; ++pass) {
+  for (std::uint32_t pass = 0; pass < kMaxPasses; ++pass) {
     bool moved = false;
     ctx.boundary_nodes(order);
     rng.shuffle(order);

@@ -81,17 +81,12 @@ bool constrained_fm_refine(MoveContext& ctx, const FmOptions& options,
 bool constrained_fm_refine(const Graph& g, Partition& p, const Constraints& c,
                            const FmOptions& options, support::Rng& rng);
 
-struct GreedyRefineOptions {
-  std::uint32_t max_passes = 8;
-};
-
-/// Cut-only greedy boundary refinement with hard max-load cap. Moves are
-/// applied immediately when they strictly reduce the cut (or keep it equal
-/// while improving the load spread) and respect the cap. Returns true iff
-/// the cut improved.
+/// Cut-only greedy boundary refinement with hard max-load cap, for up to 8
+/// passes. Moves are applied immediately when they strictly reduce the cut
+/// (or keep it equal while improving the load spread) and respect the cap.
+/// Returns true iff the cut improved.
 bool greedy_cut_refine(const Graph& g, Partition& p, Weight max_load,
-                       const GreedyRefineOptions& options, support::Rng& rng,
-                       Workspace& ws);
+                       support::Rng& rng, Workspace& ws);
 
 /// 2-way FM with independent side caps (cap0 for part 0, cap1 for part 1).
 /// Minimizes (total overweight, cut) lexicographically. Returns true iff

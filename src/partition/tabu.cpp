@@ -10,6 +10,13 @@
 
 namespace ppnpart::part {
 
+namespace {
+
+constexpr std::uint32_t kStallLimit = 512;
+constexpr std::size_t kCandidateSample = 64;
+
+}  // namespace
+
 bool tabu_refine(const Graph& g, Partition& p, const Constraints& c,
                  const TabuOptions& options, support::Rng& rng,
                  const support::StopToken* stop) {
@@ -23,9 +30,7 @@ bool tabu_refine(const Graph& g, Partition& p, const Constraints& c,
   std::vector<PartId> best_assign(p.assignments());
 
   const std::uint32_t tenure =
-      options.tenure > 0
-          ? options.tenure
-          : std::max<std::uint32_t>(2, n / 10 + static_cast<std::uint32_t>(k));
+      std::max<std::uint32_t>(2, n / 10 + static_cast<std::uint32_t>(k));
   // tabu_until[u]: first iteration at which u may move again.
   std::vector<std::uint64_t> tabu_until(n, 0);
 
@@ -49,15 +54,13 @@ bool tabu_refine(const Graph& g, Partition& p, const Constraints& c,
       }
     }
     if (pool.empty()) break;
-    if (options.candidate_sample > 0 &&
-        pool.size() > options.candidate_sample) {
-      // Partial Fisher-Yates: a random prefix of size candidate_sample.
-      for (std::uint32_t i = 0; i < options.candidate_sample; ++i) {
-        const std::size_t j =
-            i + rng.uniform_index(pool.size() - i);
+    if (pool.size() > kCandidateSample) {
+      // Partial Fisher-Yates: a random prefix of size kCandidateSample.
+      for (std::size_t i = 0; i < kCandidateSample; ++i) {
+        const std::size_t j = i + rng.uniform_index(pool.size() - i);
         std::swap(pool[i], pool[j]);
       }
-      pool.resize(options.candidate_sample);
+      pool.resize(kCandidateSample);
     }
 
     // Best admissible move: non-tabu, or tabu-but-aspirated (beats the
@@ -86,7 +89,7 @@ bool tabu_refine(const Graph& g, Partition& p, const Constraints& c,
       best = ctx.goodness();
       best_assign = ctx.partition().assignments();
       stall = 0;
-    } else if (++stall >= options.stall_limit) {
+    } else if (++stall >= kStallLimit) {
       break;
     }
   }

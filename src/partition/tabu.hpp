@@ -6,9 +6,9 @@
 //
 //   * tabu_refine():  a constraint-aware tabu walk over single-node moves —
 //     every iteration applies the best admissible move even when it worsens
-//     the goodness, recently moved nodes are tabu for `tenure` iterations,
-//     and a tabu move is still allowed when it beats the best solution seen
-//     (the classic aspiration criterion);
+//     the goodness, recently moved nodes are tabu for max(2, n/10 + k)
+//     iterations, and a tabu move is still allowed when it beats the best
+//     solution seen (the classic aspiration criterion);
 //   * TabuPartitioner: greedy growth seeding followed by tabu_refine, usable
 //     wherever the harness wants a standalone related-work baseline.
 //
@@ -25,18 +25,14 @@ namespace ppnpart::part {
 struct TabuOptions {
   /// Iterations ~ iterations_per_node * n (each applies exactly one move).
   std::uint32_t iterations_per_node = 24;
-  /// How long a moved node stays tabu; 0 derives n/10 + k automatically.
-  std::uint32_t tenure = 0;
-  /// Stop after this many iterations without improving the incumbent.
-  std::uint32_t stall_limit = 512;
-  /// Candidate moves examined per iteration (sampled from the boundary);
-  /// 0 examines every boundary node.
-  std::uint32_t candidate_sample = 64;
 };
 
 /// Runs the tabu walk in place; returns true if the goodness improved over
-/// the initial partition. Partition must be complete. A fired `stop` token
-/// ends the walk at the next iteration, leaving the best state visited.
+/// the initial partition. Partition must be complete. Each iteration
+/// examines up to 64 candidate nodes sampled from the boundary, and the
+/// walk stops after 512 iterations without improving the incumbent. A
+/// fired `stop` token ends the walk at the next iteration, leaving the best
+/// state visited.
 bool tabu_refine(const Graph& g, Partition& p, const Constraints& c,
                  const TabuOptions& options, support::Rng& rng,
                  const support::StopToken* stop = nullptr);

@@ -73,13 +73,6 @@ double Histogram::Snapshot::quantile(double q) const {
   return bounds.empty() ? 0.0 : bounds.back();
 }
 
-void Histogram::reset() {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i)
-    counts_[i].store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-}
-
 std::uint64_t MetricsSnapshot::counter_or(std::string_view name,
                                           std::uint64_t fallback) const {
   for (const CounterEntry& c : counters)
@@ -129,11 +122,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, h] : histograms_)
     snap.histograms.push_back({name, h->snapshot()});
   return snap;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, h] : histograms_) h->reset();
 }
 
 }  // namespace ppnpart::support

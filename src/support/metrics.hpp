@@ -57,7 +57,6 @@ class Histogram {
   };
 
   Snapshot snapshot() const;
-  void reset();
 
  private:
   std::vector<double> bounds_;
@@ -111,9 +110,6 @@ class MetricsRegistry {
 
   /// Every histogram, name-sorted; `counters` is left empty.
   MetricsSnapshot snapshot() const;
-
-  /// Zeroes every histogram; registrations (and cached references) survive.
-  void reset();
 
  private:
   mutable std::mutex mutex_;

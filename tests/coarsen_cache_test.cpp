@@ -88,13 +88,12 @@ TEST(CoarseningCache, DistinctKeysDistinctEntries) {
 }
 
 TEST(CoarseningCache, CachedHierarchyProjectsToTheInputGraph) {
-  // The cache drops graphs[0] (every consumer holds the input graph), so
-  // projecting to level 0 must size that level by its map, not its graph.
+  // A hierarchy does not hold its input, so projecting to level 0 must
+  // size that level by its map.
   const graph::Graph g = make_graph(4, 1000);
   CoarseningCache cache;
   const auto h = cache.hierarchy(graph_digest(g), CoarsenOptions{}, g);
   ASSERT_GE(h->num_levels(), 3u);
-  EXPECT_EQ(h->graphs[0].num_nodes(), 0u);
 
   std::vector<PartId> coarse(h->coarsest().num_nodes());
   for (std::size_t i = 0; i < coarse.size(); ++i)
@@ -103,7 +102,7 @@ TEST(CoarseningCache, CachedHierarchyProjectsToTheInputGraph) {
   ASSERT_EQ(fine.size(), g.num_nodes());
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
     graph::NodeId c = u;
-    for (const auto& map : h->maps) c = map[c];
+    for (const CoarseLevel& level : h->levels) c = level.fine_to_coarse[c];
     EXPECT_EQ(fine[u], coarse[c]) << u;
   }
 }

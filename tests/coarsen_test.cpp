@@ -4,6 +4,7 @@
 
 #include "graph/generators.hpp"
 #include "partition/coarsen.hpp"
+#include "partition/coarsen_cache.hpp"
 
 namespace ppnpart::part {
 namespace {
@@ -79,9 +80,10 @@ TEST(Coarsen, StopsAtTarget) {
   EXPECT_LE(h.coarsest().num_nodes(), 120u);  // roughly halves per level
   // Monotone shrink.
   for (std::size_t i = 1; i < h.num_levels(); ++i) {
-    EXPECT_LT(h.graphs[i].num_nodes(), h.graphs[i - 1].num_nodes());
+    EXPECT_LT(h.level_graph(i, g).num_nodes(),
+              h.level_graph(i - 1, g).num_nodes());
   }
-  EXPECT_EQ(h.winners.size(), h.num_levels() - 1);
+  EXPECT_EQ(h.levels.size(), h.num_levels() - 1);
 }
 
 TEST(Coarsen, SmallGraphIsSingleLevel) {
@@ -120,8 +122,44 @@ TEST(Coarsen, ProjectionRoundTrip) {
   ASSERT_EQ(fine.size(), g.num_nodes());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     NodeId c = u;
-    for (const auto& map : h.maps) c = map[c];
+    for (const CoarseLevel& level : h.levels) c = level.fine_to_coarse[c];
     EXPECT_EQ(fine[u], coarse[c]);
+  }
+}
+
+TEST(Coarsen, HierarchyNeverHoldsItsInput) {
+  // coarsen(), coarsen_restricted() and the coarsening cache all return the
+  // one shape: the coarse levels only, with the caller's graph as level 0.
+  const auto build_all = [](const Graph& g) {
+    CoarsenOptions options;
+    options.coarsen_to = 40;
+    support::Rng rng(13);
+    Workspace ws;
+    const std::vector<PartId> parts(g.num_nodes(), 0);
+    CoarseningCache cache;
+    std::vector<Hierarchy> all;
+    all.push_back(coarsen(g, options, rng));
+    all.push_back(coarsen_restricted(g, parts, options, rng, ws).hierarchy);
+    all.push_back(*cache.hierarchy(graph_digest(g), options, g));
+    return all;
+  };
+
+  support::Rng rng(14);
+  const Graph big = graph::erdos_renyi_gnm(300, 900, rng, {1, 5}, {1, 5});
+  for (const Hierarchy& h : build_all(big)) {
+    ASSERT_GT(h.num_levels(), 1u);
+    EXPECT_EQ(h.levels.size(), h.num_levels() - 1);
+    for (std::size_t i = 1; i < h.num_levels(); ++i)
+      EXPECT_LT(h.level_graph(i, big).num_nodes(),
+                h.level_graph(i - 1, big).num_nodes());
+    EXPECT_EQ(&h.level_graph(0, big), &big);
+    EXPECT_EQ(&h.coarsest(big), &h.coarsest());
+  }
+
+  const Graph small = graph::erdos_renyi_gnm(12, 30, rng);
+  for (const Hierarchy& h : build_all(small)) {
+    EXPECT_EQ(h.num_levels(), 1u);
+    EXPECT_EQ(&h.coarsest(small), &small);
   }
 }
 

@@ -69,8 +69,6 @@ TEST(ContractProperty, ProcessNetworkShapes) {
   support::Rng rng(77);
   const graph::Graph g = graph::random_process_network(params, rng);
   check_matching(g, part::heavy_edge_matching(g, rng), ws);
-  check_matching(g, part::heavy_edge_matching(g, rng, /*globally_sorted=*/true),
-                 ws);
 }
 
 TEST(ContractProperty, EmptyMatchingIsIdentity) {

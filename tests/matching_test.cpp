@@ -39,14 +39,6 @@ TEST_P(MatchingProperty, HeavyEdgeIsValid) {
   EXPECT_TRUE(validate_matching(g, m).empty()) << validate_matching(g, m);
 }
 
-TEST_P(MatchingProperty, GloballySortedHeavyEdgeIsValid) {
-  support::Rng rng(GetParam());
-  const Graph g = graph::erdos_renyi_gnm(60, 150, rng, {1, 9}, {1, 9});
-  support::Rng mrng(GetParam() * 41);
-  const Matching m = heavy_edge_matching(g, mrng, /*globally_sorted=*/true);
-  EXPECT_TRUE(validate_matching(g, m).empty()) << validate_matching(g, m);
-}
-
 TEST_P(MatchingProperty, KMeansIsValid) {
   support::Rng rng(GetParam());
   const Graph g = graph::erdos_renyi_gnm(60, 150, rng, {1, 9}, {1, 9});
@@ -59,25 +51,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MatchingProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 TEST(Matching, HeavyEdgePrefersHeavyEdges) {
-  // Star with one heavy spoke. The globally-sorted sweep always takes the
-  // heavy edge; the node-local variant only guarantees it when the centre
-  // is visited while node 2 is free, so we assert the sorted variant and
-  // check the local one picks the heavy edge whenever node 0 got matched
-  // to anything at all while 2 was free — i.e. local choice is heaviest.
+  // Star with one heavy spoke. Node-local matching only guarantees the
+  // heavy edge when the centre is visited while node 2 is free: when the
+  // centre moves first (it can only match once), the heavy edge wins;
+  // leaves moving first may claim the centre — but the result must still
+  // be a valid maximal matching.
   graph::GraphBuilder b(4);
   b.add_edge(0, 1, 1);
   b.add_edge(0, 2, 100);
   b.add_edge(0, 3, 1);
   const Graph g = b.build();
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    support::Rng rng(seed);
-    const Matching m = heavy_edge_matching(g, rng, /*globally_sorted=*/true);
-    EXPECT_EQ(m[0], 2u) << "seed " << seed;
-    EXPECT_EQ(m[2], 0u);
-  }
-  // Node-local: when the centre moves first (it can only match once), the
-  // heavy edge wins; leaves moving first may claim the centre — but the
-  // result must still be a valid maximal matching.
   int heavy_taken = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     support::Rng rng(seed);
@@ -86,21 +69,6 @@ TEST(Matching, HeavyEdgePrefersHeavyEdges) {
     heavy_taken += m[0] == 2u;
   }
   EXPECT_GT(heavy_taken, 0);
-}
-
-TEST(Matching, GloballySortedTakesHeaviestFirst) {
-  // Path a-b-c with weights 5, 9: sorted sweep matches (b,c) first, leaving
-  // a single. Node-local order-dependent HEM could match (a,b) instead.
-  graph::GraphBuilder b(3);
-  b.add_edge(0, 1, 5);
-  b.add_edge(1, 2, 9);
-  const Graph g = b.build();
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    support::Rng rng(seed);
-    const Matching m = heavy_edge_matching(g, rng, true);
-    EXPECT_EQ(m[1], 2u);
-    EXPECT_EQ(m[0], 0u);
-  }
 }
 
 TEST(Matching, MatchedWeightAndPairCount) {

@@ -51,16 +51,11 @@ TEST(Metrics, HistogramBucketsAndQuantiles) {
   EXPECT_EQ(snap.quantile(2), snap.quantile(1));
 }
 
-TEST(Metrics, HistogramEmptyAndResetBehaviour) {
+TEST(Metrics, HistogramEmptyBehaviour) {
   Histogram h({1, 2});
   EXPECT_EQ(h.snapshot().count, 0u);
   EXPECT_EQ(h.snapshot().quantile(0.5), 0.0);
   EXPECT_EQ(h.snapshot().mean(), 0.0);
-  h.observe(1.5);
-  h.reset();
-  const Histogram::Snapshot snap = h.snapshot();
-  EXPECT_EQ(snap.count, 0u);
-  EXPECT_EQ(snap.sum, 0.0);
 }
 
 TEST(Metrics, HistogramDefaultBoundsAreTheLatencyBuckets) {
@@ -112,17 +107,6 @@ TEST(Metrics, SnapshotIsNameSortedAndQueriable) {
   owned.counters = {{"c.alpha", 1}, {"c.zeta", 3}};
   EXPECT_EQ(owned.counter_or("c.zeta"), 3u);
   EXPECT_EQ(owned.counter_or("missing", 77), 77u);
-}
-
-TEST(Metrics, ResetZeroesValuesButKeepsRegistrations) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("lat");
-  h.observe(5);
-  reg.reset();
-  // The cached reference survives and still points at the live histogram.
-  EXPECT_EQ(h.snapshot().count, 0u);
-  h.observe(2);
-  EXPECT_EQ(reg.snapshot().find_histogram("lat")->hist.count, 1u);
 }
 
 TEST(Metrics, ToStringMatchesTheCliFormat) {

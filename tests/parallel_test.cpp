@@ -149,10 +149,11 @@ void expect_same_graph(const graph::Graph& a, const graph::Graph& b) {
 void expect_same_hierarchy(const part::Hierarchy& a,
                            const part::Hierarchy& b) {
   ASSERT_EQ(a.num_levels(), b.num_levels());
-  EXPECT_EQ(a.maps, b.maps);
-  EXPECT_EQ(a.winners, b.winners);
-  for (std::size_t i = 0; i < a.num_levels(); ++i)
-    expect_same_graph(a.graphs[i], b.graphs[i]);
+  for (std::size_t i = 0; i < a.levels.size(); ++i) {
+    EXPECT_EQ(a.levels[i].fine_to_coarse, b.levels[i].fine_to_coarse);
+    EXPECT_EQ(a.levels[i].used_matching, b.levels[i].used_matching);
+    expect_same_graph(a.levels[i].graph, b.levels[i].graph);
+  }
 }
 
 TEST(ChunkedCoarsen, SameHierarchyAtOneAndFourThreads) {

@@ -107,15 +107,16 @@ TEST_P(HierarchyInvariants, EveryLevelConserves) {
   support::Rng crng(GetParam() * 3 + 1);
   const Hierarchy h = coarsen(g, options, crng);
   for (std::size_t level = 0; level + 1 < h.num_levels(); ++level) {
-    const Graph& fine = h.graphs[level];
-    const Graph& coarse = h.graphs[level + 1];
+    const Graph& fine = h.level_graph(level, g);
+    const Graph& coarse = h.level_graph(level + 1, g);
+    const std::vector<NodeId>& map = h.levels[level].fine_to_coarse;
     EXPECT_EQ(fine.total_node_weight(), coarse.total_node_weight());
     EXPECT_GE(fine.total_edge_weight(), coarse.total_edge_weight());
     EXPECT_TRUE(coarse.validate().empty());
     // Map is total and within range.
-    ASSERT_EQ(h.maps[level].size(), fine.num_nodes());
+    ASSERT_EQ(map.size(), fine.num_nodes());
     for (NodeId u = 0; u < fine.num_nodes(); ++u) {
-      EXPECT_LT(h.maps[level][u], coarse.num_nodes());
+      EXPECT_LT(map[u], coarse.num_nodes());
     }
   }
 }

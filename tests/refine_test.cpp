@@ -184,7 +184,7 @@ TEST(GreedyCutRefine, RespectsLoadCap) {
   const Weight before = compute_metrics(g, p).total_cut;
   support::Rng grng(9);
   Workspace ws;
-  greedy_cut_refine(g, p, cap, GreedyRefineOptions{}, grng, ws);
+  greedy_cut_refine(g, p, cap, grng, ws);
   const PartitionMetrics after = compute_metrics(g, p);
   EXPECT_LE(after.total_cut, before);
   EXPECT_LE(after.max_load, cap);
@@ -202,7 +202,7 @@ TEST(GreedyCutRefine, NoMovesWhenCapForbids) {
   p.set(1, 1);
   support::Rng rng(10);
   Workspace ws;
-  greedy_cut_refine(g, p, 10, GreedyRefineOptions{}, rng, ws);
+  greedy_cut_refine(g, p, 10, rng, ws);
   // Merging would reduce the cut but blow the cap; must stay split.
   EXPECT_EQ(compute_metrics(g, p).max_load, 10);
 }
@@ -593,7 +593,7 @@ TEST(SwapRefine, BoundedScanMatchesExhaustiveScan) {
   const Hierarchy h = coarsen(pn, CoarsenOptions{}, pn_rng, coarsen_ws);
   int coarse_levels = 0;
   for (std::size_t level = 0; level < h.num_levels(); ++level) {
-    const Graph& g = h.graphs[level];
+    const Graph& g = h.level_graph(level, pn);
     if (g.num_nodes() > SwapRefineOptions{}.max_nodes) continue;
     ++coarse_levels;
     for (const double slack : {1.3, 1.05}) {
